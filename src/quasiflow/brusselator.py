@@ -1,30 +1,29 @@
 """Two-component reaction-diffusion hulls: activator-depleted substrate kinetics.
 
 Fields are stored in absolute (not deviation) variables so positivity is
-meaningful.  The exponential stepper puts diffusion, the same-component
-linear kinetics, and the lower-triangular cross coupling B*u into the exact
-exponential; the quadratic-cubic term u^2 v and the constant feed A stay in
-the explicit part handled by phi functions.  The homogeneous steady state is
-then a fixed point of the discrete step to round-off, not just to O(dt^2).
+meaningful.  The exponential stepper (the engine in etd.py) puts diffusion,
+the same-component linear kinetics, and the lower-triangular cross coupling
+B*u into the exact exponential; the quadratic-cubic term u^2 v and the
+constant feed A stay in the explicit part handled by phi functions.  The
+homogeneous steady state is then a fixed point of the discrete step to
+round-off, not just to O(dt^2).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy.optimize import brentq
 
-from . import diagnostics
-from .etd import expm_lower_tri, phi1_lower_tri, phi2_lower_tri
+from . import diagnostics, etd
+from .etd import NonFiniteState  # noqa: F401  (re-exported)
+from .etd import LowerTri, StepperConfig
 from .hull import ActiveModeSet, HullField
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-class NonFiniteState(FloatingPointError):
-    """A coefficient left the representable range."""
 
 
 class NoBracket(RuntimeError):
@@ -33,10 +32,17 @@ class NoBracket(RuntimeError):
 
 @dataclass(frozen=True)
 class BrusselatorParams:
+    """The Brusselator as an ETD system of the components (u, v).
+
+    L holds diffusion, the same-component linear kinetics and the cross
+    coupling B*u; N holds u^2 v and the constant feed A.
+    """
+
     A: float
     B: float
     d1: float
     d2: float
+    ncomp: ClassVar[int] = 2
 
     def __post_init__(self):
         if min(self.A, self.B, self.d1, self.d2) <= 0:
@@ -45,6 +51,27 @@ class BrusselatorParams:
     @property
     def eta(self) -> float:
         return float(np.sqrt(self.d1 / self.d2))
+
+    def linear_block(self, active: ActiveModeSet) -> LowerTri:
+        ksq = active.ksq
+        return LowerTri(
+            np.stack((-self.d1 * ksq - (self.B + 1.0), -self.d2 * ksq)),
+            np.full_like(ksq, self.B),
+        )
+
+    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
+        t = _quadratic_cubic(active, coeffs[0], coeffs[1], pad)
+        out = np.array((t, -t))
+        out[0, active.position(np.zeros(active.rank, dtype=int))] += self.A
+        return out
+
+    def energy(self, coeffs: np.ndarray, active: ActiveModeSet) -> float:
+        # no descent functional comparable to the gradient flow's
+        return 0.0
+
+    def config_keys(self) -> dict:
+        return {"equation": "brusselator", "A": self.A, "B": self.B,
+                "d1": self.d1, "d2": self.d2, "ic": "steady-plus-critical"}
 
 
 def steady_state(params: BrusselatorParams) -> tuple[float, float]:
@@ -192,53 +219,16 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     )
 
 
-@dataclass(frozen=True)
-class BrussStepper:
-    dt: float = 0.01
-    dealias: int = 2
+class BrusselatorState(etd.EtdState):
+    """Two-component state; ``u_field`` and ``v_field`` view its coefficients."""
 
-    def __post_init__(self):
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if self.dealias < 2:
-            raise ValueError("pad factor below 2 cannot clear cubic aliasing")
+    @property
+    def u_field(self) -> HullField:
+        return HullField(self.active, self.coeffs[0])
 
-
-class _BrussTables:
-    def __init__(self, active: ActiveModeSet, params: BrusselatorParams, dt: float):
-        self.dt = dt
-        ksq = active.ksq
-        x = dt * (-params.d1 * ksq - (params.B + 1.0))
-        w = np.full_like(ksq, dt * params.B)
-        y = dt * (-params.d2 * ksq)
-        self.E = expm_lower_tri(x, w, y)
-        p = phi1_lower_tri(x, w, y)
-        q = phi2_lower_tri(x, w, y)
-        self.P1 = tuple(dt * np.asarray(c) for c in p)
-        self.P2 = tuple(dt * np.asarray(c) for c in q)
-
-
-@dataclass
-class BrusselatorState:
-    u_field: HullField
-    v_field: HullField
-    t: float
-    params: BrusselatorParams
-    stepper: BrussStepper
-    step_index: int = 0
-    _tables: _BrussTables | None = None
-
-    def __post_init__(self):
-        if self.v_field.active is not self.u_field.active:
-            raise ValueError("components must share one active mode set")
-
-    def tables(self) -> _BrussTables:
-        if self._tables is None or self._tables.dt != self.stepper.dt:
-            self._tables = _BrussTables(self.u_field.active, self.params, self.stepper.dt)
-        return self._tables
-
-    def rhs_pair(self) -> tuple[HullField, HullField]:
-        return bruss_rhs(self)
+    @property
+    def v_field(self) -> HullField:
+        return HullField(self.active, self.coeffs[1])
 
 
 def _quadratic_cubic(active: ActiveModeSet, a: np.ndarray, b: np.ndarray,
@@ -249,62 +239,9 @@ def _quadratic_cubic(active: ActiveModeSet, a: np.ndarray, b: np.ndarray,
     return active.coefficients_from_grid(uv * uv * vv)
 
 
-def bruss_rhs(state: BrusselatorState) -> tuple[HullField, HullField]:
-    """Time derivative of both components in absolute variables."""
-    act = state.u_field.active
-    p = state.params
-    a = state.u_field.coeffs
-    b = state.v_field.coeffs
-    t = _quadratic_cubic(act, a, b, state.stepper.dealias)
-    zero_mode = act.position(np.zeros(act.rank, dtype=int))
-    du = -p.d1 * act.ksq * a - (p.B + 1.0) * a + t
-    du[zero_mode] += p.A
-    dv = -p.d2 * act.ksq * b + p.B * a - t
-    return HullField(act, du), HullField(act, dv)
-
-
-def _nonlinear_pair(active, params, a, b, zero_mode, pad=2):
-    t = _quadratic_cubic(active, a, b, pad)
-    nu = t.copy()
-    nu[zero_mode] += params.A
-    return nu, -t
-
-
 def bruss_step(state: BrusselatorState, dt: float | None = None) -> BrusselatorState:
-    """One exponential step with a phi2 corrector (second order)."""
-    if dt is not None and dt != state.stepper.dt:
-        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
-    tab = state.tables()
-    act = state.u_field.active
-    zero_mode = act.position(np.zeros(act.rank, dtype=int))
-    a, b = state.u_field.coeffs, state.v_field.coeffs
-
-    E11, E21, E22 = tab.E
-    P111, P121, P122 = tab.P1
-    P211, P221, P222 = tab.P2
-
-    pad = state.stepper.dealias
-
-    # overflow surfaces as the explicit NonFiniteState below, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        nu, nv = _nonlinear_pair(act, state.params, a, b, zero_mode, pad)
-        pu = E11 * a + P111 * nu
-        pv = E21 * a + E22 * b + P121 * nu + P122 * nv
-        mu, mv = _nonlinear_pair(act, state.params, pu, pv, zero_mode, pad)
-        out_u = pu + P211 * (mu - nu)
-        out_v = pv + P221 * (mu - nu) + P222 * (mv - nv)
-
-        out_u = 0.5 * (out_u + np.conj(out_u[act.neg_perm]))
-        out_v = 0.5 * (out_v + np.conj(out_v[act.neg_perm]))
-    if not (np.all(np.isfinite(out_u.view(float))) and np.all(np.isfinite(out_v.view(float)))):
-        raise NonFiniteState(f"non-finite coefficient after step at t = {state.t:.6g}")
-    return replace(
-        state,
-        u_field=HullField(act, out_u, state.u_field.symmetric),
-        v_field=HullField(act, out_v, state.v_field.symmetric),
-        t=state.t + tab.dt,
-        step_index=state.step_index + 1,
-    )
+    """One exponential step with a phi2 corrector, ETDRK2 (see ``etd.step``)."""
+    return etd.step(state, dt)
 
 
 def bruss_integrate(
@@ -315,31 +252,11 @@ def bruss_integrate(
     s: float = 3.0,
     grid_axis_points: int | None = None,
 ) -> tuple[BrusselatorState, diagnostics.Trajectory]:
-    """March to time T recording two-component diagnostics."""
-    if T < 0:
-        raise ValueError("horizon must be nonnegative")
-    dt = state.stepper.dt
-    n_steps = int(np.floor(T / dt + 1e-9))
-    remainder = T - n_steps * dt
-    traj = diagnostics.Trajectory([], dt=dt, lam=None, s=s, equation="brusselator")
-
-    def grab(st):
-        rec = diagnostics.record(st, s=s, grid_axis_points=grid_axis_points)
-        traj.records.append(rec)
-        for hook in hooks:
-            hook(st, rec)
-
-    grab(state)
-    for i in range(1, n_steps + 1):
-        state = bruss_step(state)
-        if i % diag_every == 0 and i != n_steps:
-            grab(state)
-    if remainder > 1e-12 * max(1.0, T):
-        state = bruss_step(state, dt=remainder)
-        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
-    if n_steps > 0 or remainder > 0:
-        grab(state)
-    return state, traj
+    """March to time T recording two-component diagnostics (see ``etd.integrate``)."""
+    traj = diagnostics.Trajectory(
+        [], dt=state.stepper.dt, lam=None, s=s, equation="brusselator"
+    )
+    return etd.integrate(state, T, bruss_step, traj, hooks, diag_every, grid_axis_points)
 
 
 def steady_ic(active: ActiveModeSet, params: BrusselatorParams) -> tuple[HullField, HullField]:
@@ -390,4 +307,9 @@ def make_bruss_state(
     t: float = 0.0,
     dealias: int = 2,
 ) -> BrusselatorState:
-    return BrusselatorState(u, v, t, params, BrussStepper(dt, dealias))
+    if v.active is not u.active:
+        raise ValueError("components must share one active mode set")
+    return BrusselatorState(
+        u.active, np.stack((u.coeffs, v.coeffs)), t, params,
+        StepperConfig(dt=dt, dealias=dealias),
+    )

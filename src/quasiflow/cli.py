@@ -1,7 +1,7 @@
 """Command-line surface: simulate, analyze onset, render, verify.
 
-Exit codes: 0 success, 1 failure (bad config, failed verification), 2 usage
-errors from the argument parser.
+Exit codes: 0 success, 1 failure (bad config, blow-up, failed verification),
+2 usage errors from the argument parser.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import numpy as np
 from . import brusselator as br
 from . import config as cfgmod
 from . import sh, snapshots
-from .hull import ActiveModeSet
+from .etd import NonFiniteState
+from .hull import ActiveModeSet, HullField
 from .symmetry import build_holohedry, generate_frequency_module
 
 
@@ -33,8 +34,8 @@ def _sh_initial_field(cfg: cfgmod.RunConfig, active: ActiveModeSet):
     if cfg.ic == "random":
         return sh.random_ic(active, cfg.ic_amplitude, cfg.seed)
     if cfg.ic == "file":
-        state, _ = snapshots.read_snapshot(cfg.ic_file)
-        if not hasattr(state, "field"):
+        state, snap_cfg = snapshots.read_snapshot(cfg.ic_file)
+        if snap_cfg.equation != "sh":
             raise cfgmod.BadValue("snapshot is not a one-component state")
         return state.field
     raise cfgmod.BadValue(f"ic {cfg.ic!r} not available for sh runs")
@@ -47,8 +48,8 @@ def _bruss_initial_fields(cfg: cfgmod.RunConfig, active: ActiveModeSet, params):
             active, params, onset.critical_eigenvector, cfg.perturbation or 1e-6
         )
     if cfg.ic == "file":
-        state, _ = snapshots.read_snapshot(cfg.ic_file)
-        if not hasattr(state, "u_field"):
+        state, snap_cfg = snapshots.read_snapshot(cfg.ic_file)
+        if snap_cfg.equation != "brusselator":
             raise cfgmod.BadValue("snapshot is not a two-component state")
         return state.u_field, state.v_field
     raise cfgmod.BadValue(f"ic {cfg.ic!r} not available for brusselator runs")
@@ -112,9 +113,10 @@ def _cmd_turing(args) -> int:
 
 def _cmd_render(args) -> int:
     state, _ = snapshots.read_snapshot(args.snapshot)
-    field = state.u_field if hasattr(state, "u_field") else state.field
+    # the first component: the pattern, or the Brusselator's activator
     snapshots.export_raster(
-        field, (args.window[0], args.window[1]), args.resolution, args.out
+        HullField(state.active, state.coeffs[0]),
+        (args.window[0], args.window[1]), args.resolution, args.out,
     )
     print(f"wrote {args.out}")
     return 0
@@ -175,7 +177,7 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
     except (cfgmod.BadValue, cfgmod.UnknownKey, OSError,
             snapshots.FormatVersionMismatch, snapshots.CorruptPayload,
-            ValueError) as exc:
+            ValueError, NonFiniteState) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+from .etd import SCHEMES
+
 EQUATIONS = ("sh", "brusselator")
-SCHEMES = ("etdrk2", "etdrk4")
 IC_KINDS = ("quasicrystal", "random", "steady-plus-critical")
 
 
@@ -65,6 +66,8 @@ class RunConfig:
                 raise BadValue(f"brusselator runs need {', '.join(missing)}")
             if min(self.A, self.B, self.d1, self.d2) <= 0:
                 raise BadValue("brusselator parameters must be positive")
+            if self.scheme != "etdrk2":
+                raise BadValue("brusselator runs support scheme = etdrk2 only")
         if not (self.T >= 0):
             raise BadValue("T must be nonnegative")
         if not (self.dt > 0):
@@ -188,9 +191,3 @@ def config_key_values(cfg: RunConfig) -> list[tuple[str, str]]:
         out.append((key, raw))
     return out
 
-
-def equation_parameters(cfg: RunConfig):
-    """The dynamics parameters as a dict keyed the way the modules expect."""
-    if cfg.equation == "sh":
-        return {"lam": cfg.lam}
-    return {"A": cfg.A, "B": cfg.B, "d1": cfg.d1, "d2": cfg.d2}

@@ -92,48 +92,28 @@ def _monitor_axis_points(rank: int) -> int:
 def record(state, s: float = 3.0, grid_axis_points: int | None = None) -> DiagnosticsRecord:
     """Snapshot a solver state.  Pure; safe to call repeatedly.
 
-    Works for one-component states (attributes field / rhs_field()) and
-    two-component states (u_field, v_field / rhs_pair()); the energy column
-    is the gradient-flow functional for the former and zero for the latter,
-    which has no comparable descent functional.
+    Norms combine the components of the stacked coefficients: l2-type norms
+    in quadrature, l1 and the squared gradient by sum.  The energy column is
+    the equation's descent functional, and the extrema of the second
+    component, if any, fill min_v/max_v.
     """
-    step = getattr(state, "step_index", 0)
-    if hasattr(state, "u_field"):
-        u, v = state.u_field, state.v_field
-        if grid_axis_points is None:
-            grid_axis_points = _monitor_axis_points(u.active.rank)
-        du, dv = state.rhs_pair()
-        min_u, max_u = u.torus_minmax(grid_axis_points)
-        min_v, max_v = v.torus_minmax(grid_axis_points)
-        return DiagnosticsRecord(
-            t=float(state.t),
-            step=step,
-            l2=float(np.hypot(u.l2_norm(), v.l2_norm())),
-            l1=u.l1_norm() + v.l1_norm(),
-            hs=float(np.hypot(u.hs_norm(s), v.hs_norm(s))),
-            energy=0.0,
-            rhs_l2=float(np.hypot(du.l2_norm(), dv.l2_norm())),
-            grad_hull_sq=u.grad_sq() + v.grad_sq(),
-            sym_drift=max(u.symmetry_drift(), v.symmetry_drift()),
-            min_u=min_u, max_u=max_u, min_v=min_v, max_v=max_v,
-        )
-    u = state.field
-    lam = state.params.lam
-    du = state.rhs_field()
+    fields = [HullField(state.active, c) for c in state.coeffs]
+    rates = [HullField(state.active, c) for c in state.rhs()]
     if grid_axis_points is None:
-        grid_axis_points = _monitor_axis_points(u.active.rank)
-    min_u, max_u = u.torus_minmax(grid_axis_points)
+        grid_axis_points = _monitor_axis_points(state.active.rank)
+    extrema = [f.torus_minmax(grid_axis_points) for f in fields]
+    (min_u, max_u), (min_v, max_v) = (extrema + [(None, None)])[:2]
     return DiagnosticsRecord(
         t=float(state.t),
-        step=step,
-        l2=u.l2_norm(),
-        l1=u.l1_norm(),
-        hs=u.hs_norm(s),
-        energy=u.energy(lam),
-        rhs_l2=du.l2_norm(),
-        grad_hull_sq=u.grad_sq(),
-        sym_drift=u.symmetry_drift(),
-        min_u=min_u, max_u=max_u,
+        step=state.step_index,
+        l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),
+        l1=sum(f.l1_norm() for f in fields),
+        hs=float(np.hypot.reduce([f.hs_norm(s) for f in fields])),
+        energy=state.params.energy(state.coeffs, state.active),
+        rhs_l2=float(np.hypot.reduce([f.l2_norm() for f in rates])),
+        grad_hull_sq=sum(f.grad_sq() for f in fields),
+        sym_drift=max(f.symmetry_drift() for f in fields),
+        min_u=min_u, max_u=max_u, min_v=min_v, max_v=max_v,
     )
 
 

@@ -1,11 +1,25 @@
-"""Exponential-integrator coefficient functions.
+"""Exponential time differencing for semilinear systems u_t = L u + N(u).
+
+One engine steps both equations.  An equation is described by its params
+object, which provides
+
+- ``ncomp``, the number of components;
+- ``linear_block(active)``, the per-mode linear operator L as a ``LowerTri``:
+  diagonal for one component, lower-triangular 2x2 for two;
+- ``nonlinear(coeffs, active, pad)``, the coefficients of N(u), stacked as
+  ``(ncomp, nmodes)`` like the state's;
+- ``energy(coeffs, active)``, the descent functional recorded in diagnostics.
+
+L is integrated exactly through its exponential and phi functions; N enters
+through the ETDRK2 or ETDRK4 combination (Cox & Matthews, J. Comput. Phys.
+176, 2002).
 
 The scalar phi functions phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j drive the
 ETDRK steppers.  Away from zero the closed forms built on expm1 are stable;
 below the series threshold the defining Taylor series avoids the 0/0
 cancellation entirely.
 
-The two-component stepper needs the same functions of a lower-triangular
+A coupled two-component block needs the same functions of a lower-triangular
 2x2 matrix [[x, 0], [w, y]].  Any analytic f gives
 f([[x,0],[w,y]]) = [[f(x), 0], [w*D, f(y)]] with D the divided difference
 (f(x)-f(y))/(x-y); the exponential's divided difference has the exact form
@@ -17,11 +31,16 @@ series near it.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import diagnostics
+from .hull import ActiveModeSet
+
 SERIES_THRESHOLD = 1e-2
 SERIES_TERMS = 8
+SCHEMES = ("etdrk2", "etdrk4")
 
 
 def _phi_series(z, j, terms=SERIES_TERMS):
@@ -151,3 +170,195 @@ def phi1_lower_tri(x, w, y):
 def phi2_lower_tri(x, w, y):
     """Entries of phi2([[x, 0], [w, y]])."""
     return phi2(x), np.asarray(w) * _divided_difference(phi2, 2, x, y), phi2(y)
+
+
+class NonFiniteState(FloatingPointError):
+    """A coefficient left the representable range (truncated-system blow-up)."""
+
+
+@dataclass(frozen=True)
+class StepperConfig:
+    """Scheme, step and dealiasing pad factor of a run.
+
+    ``phi_series_threshold`` is the series/closed-form crossover of the
+    diagonal phi functions; lower-triangular blocks use the default.
+    """
+
+    scheme: str = "etdrk2"
+    dt: float = 0.01
+    phi_series_threshold: float = SERIES_THRESHOLD
+    dealias: int = 2
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if not (self.dt > 0):
+            raise ValueError("dt must be positive")
+        if self.dealias < 2:
+            raise ValueError("pad factor below 2 cannot clear cubic aliasing")
+
+
+@dataclass(frozen=True)
+class LowerTri:
+    """Per-mode lower-triangular matrices acting on stacked coefficients.
+
+    ``diag`` holds the diagonal, shaped (ncomp, nmodes); ``low`` the entry
+    coupling component 0 into component 1, or None for a diagonal block.
+    ``block @ coeffs`` applies every mode's matrix to its coefficients.
+    """
+
+    diag: np.ndarray
+    low: np.ndarray | None = None
+
+    def __matmul__(self, coeffs: np.ndarray) -> np.ndarray:
+        out = self.diag * coeffs
+        if self.low is not None:
+            out[1] += self.low * coeffs[0]
+        return out
+
+
+def _lower_tri(e11, e21, e22, scale=1.0) -> LowerTri:
+    return LowerTri(np.stack((scale * e11, scale * e22)), scale * np.asarray(e21))
+
+
+class EtdTables:
+    """Per-run stepper coefficients for a fixed (linear block, dt, scheme).
+
+    Functions of a lower-triangular block are lower-triangular, so every
+    table is a ``LowerTri`` applied like the linear block itself.
+    """
+
+    def __init__(self, linear: LowerTri, config: StepperConfig):
+        self.dt = h = config.dt
+        self.scheme = config.scheme
+        thr = config.phi_series_threshold
+        z = h * linear.diag
+        if linear.low is not None:
+            if config.scheme != "etdrk2":
+                # ETDRK4 would need divided differences of phi3
+                raise ValueError("a coupled linear block is stepped with etdrk2 only")
+            xwy = (z[0], h * linear.low, z[1])
+            self.E = _lower_tri(*expm_lower_tri(*xwy))
+            self.hp1 = _lower_tri(*phi1_lower_tri(*xwy), scale=h)
+            self.hp2 = _lower_tri(*phi2_lower_tri(*xwy), scale=h)
+        elif config.scheme == "etdrk2":
+            self.E = LowerTri(np.exp(z))
+            self.hp1 = LowerTri(h * phi1(z, thr))
+            self.hp2 = LowerTri(h * phi2(z, thr))
+        else:
+            z2 = 0.5 * z
+            self.E = LowerTri(np.exp(z))
+            self.E2 = LowerTri(np.exp(z2))
+            self.hq = LowerTri(0.5 * h * phi1(z2, thr))
+            p1, p2, p3 = phi1(z, thr), phi2(z, thr), phi3(z, thr)
+            self.f1 = LowerTri(h * (p1 - 3.0 * p2 + 4.0 * p3))
+            self.f2 = LowerTri(h * (2.0 * p2 - 4.0 * p3))
+            self.f3 = LowerTri(h * (4.0 * p3 - p2))
+
+
+@dataclass
+class EtdState:
+    """A semilinear system at time t: coefficients stacked (ncomp, nmodes)."""
+
+    active: ActiveModeSet
+    coeffs: np.ndarray
+    t: float
+    params: object
+    stepper: StepperConfig
+    step_index: int = 0
+    _tables: EtdTables | None = None
+
+    def tables(self) -> EtdTables:
+        if self._tables is None or self._tables.dt != self.stepper.dt \
+                or self._tables.scheme != self.stepper.scheme:
+            self._tables = EtdTables(self.params.linear_block(self.active), self.stepper)
+        return self._tables
+
+    def rhs(self) -> np.ndarray:
+        """L a + N(a), the full time derivative of the coefficients."""
+        return self.params.linear_block(self.active) @ self.coeffs + \
+            self.params.nonlinear(self.coeffs, self.active, self.stepper.dealias)
+
+
+def step(state: EtdState, dt: float | None = None) -> EtdState:
+    """One exponential time differencing step.
+
+    The linear factor is exact; Hermitian symmetry is reprojected after the
+    update so round-off cannot accumulate a complex-valued drift.
+    """
+    if dt is not None and dt != state.stepper.dt:
+        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
+    tab = state.tables()
+    act = state.active
+    a = state.coeffs
+    pad = state.stepper.dealias
+
+    def nonlinear(coeffs):
+        return state.params.nonlinear(coeffs, act, pad)
+
+    # overflow surfaces as the explicit NonFiniteState below, not a warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        Na = nonlinear(a)
+        if tab.scheme == "etdrk2":
+            pred = tab.E @ a + tab.hp1 @ Na
+            out = pred + tab.hp2 @ (nonlinear(pred) - Na)
+        else:
+            an = tab.E2 @ a + tab.hq @ Na
+            Nb = nonlinear(an)
+            bn = tab.E2 @ a + tab.hq @ Nb
+            Nc = nonlinear(bn)
+            cn = tab.E2 @ an + tab.hq @ (2.0 * Nc - Na)
+            Nd = nonlinear(cn)
+            out = tab.E @ a + tab.f1 @ Na + tab.f2 @ (Nb + Nc) + tab.f3 @ Nd
+
+        out = 0.5 * (out + np.conj(out[:, act.neg_perm]))
+    if not np.all(np.isfinite(out.view(float))):
+        raise NonFiniteState(
+            f"non-finite coefficient after step at t = {state.t:.6g}"
+        )
+    return replace(
+        state, coeffs=out, t=state.t + tab.dt, step_index=state.step_index + 1
+    )
+
+
+def integrate(
+    state: EtdState,
+    T: float,
+    step,
+    traj: diagnostics.Trajectory,
+    hooks=(),
+    diag_every: int = 10,
+    grid_axis_points: int | None = None,
+) -> tuple[EtdState, diagnostics.Trajectory]:
+    """March to time T with ``step``, recording into ``traj`` every diag_every steps.
+
+    The first and final states are always recorded, with Sobolev index
+    ``traj.s``.  Hooks are called with (state, record) at each recording.  A
+    final fractional step lands exactly on T when T is not a multiple of dt.
+    """
+    if T < 0:
+        raise ValueError("horizon must be nonnegative")
+    dt = state.stepper.dt
+    n_steps = int(np.floor(T / dt + 1e-9))
+    remainder = T - n_steps * dt
+
+    def grab(st):
+        rec = diagnostics.record(st, s=traj.s, grid_axis_points=grid_axis_points)
+        traj.records.append(rec)
+        for hook in hooks:
+            hook(st, rec)
+
+    grab(state)
+    for i in range(1, n_steps + 1):
+        try:
+            state = step(state)
+        except NonFiniteState as exc:
+            raise NonFiniteState(f"{exc} (blow-up after {i - 1} full steps)") from None
+        if i % diag_every == 0 and i != n_steps:
+            grab(state)
+    if remainder > 1e-12 * max(1.0, T):
+        state = step(state, dt=remainder)
+        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
+    if n_steps > 0 or remainder > 0:
+        grab(state)
+    return state, traj

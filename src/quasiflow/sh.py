@@ -2,34 +2,35 @@
 
 The evolution dU/dt = -(lap+1)^2 U + lam*U - U^3 diagonalizes over modes:
 the linear symbol is lam - (|k(m)|^2 - 1)^2, stiff because of the quartic
-growth in |k|, so the steppers treat it exactly through exponentials and
-phi functions and integrate only the cubic term approximately (order 2 or 4
-Runge-Kutta exponential time differencing).
+growth in |k|.  SHParams describes the system to the engine in etd.py, which
+treats the symbol exactly through exponentials and phi functions and
+integrates only the cubic term approximately (order 2 or 4 Runge-Kutta
+exponential time differencing).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
-from . import diagnostics
-from .etd import SERIES_THRESHOLD, phi1, phi2, phi3
+from . import diagnostics, etd
+from .etd import SCHEMES, NonFiniteState  # noqa: F401  (re-exported)
+from .etd import LowerTri, StepperConfig
 from .hull import ActiveModeSet, HullField, TooLarge, convolve_direct
 from .symmetry import FrequencyModule, mode_wavevector
 
-SCHEMES = ("etdrk2", "etdrk4")
 DIRECT_PAIR_LIMIT = 10_000
-
-
-class NonFiniteState(FloatingPointError):
-    """A coefficient left the representable range (truncated-system blow-up)."""
 
 
 @dataclass(frozen=True)
 class SHParams:
+    """The Swift-Hohenberg equation as an ETD system: diagonal L, N(u) = -u^3."""
+
     lam: float
+    ncomp: ClassVar[int] = 1
 
     def __post_init__(self):
         if self.lam > 1.0:
@@ -39,21 +40,18 @@ class SHParams:
                 stacklevel=2,
             )
 
+    def linear_block(self, active: ActiveModeSet) -> LowerTri:
+        return LowerTri(sigma_array(active, self.lam)[None])
 
-@dataclass(frozen=True)
-class StepperConfig:
-    scheme: str = "etdrk2"
-    dt: float = 0.01
-    phi_series_threshold: float = SERIES_THRESHOLD
-    dealias: int = 2
+    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
+        vals = active.grid_values(coeffs[0], pad_factor=pad)
+        return -active.coefficients_from_grid(vals ** 3)[None]
 
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-        if self.dealias < 2:
-            raise ValueError("pad factor below 2 cannot clear cubic aliasing")
+    def energy(self, coeffs: np.ndarray, active: ActiveModeSet) -> float:
+        return HullField(active, coeffs[0]).energy(self.lam)
+
+    def config_keys(self) -> dict:
+        return {"equation": "sh", "lam": self.lam}
 
 
 def linear_symbol(module: FrequencyModule, m, lam: float) -> float:
@@ -64,12 +62,6 @@ def linear_symbol(module: FrequencyModule, m, lam: float) -> float:
 
 def sigma_array(active: ActiveModeSet, lam: float) -> np.ndarray:
     return lam - (active.ksq - 1.0) ** 2
-
-
-def rhs(field: HullField, lam: float) -> HullField:
-    """sigma * a - (u^3 coefficients), the full discretized flow."""
-    sig = sigma_array(field.active, lam)
-    return HullField(field.active, sig * field.coeffs - field.cubic().coeffs)
 
 
 def cubic_direct(field: HullField) -> HullField:
@@ -92,100 +84,17 @@ def cubic_direct(field: HullField) -> HullField:
     return out
 
 
-class _EtdTables:
-    """Per-run stepper coefficients for a fixed (sigma, dt, scheme)."""
+class SolverState(etd.EtdState):
+    """One-component state; ``field`` views its coefficients."""
 
-    def __init__(self, sigma: np.ndarray, config: StepperConfig):
-        self.dt = config.dt
-        self.scheme = config.scheme
-        h = config.dt
-        thr = config.phi_series_threshold
-        z = h * sigma
-        self.E = np.exp(z)
-        if config.scheme == "etdrk2":
-            self.hp1 = h * phi1(z, thr)
-            self.hp2 = h * phi2(z, thr)
-        else:
-            z2 = 0.5 * z
-            self.E2 = np.exp(z2)
-            self.hq = 0.5 * h * phi1(z2, thr)
-            p1, p2, p3 = phi1(z, thr), phi2(z, thr), phi3(z, thr)
-            self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
-            self.f2 = h * (2.0 * p2 - 4.0 * p3)
-            self.f3 = h * (4.0 * p3 - p2)
-
-
-@dataclass
-class SolverState:
-    field: HullField
-    t: float
-    params: SHParams
-    stepper: StepperConfig
-    step_index: int = 0
-    _tables: _EtdTables | None = None
-
-    def rhs_field(self) -> HullField:
-        return rhs(self.field, self.params.lam)
-
-    def tables(self) -> _EtdTables:
-        if self._tables is None or self._tables.dt != self.stepper.dt \
-                or self._tables.scheme != self.stepper.scheme:
-            self._tables = _EtdTables(
-                sigma_array(self.field.active, self.params.lam), self.stepper
-            )
-        return self._tables
-
-
-def _nonlinear(coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
-    vals = active.grid_values(coeffs, pad_factor=pad)
-    return -active.coefficients_from_grid(vals ** 3)
-
-
-def _hermitian_clean(coeffs: np.ndarray, active: ActiveModeSet) -> np.ndarray:
-    return 0.5 * (coeffs + np.conj(coeffs[active.neg_perm]))
+    @property
+    def field(self) -> HullField:
+        return HullField(self.active, self.coeffs[0])
 
 
 def step(state: SolverState, dt: float | None = None) -> SolverState:
-    """One exponential time differencing step.
-
-    The linear factor is exact; Hermitian symmetry is reprojected after the
-    update so round-off cannot accumulate a complex-valued drift.
-    """
-    if dt is not None and dt != state.stepper.dt:
-        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
-    tab = state.tables()
-    act = state.field.active
-    a = state.field.coeffs
-
-    pad = state.stepper.dealias
-
-    # overflow surfaces as the explicit NonFiniteState below, not a warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        if tab.scheme == "etdrk2":
-            Na = _nonlinear(a, act, pad)
-            pred = tab.E * a + tab.hp1 * Na
-            out = pred + tab.hp2 * (_nonlinear(pred, act, pad) - Na)
-        else:
-            Na = _nonlinear(a, act, pad)
-            an = tab.E2 * a + tab.hq * Na
-            Nb = _nonlinear(an, act, pad)
-            bn = tab.E2 * a + tab.hq * Nb
-            Nc = _nonlinear(bn, act, pad)
-            cn = tab.E2 * an + tab.hq * (2.0 * Nc - Na)
-            Nd = _nonlinear(cn, act, pad)
-            out = tab.E * a + tab.f1 * Na + tab.f2 * (Nb + Nc) + tab.f3 * Nd
-
-        out = _hermitian_clean(out, act)
-    if not np.all(np.isfinite(out.view(float))):
-        raise NonFiniteState(
-            f"non-finite coefficient after step at t = {state.t:.6g}"
-        )
-    return replace(
-        state,
-        field=HullField(act, out, state.field.symmetric),
-        t=state.t + tab.dt,
-        step_index=state.step_index + 1,
-    )
+    """One ETDRK2/ETDRK4 step (see ``etd.step``)."""
+    return etd.step(state, dt)
 
 
 def integrate(
@@ -196,39 +105,11 @@ def integrate(
     s: float = 3.0,
     grid_axis_points: int | None = None,
 ) -> tuple[SolverState, diagnostics.Trajectory]:
-    """March to time T, recording diagnostics every diag_every steps.
-
-    The first and final states are always recorded.  Hooks are called with
-    (state, record) at each recording.  A final fractional step lands
-    exactly on T when T is not a multiple of dt.
-    """
-    if T < 0:
-        raise ValueError("horizon must be nonnegative")
-    dt = state.stepper.dt
-    n_steps = int(np.floor(T / dt + 1e-9))
-    remainder = T - n_steps * dt
-    traj = diagnostics.Trajectory([], dt=dt, lam=state.params.lam, s=s, equation="sh")
-
-    def grab(st):
-        rec = diagnostics.record(st, s=s, grid_axis_points=grid_axis_points)
-        traj.records.append(rec)
-        for hook in hooks:
-            hook(st, rec)
-
-    grab(state)
-    for i in range(1, n_steps + 1):
-        try:
-            state = step(state)
-        except NonFiniteState as exc:
-            raise NonFiniteState(f"{exc} (blow-up after {i - 1} full steps)") from None
-        if i % diag_every == 0 and i != n_steps:
-            grab(state)
-    if remainder > 1e-12 * max(1.0, T):
-        state = step(state, dt=remainder)
-        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
-    if n_steps > 0 or remainder > 0:
-        grab(state)
-    return state, traj
+    """March to time T, recording diagnostics every diag_every steps (see ``etd.integrate``)."""
+    traj = diagnostics.Trajectory(
+        [], dt=state.stepper.dt, lam=state.params.lam, s=s, equation="sh"
+    )
+    return etd.integrate(state, T, step, traj, hooks, diag_every, grid_axis_points)
 
 
 def quasicrystal_ic(
@@ -289,7 +170,8 @@ def make_state(
     dealias: int = 2,
 ) -> SolverState:
     return SolverState(
-        field, t, SHParams(lam), StepperConfig(scheme, dt, dealias=dealias)
+        field.active, field.coeffs[None], t, SHParams(lam),
+        StepperConfig(scheme, dt, dealias=dealias),
     )
 
 

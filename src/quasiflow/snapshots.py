@@ -28,6 +28,7 @@ from . import brusselator as br
 from . import config as cfgmod
 from . import sh
 from .diagnostics import Trajectory
+from .etd import StepperConfig
 from .hull import ActiveModeSet, HullField, render_image
 from .symmetry import build_holohedry, generate_frequency_module
 
@@ -45,7 +46,7 @@ class CorruptPayload(ValueError):
 
 
 def _manifest_text(state, cfg: cfgmod.RunConfig) -> str:
-    active = _active_of(state)
+    active = state.active
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
     lines.extend(f"{k} = {v}" for k, v in cfgmod.config_key_values(cfg))
     for i, row in enumerate(active.module.generators):
@@ -58,18 +59,6 @@ def _manifest_text(state, cfg: cfgmod.RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _active_of(state) -> ActiveModeSet:
-    if hasattr(state, "u_field"):
-        return state.u_field.active
-    return state.field.active
-
-
-def _payload_blocks(state):
-    if hasattr(state, "u_field"):
-        return (state.u_field.coeffs, state.v_field.coeffs)
-    return (state.field.coeffs,)
-
-
 def write_snapshot(state, path, cfg: cfgmod.RunConfig | None = None) -> None:
     """Persist a solver state; ``cfg`` defaults to one synthesized from it."""
     if cfg is None:
@@ -77,11 +66,10 @@ def write_snapshot(state, path, cfg: cfgmod.RunConfig | None = None) -> None:
     blob = io.BytesIO()
     blob.write(_manifest_text(state, cfg).encode("ascii"))
     blob.write(_SEPARATOR)
-    for coeffs in _payload_blocks(state):
-        pairs = np.empty((len(coeffs), 2), dtype="<f8")
-        pairs[:, 0] = coeffs.real
-        pairs[:, 1] = coeffs.imag
-        blob.write(pairs.tobytes())
+    pairs = np.empty(state.coeffs.shape + (2,), dtype="<f8")
+    pairs[..., 0] = state.coeffs.real
+    pairs[..., 1] = state.coeffs.imag
+    blob.write(pairs.tobytes())
     data = blob.getvalue()
     tmp = f"{path}.tmp"
     with open(tmp, "wb") as fh:
@@ -91,26 +79,18 @@ def write_snapshot(state, path, cfg: cfgmod.RunConfig | None = None) -> None:
 
 def config_from_state(state) -> cfgmod.RunConfig:
     """Minimal reconstruction config for states not born from a file."""
-    active = _active_of(state)
+    active = state.active
     module = active.module
-    base = dict(
+    return cfgmod.RunConfig(
         symmetry=module.holohedry.name,
         T=0.0,
         k0=tuple(float(x) for x in module.k0),
         N=active.N,
         K_max=active.K_max,
         dt=state.stepper.dt,
+        scheme=state.stepper.scheme,
         dealias=state.stepper.dealias,
-    )
-    if hasattr(state, "u_field"):
-        p = state.params
-        return cfgmod.RunConfig(
-            equation="brusselator", A=p.A, B=p.B, d1=p.d1, d2=p.d2,
-            ic="steady-plus-critical", **base,
-        ).validate()
-    return cfgmod.RunConfig(
-        equation="sh", lam=state.params.lam,
-        scheme=state.stepper.scheme, **base,
+        **state.params.config_keys(),
     ).validate()
 
 
@@ -173,32 +153,23 @@ def read_snapshot(path):
         raise CorruptPayload(
             f"manifest says {count} active modes, reconstruction has {len(active)}"
         )
-    components = 2 if cfg.equation == "brusselator" else 1
-    expected = 16 * count * components
+    if cfg.equation == "brusselator":
+        params = br.BrusselatorParams(A=cfg.A, B=cfg.B, d1=cfg.d1, d2=cfg.d2)
+        state_type = br.BrusselatorState
+    else:
+        params = sh.SHParams(cfg.lam)
+        state_type = sh.SolverState
+    expected = 16 * count * params.ncomp
     if len(payload) != expected:
         raise CorruptPayload(
             f"payload is {len(payload)} bytes, expected {expected}"
         )
-    fields = []
-    for c in range(components):
-        pairs = np.frombuffer(
-            payload[c * 16 * count:(c + 1) * 16 * count], dtype="<f8"
-        ).reshape(count, 2)
-        fields.append(HullField(active, pairs[:, 0] + 1j * pairs[:, 1]))
-
-    if cfg.equation == "brusselator":
-        params = br.BrusselatorParams(A=cfg.A, B=cfg.B, d1=cfg.d1, d2=cfg.d2)
-        state = br.BrusselatorState(
-            fields[0], fields[1], t, params,
-            br.BrussStepper(cfg.dt, dealias=cfg.dealias),
-            step_index=step_index,
-        )
-    else:
-        state = sh.SolverState(
-            fields[0], t, sh.SHParams(cfg.lam),
-            sh.StepperConfig(scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias),
-            step_index=step_index,
-        )
+    pairs = np.frombuffer(payload, dtype="<f8").reshape(params.ncomp, count, 2)
+    state = state_type(
+        active, pairs[..., 0] + 1j * pairs[..., 1], t, params,
+        StepperConfig(scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias),
+        step_index=step_index,
+    )
     return state, cfg
 
 

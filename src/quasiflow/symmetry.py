@@ -21,6 +21,10 @@ ORTHOGONALITY_TOL = 1e-12
 CLOSURE_TOL = 1e-10
 RELATION_TOL = 1e-9
 RANK_TOL = 1e-9
+# Distinct orbit points must be this far apart.  Closer points come from a
+# seed just off a mirror axis, where the bounded relation search at
+# RELATION_TOL cannot tell near-coincident generators apart.
+ORBIT_SEPARATION_TOL = 1e-7
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -311,9 +315,16 @@ def generate_frequency_module(
     orbit = []
     for g in holohedry.elements:
         v = g.matrix @ k0
-        if not any(np.linalg.norm(v - w) < 1e-10 for w in orbit):
+        if not any(np.linalg.norm(v - w) < RELATION_TOL for w in orbit):
             orbit.append(v)
     orbit = np.array(orbit)
+    gaps = np.linalg.norm(orbit[:, None, :] - orbit[None, :, :], axis=-1)
+    closest = np.min(gaps[~np.eye(len(orbit), dtype=bool)], initial=np.inf)
+    if closest < ORBIT_SEPARATION_TOL:
+        raise ValueError(
+            f"two orbit points of k0 are {closest:.1e} apart, closer than "
+            f"{ORBIT_SEPARATION_TOL:g}: k0 lies just off a symmetry axis"
+        )
 
     gens: list[np.ndarray] = [orbit[0]]
     for v in orbit[1:]:
@@ -399,13 +410,6 @@ def integer_representation(module: FrequencyModule, gamma) -> np.ndarray:
     else:
         idx = module.holohedry.index_of(np.asarray(gamma, dtype=float))
     return module.integer_reps[idx]
-
-
-def is_uniformly_discrete(module: FrequencyModule) -> bool:
-    """True iff the module rank equals the real rank of its generators."""
-    return bool(
-        module.rank == np.linalg.matrix_rank(module.generators, tol=RANK_TOL)
-    )
 
 
 def module_points_in_ball(

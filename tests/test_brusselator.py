@@ -154,14 +154,14 @@ class TestRhs:
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         u, v = br.steady_ic(act12, p)
         st = br.make_bruss_state(u, v, p)
-        du, dv = br.bruss_rhs(st)
+        du, dv = (HullField(st.active, c) for c in st.rhs())
         assert du.l2_norm() < 1e-14
         assert dv.l2_norm() < 1e-14
 
     def test_zero_fields_feel_the_feed(self, act12):
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         st = br.make_bruss_state(HullField.zeros(act12), HullField.zeros(act12), p)
-        du, dv = br.bruss_rhs(st)
+        du, dv = (HullField(st.active, c) for c in st.rhs())
         zero = np.zeros(4, dtype=int)
         assert du.get_coefficient(zero) == pytest.approx(2.0)
         assert du.l2_norm() == pytest.approx(2.0)  # only the feed term
@@ -276,6 +276,14 @@ class TestIntegrate:
         fin, _ = br.bruss_integrate(st, 0.1)
         assert fin.t == pytest.approx(0.1, abs=1e-12)
         assert fin.stepper.dt == 0.03
+
+    def test_blow_up_reports_completed_steps(self, act12):
+        p = BrusselatorParams(B=4.2, **RUN_PARAMS)
+        u, v = br.steady_ic(act12, p)
+        u.set_coefficient(e_first(4), 1e60)  # finite record, u^2 v overflows
+        st = br.make_bruss_state(u, v, p, dt=0.01)
+        with pytest.raises(NonFiniteState, match=r"blow-up after 0 full steps"):
+            br.bruss_integrate(st, 0.1)
 
 
 class TestPositivity:

@@ -122,6 +122,16 @@ class TestSimulateSH:
         assert code == 1
         assert "dt" in capsys.readouterr().err
 
+    def test_blow_up_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG + "dt = 100\nT = 1000\n")
+        code = cli.main(["simulate-sh", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "blow-up after 1 full steps" in err[0]
+
 
 class TestSimulateBruss:
     def test_produces_two_component_csv(self, tmp_path, bruss_cfg):

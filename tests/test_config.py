@@ -136,6 +136,14 @@ class TestValidate:
         with pytest.raises(BadValue, match="positive"):
             parse_config(text)
 
+    def test_brusselator_rejects_etdrk4(self):
+        text = (
+            "symmetry = dihedral:12\nT = 1\nequation = brusselator\n"
+            "A = 2\nB = 4.2\nd1 = 1\nd2 = 4\nscheme = etdrk4\n"
+        )
+        with pytest.raises(BadValue, match="etdrk2 only"):
+            parse_config(text)
+
     @pytest.mark.parametrize("line,msg", [
         ("T = -1", "T"),
         ("dt = 0", "dt"),
@@ -191,16 +199,6 @@ class TestToText:
         assert pairs[0] == ("symmetry", "dihedral:12")
         assert dict(pairs)["scheme"] == "etdrk2"
 
-    def test_equation_parameters(self):
-        assert config.equation_parameters(parse_config(MINIMAL)) == {"lam": 0.2}
-        text = (
-            "symmetry = dihedral:12\nT = 1\nequation = brusselator\n"
-            "A = 2\nB = 4.2\nd1 = 1\nd2 = 4\nic = steady-plus-critical\n"
-        )
-        assert config.equation_parameters(parse_config(text)) == {
-            "A": 2.0, "B": 4.2, "d1": 1.0, "d2": 4.0,
-        }
-
 
 @st.composite
 def run_configs(draw):
@@ -212,7 +210,6 @@ def run_configs(draw):
         equation=eq,
         N=draw(st.integers(0, 6)),
         dt=draw(st.floats(1e-4, 1.0)),
-        scheme=draw(st.sampled_from(config.SCHEMES)),
         dealias=draw(st.integers(2, 4)),
         perturbation=draw(st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2 ** 31)),
@@ -222,6 +219,7 @@ def run_configs(draw):
         output_dir=draw(st.sampled_from(["out", "runs/a", "x_1"])),
     )
     if eq == "sh":
+        kw["scheme"] = draw(st.sampled_from(config.SCHEMES))
         kw["lam"] = draw(st.floats(-2.0, 2.0))
         kw["ic"] = draw(st.sampled_from(["quasicrystal", "random"]))
         if kw["ic"] == "quasicrystal":
