@@ -250,13 +250,12 @@ def bruss_integrate(
     hooks=(),
     diag_every: int = 10,
     s: float = 3.0,
-    grid_axis_points: int | None = None,
 ) -> tuple[BrusselatorState, diagnostics.Trajectory]:
     """March to time T recording two-component diagnostics (see ``etd.integrate``)."""
     traj = diagnostics.Trajectory(
         [], dt=state.stepper.dt, lam=None, s=s, equation="brusselator"
     )
-    return etd.integrate(state, T, bruss_step, traj, hooks, diag_every, grid_axis_points)
+    return etd.integrate(state, T, bruss_step, traj, hooks, diag_every)
 
 
 def steady_ic(active: ActiveModeSet, params: BrusselatorParams) -> tuple[HullField, HullField]:
@@ -267,7 +266,6 @@ def steady_ic(active: ActiveModeSet, params: BrusselatorParams) -> tuple[HullFie
     zero = np.zeros(active.rank, dtype=int)
     u.set_coefficient(zero, ubar)
     v.set_coefficient(zero, vbar)
-    u.symmetric = v.symmetric = True
     return u, v
 
 

@@ -77,16 +77,20 @@ def _run_simulation(cfg: cfgmod.RunConfig, outdir: Path) -> int:
         state = sh.make_state(
             field, cfg.lam, scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias
         )
-        final, traj = sh.integrate(
-            state, cfg.T, hooks=(hook,), diag_every=cfg.diag_every, s=cfg.s
-        )
+        integrate = sh.integrate
     else:
         params = br.BrusselatorParams(A=cfg.A, B=cfg.B, d1=cfg.d1, d2=cfg.d2)
         u, v = _bruss_initial_fields(cfg, active, params)
         state = br.make_bruss_state(u, v, params, dt=cfg.dt, dealias=cfg.dealias)
-        final, traj = br.bruss_integrate(
+        integrate = br.bruss_integrate
+    try:
+        final, traj = integrate(
             state, cfg.T, hooks=(hook,), diag_every=cfg.diag_every, s=cfg.s
         )
+    except NonFiniteState as exc:
+        # keep the records taken before the blow-up
+        snapshots.write_diagnostics_csv(exc.trajectory, outdir / "diagnostics.csv")
+        raise
     snapshots.write_diagnostics_csv(traj, outdir / "diagnostics.csv")
     snapshots.write_snapshot(final, outdir / "final.qcs", cfg)
     print(f"wrote {outdir}/diagnostics.csv ({len(traj)} records) and final.qcs")

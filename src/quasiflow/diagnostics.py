@@ -29,6 +29,18 @@ class NeverEnters(ValueError):
     """Trajectory ended before reaching the absorbing ball."""
 
 
+class NonFiniteState(FloatingPointError):
+    """A state or its diagnostics left the representable range (blow-up).
+
+    When raised by a time loop, ``trajectory`` holds the records taken
+    before the blow-up; otherwise it is None.
+    """
+
+    def __init__(self, message: str, trajectory: "Trajectory | None" = None):
+        super().__init__(message)
+        self.trajectory = trajectory
+
+
 @dataclass(frozen=True)
 class DiagnosticsRecord:
     t: float
@@ -89,32 +101,37 @@ def _monitor_axis_points(rank: int) -> int:
     return 64 if rank <= 2 else 8
 
 
-def record(state, s: float = 3.0, grid_axis_points: int | None = None) -> DiagnosticsRecord:
+def record(state, s: float = 3.0) -> DiagnosticsRecord:
     """Snapshot a solver state.  Pure; safe to call repeatedly.
 
     Norms combine the components of the stacked coefficients: l2-type norms
     in quadrature, l1 and the squared gradient by sum.  The energy column is
     the equation's descent functional, and the extrema of the second
-    component, if any, fill min_v/max_v.
+    component, if any, fill min_v/max_v.  A diagnostic that overflows raises
+    NonFiniteState naming the time and step index.
     """
     fields = [HullField(state.active, c) for c in state.coeffs]
-    rates = [HullField(state.active, c) for c in state.rhs()]
-    if grid_axis_points is None:
-        grid_axis_points = _monitor_axis_points(state.active.rank)
-    extrema = [f.torus_minmax(grid_axis_points) for f in fields]
-    (min_u, max_u), (min_v, max_v) = (extrema + [(None, None)])[:2]
-    return DiagnosticsRecord(
-        t=float(state.t),
-        step=state.step_index,
-        l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),
-        l1=sum(f.l1_norm() for f in fields),
-        hs=float(np.hypot.reduce([f.hs_norm(s) for f in fields])),
-        energy=state.params.energy(state.coeffs, state.active),
-        rhs_l2=float(np.hypot.reduce([f.l2_norm() for f in rates])),
-        grad_hull_sq=sum(f.grad_sq() for f in fields),
-        sym_drift=max(f.symmetry_drift() for f in fields),
-        min_u=min_u, max_u=max_u, min_v=min_v, max_v=max_v,
-    )
+    # an overflow surfaces as the explicit NonFiniteState below
+    with np.errstate(over="ignore", invalid="ignore"):
+        rates = [HullField(state.active, c) for c in state.rhs()]
+        axis_points = _monitor_axis_points(state.active.rank)
+        extrema = [f.torus_minmax(axis_points) for f in fields]
+        (min_u, max_u), (min_v, max_v) = (extrema + [(None, None)])[:2]
+        values = dict(
+            l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),
+            l1=sum(f.l1_norm() for f in fields),
+            hs=float(np.hypot.reduce([f.hs_norm(s) for f in fields])),
+            energy=state.params.energy(state.coeffs, state.active),
+            rhs_l2=float(np.hypot.reduce([f.l2_norm() for f in rates])),
+            grad_hull_sq=sum(f.grad_sq() for f in fields),
+            sym_drift=max(f.symmetry_drift() for f in fields),
+            min_u=min_u, max_u=max_u, min_v=min_v, max_v=max_v,
+        )
+    if not np.all(np.isfinite([v for v in values.values() if v is not None])):
+        raise NonFiniteState(
+            f"non-finite diagnostics at t = {state.t:.6g} (step {state.step_index})"
+        )
+    return DiagnosticsRecord(t=float(state.t), step=state.step_index, **values)
 
 
 @dataclass(frozen=True)

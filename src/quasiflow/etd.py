@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import diagnostics
+from .diagnostics import NonFiniteState
 from .hull import ActiveModeSet
 
 SERIES_THRESHOLD = 1e-2
@@ -172,21 +173,12 @@ def phi2_lower_tri(x, w, y):
     return phi2(x), np.asarray(w) * _divided_difference(phi2, 2, x, y), phi2(y)
 
 
-class NonFiniteState(FloatingPointError):
-    """A coefficient left the representable range (truncated-system blow-up)."""
-
-
 @dataclass(frozen=True)
 class StepperConfig:
-    """Scheme, step and dealiasing pad factor of a run.
-
-    ``phi_series_threshold`` is the series/closed-form crossover of the
-    diagonal phi functions; lower-triangular blocks use the default.
-    """
+    """Scheme, step and dealiasing pad factor of a run."""
 
     scheme: str = "etdrk2"
     dt: float = 0.01
-    phi_series_threshold: float = SERIES_THRESHOLD
     dealias: int = 2
 
     def __post_init__(self):
@@ -231,7 +223,6 @@ class EtdTables:
     def __init__(self, linear: LowerTri, config: StepperConfig):
         self.dt = h = config.dt
         self.scheme = config.scheme
-        thr = config.phi_series_threshold
         z = h * linear.diag
         if linear.low is not None:
             if config.scheme != "etdrk2":
@@ -243,14 +234,14 @@ class EtdTables:
             self.hp2 = _lower_tri(*phi2_lower_tri(*xwy), scale=h)
         elif config.scheme == "etdrk2":
             self.E = LowerTri(np.exp(z))
-            self.hp1 = LowerTri(h * phi1(z, thr))
-            self.hp2 = LowerTri(h * phi2(z, thr))
+            self.hp1 = LowerTri(h * phi1(z))
+            self.hp2 = LowerTri(h * phi2(z))
         else:
             z2 = 0.5 * z
             self.E = LowerTri(np.exp(z))
             self.E2 = LowerTri(np.exp(z2))
-            self.hq = LowerTri(0.5 * h * phi1(z2, thr))
-            p1, p2, p3 = phi1(z, thr), phi2(z, thr), phi3(z, thr)
+            self.hq = LowerTri(0.5 * h * phi1(z2))
+            p1, p2, p3 = phi1(z), phi2(z), phi3(z)
             self.f1 = LowerTri(h * (p1 - 3.0 * p2 + 4.0 * p3))
             self.f2 = LowerTri(h * (2.0 * p2 - 4.0 * p3))
             self.f3 = LowerTri(h * (4.0 * p3 - p2))
@@ -328,13 +319,14 @@ def integrate(
     traj: diagnostics.Trajectory,
     hooks=(),
     diag_every: int = 10,
-    grid_axis_points: int | None = None,
 ) -> tuple[EtdState, diagnostics.Trajectory]:
     """March to time T with ``step``, recording into ``traj`` every diag_every steps.
 
     The first and final states are always recorded, with Sobolev index
     ``traj.s``.  Hooks are called with (state, record) at each recording.  A
     final fractional step lands exactly on T when T is not a multiple of dt.
+    A blow-up raises NonFiniteState carrying ``traj``, which then holds the
+    records taken before it.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
@@ -343,22 +335,24 @@ def integrate(
     remainder = T - n_steps * dt
 
     def grab(st):
-        rec = diagnostics.record(st, s=traj.s, grid_axis_points=grid_axis_points)
+        rec = diagnostics.record(st, s=traj.s)
         traj.records.append(rec)
         for hook in hooks:
             hook(st, rec)
 
-    grab(state)
-    for i in range(1, n_steps + 1):
-        try:
-            state = step(state)
-        except NonFiniteState as exc:
-            raise NonFiniteState(f"{exc} (blow-up after {i - 1} full steps)") from None
-        if i % diag_every == 0 and i != n_steps:
-            grab(state)
-    if remainder > 1e-12 * max(1.0, T):
-        state = step(state, dt=remainder)
-        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
-    if n_steps > 0 or remainder > 0:
+    start = state.step_index
+    try:
         grab(state)
+        for i in range(1, n_steps + 1):
+            state = step(state)
+            if i % diag_every == 0 and i != n_steps:
+                grab(state)
+        if remainder > 1e-12 * max(1.0, T):
+            state = step(state, dt=remainder)
+            state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
+        if n_steps > 0 or remainder > 0:
+            grab(state)
+    except NonFiniteState as exc:
+        done = state.step_index - start
+        raise NonFiniteState(f"{exc} (blow-up after {done} full steps)", traj) from None
     return state, traj

@@ -17,7 +17,7 @@ carry no aliasing error at all.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,11 +63,13 @@ def default_grid_axis_points(p: int) -> int:
 class ActiveModeSet:
     """Largest group-invariant set of modes in a box-and-ball truncation.
 
-    Computed by discarding every index whose group orbit leaves the
-    truncation (one orbit check per index is equivalent to iterating removal
-    to a fixed point).  Indices are stored in lexicographic order; all
-    derived arrays (wavevectors, group permutations, negation permutation)
-    are aligned with that order.
+    Every index m in the box |m|_inf <= N has one int64 key, the mixed-radix
+    number with digits m_j + N in base 2N+1; an index outside the box gets
+    the key -1.  Numeric order of keys is lexicographic order of indices, and
+    the i-th row of ``integer_box`` has key i.  An index is kept when, under
+    every integer representation, its image lands on a candidate key.
+    Indices are stored in key order; all derived arrays (wavevectors, group
+    permutations, negation permutation) are aligned with that order.
     """
 
     def __init__(self, module: FrequencyModule, N: int, K_max: float = np.inf):
@@ -80,50 +82,43 @@ class ActiveModeSet:
         self.K_max = float(K_max)
 
         p = module.rank
+        self._radix = (2 * self.N + 1) ** np.arange(p - 1, -1, -1, dtype=np.int64)
         box = integer_box(p, self.N)
         kvec = box @ module.generators
         klen = np.linalg.norm(kvec, axis=1)
         inside = klen <= self.K_max * (1.0 + 1e-12) + 1e-12
-        cand = box[inside]
-        cand_set = {tuple(m) for m in cand}
+        cand, cand_keys = box[inside], np.flatnonzero(inside)
 
         keep = np.ones(len(cand), dtype=bool)
         for rep in module.integer_reps:
-            images = cand @ rep.T
-            for i, img in enumerate(images):
-                if keep[i] and tuple(img) not in cand_set:
-                    keep[i] = False
-        kept = {tuple(m) for m in cand[keep]}
-        # orbits that partially left the set must go entirely
-        changed = True
-        while changed:
-            changed = False
-            for rep in module.integer_reps:
-                for m in list(kept):
-                    if tuple(rep @ np.array(m)) not in kept:
-                        kept.discard(m)
-                        changed = True
+            keep &= np.isin(self._key(cand @ rep.T), cand_keys)
+        # one pass suffices: integer_reps is closed under products (check 16)
 
-        if self.N > 0 and len(kept) <= 1:
+        self.indices, self._keys = cand[keep], cand_keys[keep]
+        if self.N > 0 and len(self.indices) <= 1:
             raise EmptyActiveSet(
                 "symmetry reduction left only the zero mode; "
                 "raise N or K_max"
             )
-
-        self.indices = np.array(sorted(kept), dtype=np.int64).reshape(-1, p)
-        self._pos = {tuple(m): i for i, m in enumerate(self.indices)}
         self.wavevectors = self.indices @ module.generators
         self.ksq = np.einsum("ij,ij->i", self.wavevectors, self.wavevectors)
         self.msq = np.einsum("ij,ij->i", self.indices, self.indices).astype(float)
 
-        self.perms = np.empty((len(module.integer_reps), len(self.indices)), dtype=np.int64)
-        for g, rep in enumerate(module.integer_reps):
-            images = self.indices @ rep.T
-            self.perms[g] = [self._pos[tuple(img)] for img in images]
-        self.neg_perm = np.array(
-            [self._pos[tuple(-m)] for m in self.indices], dtype=np.int64
+        self.perms = np.array(
+            [self._find(self.indices @ rep.T) for rep in module.integer_reps],
+            dtype=np.int64,
         )
+        self.neg_perm = self._find(-self.indices)
         self._grid_cache: dict[tuple, tuple] = {}
+
+    def _key(self, m: np.ndarray) -> np.ndarray:
+        """Key of each index along the last axis; -1 outside the box."""
+        in_box = np.all(np.abs(m) <= self.N, axis=-1)
+        return np.where(in_box, (m + self.N) @ self._radix, -1)
+
+    def _find(self, m: np.ndarray) -> np.ndarray:
+        """Positions of indices known to be active."""
+        return np.searchsorted(self._keys, self._key(m))
 
     @property
     def rank(self) -> int:
@@ -139,15 +134,14 @@ class ActiveModeSet:
         )
 
     def position(self, m) -> int:
-        key = tuple(int(x) for x in np.asarray(m).ravel())
-        try:
-            return self._pos[key]
-        except KeyError:
-            raise InactiveMode(f"mode {key} is not in the active set") from None
-
-    def contains(self, m) -> bool:
-        key = tuple(int(x) for x in np.asarray(m).ravel())
-        return key in self._pos
+        # scalar path: _key's masking costs more than the lookup itself
+        m = np.asarray(m)
+        if m.shape == (self.rank,) and np.abs(m).max() <= self.N:
+            key = (m + self.N) @ self._radix
+            i = int(self._keys.searchsorted(key))
+            if i < len(self) and self._keys[i] == key:
+                return i
+        raise InactiveMode(f"mode {m.tolist()} is not in the active set")
 
     def orbit_positions(self, m) -> np.ndarray:
         """Positions of the group orbit of an active index (sorted, unique)."""
@@ -186,32 +180,25 @@ class ActiveModeSet:
         return spec.ravel()[flat].copy()
 
 
-def make_field(module: FrequencyModule, N: int, K_max: float = np.inf) -> "HullField":
-    """Zero hull field on the invariant truncation (N, K_max)."""
-    return HullField.zeros(ActiveModeSet(module, N, K_max))
-
-
 @dataclass
 class HullField:
     """Coefficients of a truncated hull function on T^p.
 
     The Hermitian constraint is enforced at write time through
     ``set_coefficient``; bulk constructors should call ``hermitianized`` when
-    the raw coefficients are not already symmetric.  ``symmetric`` marks
-    fields produced by ``symmetrize`` (or preserved from one); it is advisory
-    and is re-measured by ``symmetry_drift``.
+    the raw coefficients are not already symmetric.  ``symmetry_drift``
+    measures how far a field is from group-invariant.
     """
 
     active: ActiveModeSet
     coeffs: np.ndarray
-    symmetric: bool = False
 
     @classmethod
     def zeros(cls, active: ActiveModeSet) -> "HullField":
         return cls(active, np.zeros(len(active), dtype=complex))
 
     def copy(self) -> "HullField":
-        return HullField(self.active, self.coeffs.copy(), self.symmetric)
+        return HullField(self.active, self.coeffs.copy())
 
     # -- coefficient access -------------------------------------------------
 
@@ -224,14 +211,13 @@ class HullField:
             raise ValueError("self-conjugate mode must have a real coefficient")
         self.coeffs[i] = value
         self.coeffs[j] = np.conj(value)
-        self.symmetric = False
 
     def get_coefficient(self, m) -> complex:
         return complex(self.coeffs[self.active.position(m)])
 
     def hermitianized(self) -> "HullField":
         c = 0.5 * (self.coeffs + np.conj(self.coeffs[self.active.neg_perm]))
-        return HullField(self.active, c, self.symmetric)
+        return HullField(self.active, c)
 
     def hermitian_defect(self) -> float:
         return float(
@@ -282,7 +268,7 @@ class HullField:
         because the active set is closed under every integer representation.
         """
         sym = np.mean(self.coeffs[self.active.perms], axis=0)
-        return HullField(self.active, sym, symmetric=True)
+        return HullField(self.active, sym)
 
     def symmetry_drift(self) -> float:
         """max over group elements and modes of |a_{gamma m} - a_m|."""
@@ -439,17 +425,6 @@ def l1_hs_bound_constant(active: ActiveModeSet, s: float) -> float:
             stacklevel=2,
         )
     return float(np.sqrt(np.sum((active.msq + 1.0) ** (-s))))
-
-
-def separation_from_constants(field: HullField,
-                              grid_resolution: int | None = None) -> float:
-    """Half the range of the hull function over a sample grid.
-
-    A lower bound for the true half-range; refining the grid can only
-    increase it.
-    """
-    lo, hi = field.torus_minmax(grid_resolution)
-    return 0.5 * (hi - lo)
 
 
 def condition_iii_check(field: HullField, ball_radius: float, covering_radius: float,

@@ -103,13 +103,12 @@ def integrate(
     hooks=(),
     diag_every: int = 10,
     s: float = 3.0,
-    grid_axis_points: int | None = None,
 ) -> tuple[SolverState, diagnostics.Trajectory]:
     """March to time T, recording diagnostics every diag_every steps (see ``etd.integrate``)."""
     traj = diagnostics.Trajectory(
         [], dt=state.stepper.dt, lam=state.params.lam, s=s, equation="sh"
     )
-    return etd.integrate(state, T, step, traj, hooks, diag_every, grid_axis_points)
+    return etd.integrate(state, T, step, traj, hooks, diag_every)
 
 
 def quasicrystal_ic(
@@ -139,14 +138,12 @@ def quasicrystal_ic(
     e0[0] = 1
     orbit = active.orbit_positions(e0)
     field.coeffs[orbit] = target / np.sqrt(len(orbit))
-    field.symmetric = True
     if perturbation > 0:
         q = perturbation * np.sqrt(lam) / np.sqrt(2.0)
         rng = np.random.default_rng(seed)
         noise = rng.uniform(-q, q, len(active)) + 1j * rng.uniform(-q, q, len(active))
         field = HullField(active, field.coeffs + noise).hermitianized().symmetrize()
         field = (target / field.l2_norm()) * field
-        field.symmetric = True
     return field
 
 
@@ -199,7 +196,6 @@ def branch_growth(
     orbit = active.orbit_positions(e0)
     if delta > 0:
         field.coeffs[orbit] = delta / np.sqrt(len(orbit))
-    field.symmetric = True
     state = make_state(field, lam, dt=dt)
     _, traj = integrate(state, T, diag_every=diag_every)
     t = traj.times

@@ -29,7 +29,7 @@ from . import config as cfgmod
 from . import sh
 from .diagnostics import Trajectory
 from .etd import StepperConfig
-from .hull import ActiveModeSet, HullField, render_image
+from .hull import HERMITIAN_TOL, ActiveModeSet, HullField, render_image
 from .symmetry import build_holohedry, generate_frequency_module
 
 FORMAT_NAME = "quasiflow-snapshot"
@@ -42,7 +42,7 @@ class FormatVersionMismatch(ValueError):
 
 
 class CorruptPayload(ValueError):
-    """Payload length or manifest consistency check failed."""
+    """Payload length, payload values or manifest consistency check failed."""
 
 
 def _manifest_text(state, cfg: cfgmod.RunConfig) -> str:
@@ -165,8 +165,14 @@ def read_snapshot(path):
             f"payload is {len(payload)} bytes, expected {expected}"
         )
     pairs = np.frombuffer(payload, dtype="<f8").reshape(params.ncomp, count, 2)
+    coeffs = pairs[..., 0] + 1j * pairs[..., 1]
+    if not np.all(np.isfinite(pairs)):
+        raise CorruptPayload("payload holds a non-finite coefficient")
+    defect = max(HullField(active, c).hermitian_defect() for c in coeffs)
+    if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(coeffs))):
+        raise CorruptPayload(f"payload is not Hermitian (defect {defect:.3e})")
     state = state_type(
-        active, pairs[..., 0] + 1j * pairs[..., 1], t, params,
+        active, coeffs, t, params,
         StepperConfig(scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias),
         step_index=step_index,
     )

@@ -52,7 +52,6 @@ def _orbit_field(active: ActiveModeSet, l2_target: float) -> HullField:
     e0[0] = 1
     orbit = active.orbit_positions(e0)
     f.coeffs[orbit] = l2_target / np.sqrt(len(orbit))
-    f.symmetric = True
     return f
 
 

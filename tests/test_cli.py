@@ -131,6 +131,9 @@ class TestSimulateSH:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "blow-up after 1 full steps" in err[0]
+        # the record taken before the blow-up is kept
+        csv = snapshots.read_diagnostics_csv(tmp_path / "x" / "diagnostics.csv")
+        assert list(csv["t"]) == [0.0]
 
 
 class TestSimulateBruss:

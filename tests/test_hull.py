@@ -17,13 +17,11 @@ from quasiflow.hull import (
     condition_iii_check,
     inner_l2,
     l1_hs_bound_constant,
-    make_field,
     pointwise_product,
     render_image,
-    separation_from_constants,
     triple_product,
 )
-from quasiflow.symmetry import build_holohedry, generate_frequency_module
+from quasiflow.symmetry import GOLDEN, build_holohedry, generate_frequency_module, integer_box
 
 
 @pytest.fixture(scope="module")
@@ -69,6 +67,27 @@ def random_hermitian(active, seed, scale=0.5):
     return HullField(active, scale * raw).hermitianized()
 
 
+# (holohedry, N, K_max); "vertex" is the icosahedral module seeded on a
+# vertex axis, the rank-6 module of battery check 12b
+ACTIVE_CASES = (
+    [("dihedral:4", 2, np.inf)]
+    + [(f"dihedral:{n}", N, np.inf) for n in (8, 10, 12) for N in (1, 2, 3)]
+    + [("dihedral:12", 3, 1.1), ("vertex", 1, np.inf)]
+)
+
+
+@pytest.fixture(scope="module", params=ACTIVE_CASES,
+                ids=lambda c: f"{c[0]}-N{c[1]}" + ("" if c[2] == np.inf else f"-K{c[2]}"))
+def active_case(request):
+    name, N, K_max = request.param
+    if name == "vertex":
+        k0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
+        module = generate_frequency_module(build_holohedry("icosahedral"), k0)
+    else:
+        module = generate_frequency_module(build_holohedry(name))
+    return ActiveModeSet(module, N, K_max)
+
+
 class TestActiveModeSet:
     def test_single_mode_at_zero_truncation(self, mod12):
         assert len(ActiveModeSet(mod12, 0)) == 1
@@ -77,29 +96,36 @@ class TestActiveModeSet:
     def test_twelvefold_counts(self, mod12, N, count):
         assert len(ActiveModeSet(mod12, N)) == count
 
-    def test_invariant_under_every_group_element(self, act12):
-        members = {tuple(m) for m in act12.indices}
-        for rep in act12.module.integer_reps:
-            for m in act12.indices:
+    def test_invariant_under_every_group_element(self, active_case):
+        members = {tuple(m) for m in active_case.indices}
+        for rep in active_case.module.integer_reps:
+            for m in active_case.indices:
                 assert tuple(rep @ m) in members
 
-    def test_maximality(self, mod12):
-        # every discarded box index has an orbit member leaving the box
-        act = ActiveModeSet(mod12, 1)
+    def test_maximality(self, active_case):
+        # every discarded candidate (box index inside the wavevector cap) has
+        # an orbit member leaving the candidates
+        act = active_case
         members = {tuple(m) for m in act.indices}
-        from quasiflow.symmetry import integer_box
-
-        for m in integer_box(4, 1):
-            if tuple(m) in members:
-                continue
-            escapes = any(
-                np.max(np.abs(rep @ m)) > 1 for rep in mod12.integer_reps
+        box = integer_box(act.rank, act.N)
+        kept_cap = np.linalg.norm(box @ act.module.generators, axis=1) <= act.K_max + 1e-9
+        candidates = {tuple(m) for m in box[kept_cap]}
+        for m in candidates - members:
+            assert any(
+                tuple(rep @ np.array(m)) not in candidates
+                for rep in act.module.integer_reps
             )
-            assert escapes
 
-    def test_closed_under_negation(self, act12):
-        members = {tuple(m) for m in act12.indices}
-        assert all(tuple(-m) in members for m in act12.indices)
+    def test_closed_under_negation(self, active_case):
+        members = {tuple(m) for m in active_case.indices}
+        assert all(tuple(-m) in members for m in active_case.indices)
+
+    def test_permutation_tables(self, active_case):
+        act = active_case
+        pos = {tuple(m): i for i, m in enumerate(act.indices)}
+        for g, rep in enumerate(act.module.integer_reps):
+            assert [pos[tuple(rep @ m)] for m in act.indices] == list(act.perms[g])
+        assert [pos[tuple(-m)] for m in act.indices] == list(act.neg_perm)
 
     def test_lexicographic_order(self, act12):
         rows = [tuple(m) for m in act12.indices]
@@ -115,7 +141,7 @@ class TestActiveModeSet:
         for i in range(4):
             e = np.zeros(4, dtype=int)
             e[i] = 1
-            assert act.contains(e)
+            act.position(e)
         assert len(act.orbit_positions([1, 0, 0, 0])) == 12
 
     def test_cap_below_all_modes_is_empty(self, mod12):
@@ -133,6 +159,10 @@ class TestActiveModeSet:
             assert act12.position(m) == i
         with pytest.raises(InactiveMode):
             act12.position([9, 9, 9, 9])
+        with pytest.raises(InactiveMode):
+            act12.position([1, 0, 0])
+        with pytest.raises(InactiveMode):
+            act12.position([[1, 0], [0, 0]])
 
 
 class TestCoefficientAccess:
@@ -160,8 +190,8 @@ class TestCoefficientAccess:
         with pytest.raises(InactiveMode):
             f.set_coefficient([2, 0, 0, 0], 1.0)
 
-    def test_make_field_is_zero(self, mod12):
-        f = make_field(mod12, 1)
+    def test_zeros_is_zero(self, act12):
+        f = HullField.zeros(act12)
         assert f.l2_norm() == 0.0
         assert len(f.active) == 49
 
@@ -222,7 +252,7 @@ class TestSymmetrize:
     def test_idempotent(self, act12):
         s = random_hermitian(act12, 11).symmetrize()
         assert np.allclose(s.symmetrize().coeffs, s.coeffs, atol=1e-15)
-        assert s.symmetric
+        assert s.symmetry_drift() <= 1e-14
 
     def test_zero_fixed(self, act12):
         assert HullField.zeros(act12).symmetrize().l2_norm() == 0.0
@@ -492,23 +522,27 @@ class TestSupportAndConditions:
 
 
 class TestSeparation:
+    # the half-range of a field over a torus sample grid, from torus_minmax
+
     def test_constant_field(self, act12):
         f = HullField.zeros(act12)
         f.set_coefficient([0, 0, 0, 0], 0.7)
-        assert separation_from_constants(f, 8) == 0.0
+        lo, hi = f.torus_minmax(8)
+        assert hi - lo == 0.0
 
     def test_cosine_half_range(self, mod4):
         act = ActiveModeSet(mod4, 1)
         f = HullField.zeros(act)
         f.set_coefficient([1, 0], 1.0)
-        assert np.isclose(separation_from_constants(f, 64), 2.0, atol=1e-9)
+        lo, hi = f.torus_minmax(64)
+        assert np.isclose(0.5 * (hi - lo), 2.0, atol=1e-9)
 
     def test_monotone_under_refinement(self, act12):
+        # the 8-point grid is a subset of the 16-point one
         f = random_hermitian(act12, 91)
-        assert (
-            separation_from_constants(f, 16)
-            >= separation_from_constants(f, 8) - 1e-12
-        )
+        lo8, hi8 = f.torus_minmax(8)
+        lo16, hi16 = f.torus_minmax(16)
+        assert lo16 <= lo8 + 1e-12 and hi16 >= hi8 - 1e-12
 
 
 class TestRenderImage:

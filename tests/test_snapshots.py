@@ -150,6 +150,22 @@ class TestCorruption:
         with pytest.raises(CorruptPayload, match="generators disagree"):
             read_snapshot(tmp_path / "t.qcs")
 
+    def test_non_finite_payload(self, tmp_path, sh_state):
+        head, sep, payload = _written(tmp_path, sh_state).partition(b"---\n")
+        pairs = np.frombuffer(payload, dtype="<f8").copy()
+        pairs[5] = np.nan
+        (tmp_path / "t.qcs").write_bytes(head + sep + pairs.tobytes())
+        with pytest.raises(CorruptPayload, match="non-finite"):
+            read_snapshot(tmp_path / "t.qcs")
+
+    def test_non_hermitian_payload(self, tmp_path, sh_state):
+        head, sep, payload = _written(tmp_path, sh_state).partition(b"---\n")
+        pairs = np.frombuffer(payload, dtype="<f8").copy()
+        pairs[2] += 1.0  # real part of mode 1; its partner is left alone
+        (tmp_path / "t.qcs").write_bytes(head + sep + pairs.tobytes())
+        with pytest.raises(CorruptPayload, match="not Hermitian"):
+            read_snapshot(tmp_path / "t.qcs")
+
     def test_wrong_mode_count(self, tmp_path, sh_state):
         data = _written(tmp_path, sh_state)
         (tmp_path / "t.qcs").write_bytes(
