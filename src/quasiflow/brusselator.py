@@ -60,12 +60,14 @@ class BrusselatorParams:
         )
 
     def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
-        t = _quadratic_cubic(active, coeffs[0], coeffs[1], pad)
-        out = np.array((t, -t))
+        u = active.grid_values(coeffs[0], pad_factor=pad)
+        v = active.grid_values(coeffs[1], pad_factor=pad)
+        uuv = active.coefficients_from_grid(u * u * v)
+        out = np.array((uuv, -uuv))
         out[0, active.position(np.zeros(active.rank, dtype=int))] += self.A
         return out
 
-    def energy(self, coeffs: np.ndarray, active: ActiveModeSet) -> float:
+    def energy(self, coeffs: np.ndarray, linear: np.ndarray, nonlinear: np.ndarray) -> float:
         # no descent functional comparable to the gradient flow's
         return 0.0
 
@@ -231,14 +233,6 @@ class BrusselatorState(etd.EtdState):
         return HullField(self.active, self.coeffs[1])
 
 
-def _quadratic_cubic(active: ActiveModeSet, a: np.ndarray, b: np.ndarray,
-                     pad: int = 2) -> np.ndarray:
-    """Coefficients of u^2 v, both products on the padded grid."""
-    uv = active.grid_values(a, pad_factor=pad)
-    vv = active.grid_values(b, pad_factor=pad)
-    return active.coefficients_from_grid(uv * uv * vv)
-
-
 def bruss_step(state: BrusselatorState, dt: float | None = None) -> BrusselatorState:
     """One exponential step with a phi2 corrector, ETDRK2 (see ``etd.step``)."""
     return etd.step(state, dt)
@@ -252,9 +246,7 @@ def bruss_integrate(
     s: float = 3.0,
 ) -> tuple[BrusselatorState, diagnostics.Trajectory]:
     """March to time T recording two-component diagnostics (see ``etd.integrate``)."""
-    traj = diagnostics.Trajectory(
-        [], dt=state.stepper.dt, lam=None, s=s, equation="brusselator"
-    )
+    traj = diagnostics.Trajectory([], dt=state.stepper.dt, s=s)
     return etd.integrate(state, T, bruss_step, traj, hooks, diag_every)
 
 

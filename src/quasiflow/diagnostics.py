@@ -1,10 +1,11 @@
 """Trajectory records and the inequality checks run over them.
 
 A DiagnosticsRecord is a pure snapshot of one solver state; a Trajectory is
-the ordered list of records plus the run constants the checks need (dt,
-bifurcation parameter, Sobolev index).  Check functions never mutate their
-inputs and carry their tolerances in the returned CheckReport, whose rule is
-always: passed iff worst_slack <= tolerance.
+the ordered list of records plus the run constants the checks need (dt and
+Sobolev index; a check that needs the bifurcation parameter takes it as an
+argument).  Check functions never mutate their inputs and carry their
+tolerances in the returned CheckReport, whose rule is always: passed iff
+worst_slack <= tolerance.
 
 Discrete-time slack allowances come from the stepper's local error order:
 monotonicity of the descent functional is allowed 10*dt^3 per step, its
@@ -76,9 +77,7 @@ class DiagnosticsRecord:
 class Trajectory:
     records: list
     dt: float
-    lam: float | None = None
     s: float = 3.0
-    equation: str = "sh"
 
     def __len__(self):
         return len(self.records)
@@ -113,7 +112,8 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
     fields = [HullField(state.active, c) for c in state.coeffs]
     # an overflow surfaces as the explicit NonFiniteState below
     with np.errstate(over="ignore", invalid="ignore"):
-        rates = [HullField(state.active, c) for c in state.rhs()]
+        linear, nonlinear = state.terms()
+        rates = [HullField(state.active, c) for c in linear + nonlinear]
         axis_points = _monitor_axis_points(state.active.rank)
         extrema = [f.torus_minmax(axis_points) for f in fields]
         (min_u, max_u), (min_v, max_v) = (extrema + [(None, None)])[:2]
@@ -121,7 +121,7 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
             l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),
             l1=sum(f.l1_norm() for f in fields),
             hs=float(np.hypot.reduce([f.hs_norm(s) for f in fields])),
-            energy=state.params.energy(state.coeffs, state.active),
+            energy=state.params.energy(state.coeffs, linear, nonlinear),
             rhs_l2=float(np.hypot.reduce([f.l2_norm() for f in rates])),
             grad_hull_sq=sum(f.grad_sq() for f in fields),
             sym_drift=max(f.symmetry_drift() for f in fields),

@@ -8,7 +8,9 @@ object, which provides
   diagonal for one component, lower-triangular 2x2 for two;
 - ``nonlinear(coeffs, active, pad)``, the coefficients of N(u), stacked as
   ``(ncomp, nmodes)`` like the state's;
-- ``energy(coeffs, active)``, the descent functional recorded in diagnostics.
+- ``energy(coeffs, linear, nonlinear)``, the descent functional recorded in
+  diagnostics, given the coefficients and the pair ``(L a, N(a))`` that
+  ``EtdState.terms`` returns, so it needs no grid synthesis of its own.
 
 L is integrated exactly through its exponential and phi functions; N enters
 through the ETDRK2 or ETDRK4 combination (Cox & Matthews, J. Comput. Phys.
@@ -265,10 +267,10 @@ class EtdState:
             self._tables = EtdTables(self.params.linear_block(self.active), self.stepper)
         return self._tables
 
-    def rhs(self) -> np.ndarray:
-        """L a + N(a), the full time derivative of the coefficients."""
-        return self.params.linear_block(self.active) @ self.coeffs + \
-            self.params.nonlinear(self.coeffs, self.active, self.stepper.dealias)
+    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+        """(L a, N(a)); their sum is the time derivative of the coefficients."""
+        return (self.params.linear_block(self.active) @ self.coeffs,
+                self.params.nonlinear(self.coeffs, self.active, self.stepper.dealias))
 
 
 def step(state: EtdState, dt: float | None = None) -> EtdState:

@@ -7,11 +7,13 @@ element.  Closure under the group action makes symmetrization exact; closure
 under negation lets the Hermitian constraint a_{-m} = conj(a_m) keep field
 values real.
 
-Products of fields are evaluated pseudospectrally on a zero-padded FFT grid.
-With the default padding factor 2 the grid has at least 4N+2 points per axis,
-so the retained coefficients of triple products (computed by chaining the two
-multiplications on the padded grid, as ``cubic`` and ``triple_product`` do)
-carry no aliasing error at all.
+Products of fields are evaluated pseudospectrally: ``grid_values`` synthesizes
+each factor on a zero-padded FFT grid, the product is taken pointwise there,
+and ``coefficients_from_grid`` keeps its retained coefficients.  With the
+default padding factor 2 the grid has at least 4N+2 points per axis, so the
+retained coefficients of a cubic product carry no aliasing error at all.  The
+equations' ``nonlinear`` callbacks (``sh.SHParams``,
+``brusselator.BrusselatorParams``) are the products the package computes.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .symmetry import FrequencyModule, integer_box, module_points_in_ball
 DEFAULT_PAD_FACTOR = 2
 HERMITIAN_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
+EVAL_CHUNK = 4096  # physical points per block of plane waves
 
 
 class InactiveMode(KeyError):
@@ -174,7 +177,12 @@ class ActiveModeSet:
         return np.ascontiguousarray(vals.real)
 
     def coefficients_from_grid(self, vals: np.ndarray) -> np.ndarray:
-        """Retained coefficients of the trigonometric interpolant of vals."""
+        """Retained coefficients of the trigonometric interpolant of vals.
+
+        Chain every factor of a product on the grid and call this once:
+        truncating an intermediate product to the active set would discard
+        tail modes that feed back into retained ones.
+        """
         shape, flat = self._grid(vals.shape[0])
         spec = np.fft.fftn(vals) / vals.size
         return spec.ravel()[flat].copy()
@@ -285,36 +293,13 @@ class HullField:
             raise ValueError("support threshold must be nonnegative")
         return self.active.indices[np.abs(self.coeffs) > eps]
 
-    # -- pointwise products ----------------------------------------------
+    # -- sampling -----------------------------------------------------------
 
     def values(self, axis_points: int | None = None,
                pad_factor: int = DEFAULT_PAD_FACTOR) -> np.ndarray:
         return self.active.grid_values(self.coeffs, axis_points, pad_factor)
 
-    def cubic(self, pad_factor: int = DEFAULT_PAD_FACTOR) -> "HullField":
-        """Retained coefficients of u^3, alias-free.
-
-        Both multiplications happen on the padded grid, which resolves
-        indices out to 4N+1 per axis and therefore holds every triple-sum
-        image of retained modes without wraparound.
-        """
-        if pad_factor < 2:
-            raise ValueError("cubic terms need a padding factor of at least 2")
-        vals = self.values(pad_factor=pad_factor)
-        return HullField(self.active, self.active.coefficients_from_grid(vals ** 3))
-
-    def squared_l2_of_square(self, pad_factor: int = DEFAULT_PAD_FACTOR) -> float:
-        """l2 norm squared of the untruncated square of the field.
-
-        Evaluated as the grid mean of u^4; exact because the padded grid
-        resolves the square's full spectrum.
-        """
-        vals = self.values(pad_factor=max(pad_factor, 2))
-        return float(np.mean(vals ** 4))
-
-    # -- physical-space sampling -------------------------------------------
-
-    def evaluate_physical(self, points: np.ndarray, chunk: int = 4096) -> np.ndarray:
+    def evaluate_physical(self, points: np.ndarray) -> np.ndarray:
         """Field values u(x) = U(A x) at physical points (rows).
 
         Raises ImaginaryResidue when coefficients are not Hermitian enough
@@ -325,8 +310,8 @@ class HullField:
             raise ValueError("points have the wrong ambient dimension")
         out = np.empty(len(points))
         K = self.active.wavevectors
-        for lo in range(0, len(points), chunk):
-            block = points[lo:lo + chunk]
+        for lo in range(0, len(points), EVAL_CHUNK):
+            block = points[lo:lo + EVAL_CHUNK]
             waves = np.exp(1j * (block @ K.T))
             vals = waves @ self.coeffs
             resid = np.max(np.abs(vals.imag)) if len(vals) else 0.0
@@ -334,8 +319,8 @@ class HullField:
                 raise ImaginaryResidue(
                     f"imaginary residue {resid:.3e}; coefficients are not Hermitian"
                 )
-            out[lo:lo + chunk] = vals.real
-        return out if out.shape[0] > 1 else out
+            out[lo:lo + EVAL_CHUNK] = vals.real
+        return out
 
     def torus_minmax(self, axis_points: int | None = None) -> tuple[float, float]:
         """(min, max) of the hull function over a uniform torus grid."""
@@ -343,52 +328,6 @@ class HullField:
             axis_points = default_grid_axis_points(self.active.rank)
         vals = self.values(axis_points=axis_points)
         return float(vals.min()), float(vals.max())
-
-    def energy(self, lam: float) -> float:
-        """Gradient-flow energy 0.5|(lap+1)u|^2 - 0.5*lam*|u|^2 + 0.25|u^2|^2."""
-        a2 = np.abs(self.coeffs) ** 2
-        quad = 0.5 * np.sum((1.0 - self.active.ksq) ** 2 * a2)
-        mass = np.sum(a2)
-        return float(quad - 0.5 * lam * mass + 0.25 * self.squared_l2_of_square())
-
-
-def pointwise_product(f: HullField, g: HullField,
-                      pad_factor: int = DEFAULT_PAD_FACTOR) -> HullField:
-    """Retained coefficients of f*g, computed on the padded grid.
-
-    A single product is alias-free for padding factor >= 2 (the grid holds
-    all pair sums of retained modes).  Chaining through a third factor must
-    keep the intermediate on the grid -- use ``triple_product`` or
-    ``HullField.cubic`` for that; re-truncating the intermediate to the
-    active set would discard tail modes that feed back into retained ones.
-    """
-    f._check_same_active(g)
-    if pad_factor < 2:
-        raise ValueError("padding factor must be at least 2")
-    vals = f.values(pad_factor=pad_factor) * g.values(pad_factor=pad_factor)
-    return HullField(f.active, f.active.coefficients_from_grid(vals))
-
-
-def triple_product(f: HullField, g: HullField, h: HullField,
-                   pad_factor: int = DEFAULT_PAD_FACTOR) -> HullField:
-    """Retained coefficients of f*g*h with the intermediate kept on the grid."""
-    f._check_same_active(g)
-    f._check_same_active(h)
-    if pad_factor < 2:
-        raise ValueError("triple products need a padding factor of at least 2")
-    vals = (
-        f.values(pad_factor=pad_factor)
-        * g.values(pad_factor=pad_factor)
-        * h.values(pad_factor=pad_factor)
-    )
-    return HullField(f.active, f.active.coefficients_from_grid(vals))
-
-
-def inner_l2(f: HullField, g: HullField) -> float:
-    """Real l2 inner product of two fields on the same active set."""
-    f._check_same_active(g)
-    val = np.sum(f.coeffs * np.conj(g.coeffs))
-    return float(val.real)
 
 
 def convolve_direct(*fields: HullField, max_pair_sums: int = 4_000_000) -> dict:

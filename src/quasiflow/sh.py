@@ -44,11 +44,19 @@ class SHParams:
         return LowerTri(sigma_array(active, self.lam)[None])
 
     def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
-        vals = active.grid_values(coeffs[0], pad_factor=pad)
-        return -active.coefficients_from_grid(vals ** 3)[None]
+        u = active.grid_values(coeffs[0], pad_factor=pad)
+        return -active.coefficients_from_grid(u * u * u)[None]
 
-    def energy(self, coeffs: np.ndarray, active: ActiveModeSet) -> float:
-        return HullField(active, coeffs[0]).energy(self.lam)
+    def energy(self, coeffs: np.ndarray, linear: np.ndarray, nonlinear: np.ndarray) -> float:
+        """0.5|(lap+1)u|^2 - 0.5*lam*|u|^2 + 0.25*mean(u^4), from L a and N(a).
+
+        The quadratic part is -Re<a, L a>/2.  The quartic part is
+        -Re<a, N(a)>/4 by Parseval, exactly: on a grid padded by 2 or more
+        the retained coefficients of u^3 carry no aliasing, and the mean of
+        u^4 pairs only retained modes of u with those of u^3.
+        """
+        return float(-0.5 * np.vdot(coeffs, linear).real
+                     - 0.25 * np.vdot(coeffs, nonlinear).real)
 
     def config_keys(self) -> dict:
         return {"equation": "sh", "lam": self.lam}
@@ -105,9 +113,7 @@ def integrate(
     s: float = 3.0,
 ) -> tuple[SolverState, diagnostics.Trajectory]:
     """March to time T, recording diagnostics every diag_every steps (see ``etd.integrate``)."""
-    traj = diagnostics.Trajectory(
-        [], dt=state.stepper.dt, lam=state.params.lam, s=s, equation="sh"
-    )
+    traj = diagnostics.Trajectory([], dt=state.stepper.dt, s=s)
     return etd.integrate(state, T, step, traj, hooks, diag_every)
 
 

@@ -44,10 +44,6 @@ class RelationSearchExhausted(RuntimeError):
     """
 
 
-class NotRepresentable(ValueError):
-    """Vector is not an integer combination of the generators within bounds."""
-
-
 def _key(mat: np.ndarray) -> bytes:
     # +0.0 collapses -0.0 to +0.0 so byte keys are stable
     return (np.round(mat, 8) + 0.0).tobytes()
@@ -349,7 +345,7 @@ def generate_frequency_module(
         d = np.linalg.norm(box_ks - v, axis=1)
         i = int(np.argmin(d))
         if d[i] >= RELATION_TOL:
-            raise NotRepresentable(
+            raise RelationSearchExhausted(
                 "orbit vector has no bounded integer expression; "
                 "retry with a larger relation_bound"
             )
@@ -357,12 +353,7 @@ def generate_frequency_module(
 
     reps = []
     for g in holohedry.elements:
-        cols = []
-        for j in range(p):
-            try:
-                cols.append(coords(g.matrix @ A[j]))
-            except NotRepresentable as exc:
-                raise RelationSearchExhausted(str(exc)) from None
+        cols = [coords(g.matrix @ A[j]) for j in range(p)]
         reps.append(np.array(cols, dtype=np.int64).T)
 
     rank_real = np.linalg.matrix_rank(A, tol=RANK_TOL)
@@ -382,34 +373,6 @@ def generate_frequency_module(
 def mode_wavevector(module: FrequencyModule, m) -> np.ndarray:
     """Wavevector of an integer mode index (rows for batched input)."""
     return np.asarray(m, dtype=np.int64) @ module.generators
-
-
-def integer_coordinates(
-    module: FrequencyModule, v, tol: float = RELATION_TOL
-) -> np.ndarray:
-    """The unique bounded integer index m with k(m) = v, else NotRepresentable."""
-    if tol < 0:
-        raise ValueError("tolerance must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    d = np.linalg.norm(module._box_ks - v, axis=1)
-    i = int(np.argmin(d))
-    if d[i] >= tol:
-        raise NotRepresentable(
-            f"vector is not in the module within tolerance {tol:g} "
-            f"(coefficients searched up to {module.relation_bound})"
-        )
-    return module._box_ms[i].copy()
-
-
-def integer_representation(module: FrequencyModule, gamma) -> np.ndarray:
-    """Exact integer matrix of a group element acting on mode indices."""
-    if isinstance(gamma, GroupElement):
-        idx = module.holohedry.index_of(gamma.matrix)
-    elif isinstance(gamma, (int, np.integer)):
-        idx = int(gamma)
-    else:
-        idx = module.holohedry.index_of(np.asarray(gamma, dtype=float))
-    return module.integer_reps[idx]
 
 
 def module_points_in_ball(

@@ -128,13 +128,18 @@ class TestTuringAnalysis:
             br.turing_analysis(-1.0, 0.25, 1.0)
 
 
+def uuv_params():
+    # -N_v = u^2 v for any parameters: the feed A enters N_u only
+    return BrusselatorParams(B=4.2, **RUN_PARAMS)
+
+
 class TestQuadraticCubic:
     def test_matches_direct_convolution(self, act4):
         rng = np.random.default_rng(3)
         n = len(act4)
         fu = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
         fv = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
-        grid = br._quadratic_cubic(act4, fu.coeffs, fv.coeffs)
+        grid = -uuv_params().nonlinear(np.stack((fu.coeffs, fv.coeffs)), act4)[1]
         direct = hull.convolve_direct(fu, fu, fv)
         dvals = np.array([direct.get(tuple(m), 0.0) for m in act4.indices])
         assert np.max(np.abs(grid - dvals)) < 1e-12
@@ -144,8 +149,9 @@ class TestQuadraticCubic:
         n = len(act4)
         a = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
         b = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
-        one = br._quadratic_cubic(act4, a.coeffs, b.coeffs)
-        three = br._quadratic_cubic(act4, a.coeffs, 3.0 * b.coeffs)
+        p = uuv_params()
+        one = -p.nonlinear(np.stack((a.coeffs, b.coeffs)), act4)[1]
+        three = -p.nonlinear(np.stack((a.coeffs, 3.0 * b.coeffs)), act4)[1]
         assert np.allclose(three, 3.0 * one, atol=1e-12)
 
 
@@ -154,14 +160,14 @@ class TestRhs:
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         u, v = br.steady_ic(act12, p)
         st = br.make_bruss_state(u, v, p)
-        du, dv = (HullField(st.active, c) for c in st.rhs())
+        du, dv = (HullField(st.active, c) for c in sum(st.terms()))
         assert du.l2_norm() < 1e-14
         assert dv.l2_norm() < 1e-14
 
     def test_zero_fields_feel_the_feed(self, act12):
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         st = br.make_bruss_state(HullField.zeros(act12), HullField.zeros(act12), p)
-        du, dv = (HullField(st.active, c) for c in st.rhs())
+        du, dv = (HullField(st.active, c) for c in sum(st.terms()))
         zero = np.zeros(4, dtype=int)
         assert du.get_coefficient(zero) == pytest.approx(2.0)
         assert du.l2_norm() == pytest.approx(2.0)  # only the feed term
@@ -263,7 +269,6 @@ class TestIntegrate:
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         st = br.make_bruss_state(*br.steady_ic(act12, p), p, dt=0.01)
         fin, traj = br.bruss_integrate(st, 0.5, diag_every=10)
-        assert traj.equation == "brusselator"
         rec = traj.records[0]
         assert rec.two_component
         assert rec.min_v == pytest.approx(2.1)

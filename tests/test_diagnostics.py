@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from quasiflow import diagnostics, hull, sh, symmetry
+from quasiflow import brusselator, diagnostics, hull, sh, symmetry
 from quasiflow.diagnostics import (
     CheckReport,
     DiagnosticsRecord,
@@ -42,7 +42,7 @@ def supercritical(act12):
     return traj
 
 
-def synthetic(l2_values, dt=0.1, lam=None):
+def synthetic(l2_values, dt=0.1):
     """Trajectory with prescribed l2 column and harmless other fields."""
     records = []
     for i, v in enumerate(np.asarray(l2_values, dtype=float)):
@@ -61,7 +61,7 @@ def synthetic(l2_values, dt=0.1, lam=None):
                 max_u=v,
             )
         )
-    return Trajectory(records, dt=dt, lam=lam)
+    return Trajectory(records, dt=dt)
 
 
 class TestRecord:
@@ -91,6 +91,27 @@ class TestRecord:
         st = sh.make_state(HullField.zeros(act12), lam=0.3, dt=0.01)
         rec = diagnostics.record(st)
         assert rec.l2 == rec.l1 == rec.rhs_l2 == 0.0
+
+    @pytest.mark.parametrize("equation", ["sh", "brusselator"])
+    def test_one_padded_synthesis_per_component(self, act12, monkeypatch, equation):
+        # rhs_l2 and the energy share one N(a); the energy synthesizes nothing
+        if equation == "sh":
+            st = sh.make_state(sh.random_ic(act12, 0.2, seed=1), lam=0.1, dt=0.01)
+        else:
+            p = brusselator.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+            st = brusselator.make_bruss_state(*brusselator.steady_ic(act12, p), p)
+        shapes = []
+        original = ActiveModeSet.grid_values
+
+        def counting(self, *args, **kwargs):
+            vals = original(self, *args, **kwargs)
+            shapes.append(vals.shape)
+            return vals
+
+        monkeypatch.setattr(ActiveModeSet, "grid_values", counting)
+        diagnostics.record(st)
+        padded = (st.stepper.dealias * (2 * act12.N + 1),) * act12.rank
+        assert shapes.count(padded) == st.params.ncomp
 
     def test_validation_rejects_nan(self):
         with pytest.raises(ValueError):
@@ -125,7 +146,7 @@ class TestDecayChecks:
         assert rep.passed
 
     def test_constant_trajectory_fails(self):
-        traj = synthetic(np.full(50, 0.3), lam=-0.5)
+        traj = synthetic(np.full(50, 0.3))
         rep = diagnostics.check_decay_negative_lambda(traj, -0.5)
         assert not rep.passed
         assert rep.worst_slack > 0.01
@@ -165,7 +186,7 @@ class TestAbsorbingBall:
         assert rep.name == "ball-entry"
 
     def test_never_enters(self):
-        traj = synthetic(np.full(30, 10.0), lam=0.2)
+        traj = synthetic(np.full(30, 10.0))
         with pytest.raises(NeverEnters):
             diagnostics.check_absorbing_ball(traj, 0.2)
 
@@ -189,7 +210,7 @@ class TestLyapunov:
         records = list(supercritical.records)
         mid = len(records) // 2
         records[mid] = dataclasses.replace(records[mid], energy=records[mid].energy + 1.0)
-        tampered = Trajectory(records, dt=supercritical.dt, lam=supercritical.lam)
+        tampered = Trajectory(records, dt=supercritical.dt)
         mono, _ = diagnostics.check_lyapunov(tampered)
         assert not mono.passed
 
@@ -197,7 +218,7 @@ class TestLyapunov:
         records = [
             dataclasses.replace(r, rhs_l2=r.rhs_l2 + 1.0) for r in supercritical.records
         ]
-        tampered = Trajectory(records, dt=supercritical.dt, lam=supercritical.lam)
+        tampered = Trajectory(records, dt=supercritical.dt)
         _, ident = diagnostics.check_lyapunov(tampered)
         assert not ident.passed
 
@@ -224,13 +245,13 @@ class TestGrowthAndControl:
 
     def test_h1_rejects_gradient_blowup(self):
         t = np.arange(20) * 0.1
-        traj = synthetic(np.full(20, 0.1), lam=0.2)
+        traj = synthetic(np.full(20, 0.1))
         records = [
             dataclasses.replace(r, grad_hull_sq=float(np.exp(3.0 * r.t)))
             for r in traj.records
         ]
         rep = diagnostics.check_h1_growth(
-            Trajectory(records, dt=0.1, lam=0.2), 0.2
+            Trajectory(records, dt=0.1), 0.2
         )
         assert not rep.passed
 

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiflow import hull
+from quasiflow import hull, sh
+from quasiflow.brusselator import BrusselatorParams
 from quasiflow.hull import (
     ActiveModeSet,
     BallExceedsTruncation,
@@ -15,11 +16,8 @@ from quasiflow.hull import (
     ImaginaryResidue,
     InactiveMode,
     condition_iii_check,
-    inner_l2,
     l1_hs_bound_constant,
-    pointwise_product,
     render_image,
-    triple_product,
 )
 from quasiflow.symmetry import GOLDEN, build_holohedry, generate_frequency_module, integer_box
 
@@ -59,6 +57,28 @@ def dict_convolve(*term_maps):
 
 def as_dict(field):
     return {tuple(m): c for m, c in zip(field.active.indices, field.coeffs)}
+
+
+def grid_product(f, g):
+    """Retained coefficients of f*g from one product on the padded grid."""
+    return HullField(f.active, f.active.coefficients_from_grid(f.values() * g.values()))
+
+
+def cube(field, dealias=2):
+    """Retained coefficients of u^3, from the Swift-Hohenberg N(u) = -u^3."""
+    n = sh.SHParams(0.2).nonlinear(field.coeffs[None], field.active, dealias)
+    return HullField(field.active, -n[0])
+
+
+def quartic_mean(field):
+    """mean(u^4) by Parseval: Re<a, u^3>."""
+    return float(np.vdot(field.coeffs, cube(field).coeffs).real)
+
+
+def sh_energy(field, lam, dealias=2):
+    """The recorded Swift-Hohenberg energy, from the state's (L a, N(a))."""
+    st = sh.make_state(field, lam, dealias=dealias)
+    return st.params.energy(st.coeffs, *st.terms())
 
 
 def random_hermitian(active, seed, scale=0.5):
@@ -277,7 +297,7 @@ class TestPointwiseProduct:
         act = ActiveModeSet(mod2, 2)
         f = HullField.zeros(act)
         f.set_coefficient([1], 1.0)
-        p = pointwise_product(f, f)
+        p = grid_product(f, f)
         assert np.isclose(p.get_coefficient([0]), 2.0)
         assert np.isclose(p.get_coefficient([2]), 1.0)
         assert np.isclose(p.get_coefficient([1]), 0.0)
@@ -285,14 +305,14 @@ class TestPointwiseProduct:
     def test_zero_absorbs(self, act12):
         f = random_hermitian(act12, 21)
         z = HullField.zeros(act12)
-        assert pointwise_product(f, z).l2_norm() == 0.0
+        assert grid_product(f, z).l2_norm() == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_direct_convolution(self, mod4, seed):
         act = ActiveModeSet(mod4, 2)
         f = random_hermitian(act, seed)
         g = random_hermitian(act, seed + 100)
-        p = pointwise_product(f, g)
+        p = grid_product(f, g)
         ref = dict_convolve(as_dict(f), as_dict(g))
         for m, c in as_dict(p).items():
             assert abs(c - ref.get(m, 0.0)) < 1e-12
@@ -302,7 +322,7 @@ class TestPointwiseProduct:
         act = ActiveModeSet(mod2, 3)
         f = HullField.zeros(act)
         f.set_coefficient([1], 1.0)
-        c = f.cubic()
+        c = cube(f)
         assert np.isclose(c.get_coefficient([1]), 3.0)
         assert np.isclose(c.get_coefficient([3]), 1.0)
 
@@ -311,17 +331,19 @@ class TestPointwiseProduct:
         act = ActiveModeSet(mod4, 2)
         f = random_hermitian(act, seed)
         ref = dict_convolve(as_dict(f), as_dict(f), as_dict(f))
-        c = f.cubic()
+        c = cube(f)
         for m, v in as_dict(c).items():
             assert abs(v - ref.get(m, 0.0)) < 1e-12
 
     def test_triple_product_matches_convolution(self, mod4):
+        # -N_v = u^2 v, whatever the parameters: the feed A enters N_u only
         act = ActiveModeSet(mod4, 2)
-        f, g, h = (random_hermitian(act, s) for s in (31, 32, 33))
-        t = triple_product(f, g, h)
-        ref = dict_convolve(as_dict(f), as_dict(g), as_dict(h))
-        for m, v in as_dict(t).items():
-            assert abs(v - ref.get(m, 0.0)) < 1e-12
+        u, v = (random_hermitian(act, s) for s in (31, 33))
+        params = BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+        t = HullField(act, -params.nonlinear(np.stack((u.coeffs, v.coeffs)), act)[1])
+        ref = dict_convolve(as_dict(u), as_dict(u), as_dict(v))
+        for m, c in as_dict(t).items():
+            assert abs(c - ref.get(m, 0.0)) < 1e-12
 
     def test_truncated_chaining_differs_from_true_triple(self, mod2):
         # restricting the intermediate square to the active set drops tail
@@ -329,43 +351,41 @@ class TestPointwiseProduct:
         act = ActiveModeSet(mod2, 1)
         f = HullField.zeros(act)
         f.set_coefficient([1], 1.0)
-        chained = pointwise_product(pointwise_product(f, f), f)
+        chained = grid_product(grid_product(f, f), f)
         assert np.isclose(chained.get_coefficient([1]), 2.0)
-        assert np.isclose(f.cubic().get_coefficient([1]), 3.0)
+        assert np.isclose(cube(f).get_coefficient([1]), 3.0)
 
     def test_mismatched_active_sets_rejected(self, mod4):
         f = HullField.zeros(ActiveModeSet(mod4, 1))
         g = HullField.zeros(ActiveModeSet(mod4, 2))
         with pytest.raises(ValueError):
-            pointwise_product(f, g)
+            f + g
 
     def test_insufficient_padding_rejected(self, act12):
         f = HullField.zeros(act12)
         with pytest.raises(ValueError):
-            pointwise_product(f, f, pad_factor=1)
+            sh.make_state(f, 0.2, dealias=1)
 
     def test_quartic_mean(self, mod2):
         act = ActiveModeSet(mod2, 2)
         f = HullField.zeros(act)
         f.set_coefficient([1], 1.0)
-        assert np.isclose(f.squared_l2_of_square(), 6.0)
+        assert np.isclose(quartic_mean(f), 6.0)
 
 
 class TestInnerProduct:
     def test_self_inner_is_norm_squared(self, act12):
+        # Parseval on the padded grid
         f = random_hermitian(act12, 41)
-        assert np.isclose(inner_l2(f, f), f.l2_norm() ** 2)
-
-    def test_zero(self, act12):
-        f = random_hermitian(act12, 42)
-        assert inner_l2(f, HullField.zeros(act12)) == 0.0
+        vals = f.values()
+        assert np.isclose(np.mean(vals * vals), f.l2_norm() ** 2)
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
     def test_product_associativity(self, mod4, seed):
         act = ActiveModeSet(mod4, 2)
         u, v, w = (random_hermitian(act, seed + 10 * j) for j in range(3))
-        lhs = inner_l2(u, pointwise_product(v, w))
-        rhs = inner_l2(pointwise_product(u, v), w)
+        lhs = np.vdot(u.coeffs, grid_product(v, w).coeffs).real
+        rhs = np.vdot(grid_product(u, v).coeffs, w.coeffs).real
         assert abs(lhs - rhs) < 1e-10
 
     @settings(max_examples=100, deadline=None)
@@ -373,25 +393,25 @@ class TestInnerProduct:
     def test_square_cauchy_schwarz(self, mod4, seed):
         act = ActiveModeSet(mod4, 2)
         u = random_hermitian(act, seed)
-        assert inner_l2(u, u) ** 2 <= u.squared_l2_of_square() + 1e-12
+        assert u.l2_norm() ** 4 <= quartic_mean(u) + 1e-12
 
     def test_square_cauchy_schwarz_hand_value(self, mod2):
         act = ActiveModeSet(mod2, 2)
         u = HullField.zeros(act)
         u.set_coefficient([1], 1.0)
-        assert np.isclose(inner_l2(u, u) ** 2, 4.0)
-        assert np.isclose(u.squared_l2_of_square(), 6.0)
+        assert np.isclose(u.l2_norm() ** 4, 4.0)
+        assert np.isclose(quartic_mean(u), 6.0)
 
 
 class TestEnergy:
     def test_zero_field(self, act12):
-        assert HullField.zeros(act12).energy(0.3) == 0.0
+        assert sh_energy(HullField.zeros(act12), 0.3) == 0.0
 
     def test_unit_ring_pair(self, act12):
         f = HullField.zeros(act12)
         f.set_coefficient([1, 0, 0, 0], 1.0)
         for lam in (0.0, 0.2, 1.0):
-            assert np.isclose(f.energy(lam), 1.5 - lam)
+            assert np.isclose(sh_energy(f, lam), 1.5 - lam)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
@@ -399,7 +419,23 @@ class TestEnergy:
         u = random_hermitian(act12, seed, scale=0.3)
         lam = 0.4
         mass = u.l2_norm() ** 2
-        assert u.energy(lam) >= 0.25 * (mass ** 2 - 2 * lam * mass) - 1e-10
+        assert sh_energy(u, lam) >= 0.25 * (mass ** 2 - 2 * lam * mass) - 1e-10
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10_000), st.floats(-0.5, 1.0), st.sampled_from([2, 3]))
+    def test_matches_grid_quartic(self, mod4, seed, lam, dealias):
+        # oracle: the functional term by term, the quartic as a grid mean of
+        # u^4 on the padded grid, independent of N(a)
+        act = ActiveModeSet(mod4, 2)
+        u = random_hermitian(act, seed)
+        a2 = np.abs(u.coeffs) ** 2
+        terms = np.array([
+            0.5 * np.sum((1.0 - act.ksq) ** 2 * a2),
+            -0.5 * lam * np.sum(a2),
+            0.25 * np.mean(act.grid_values(u.coeffs, pad_factor=dealias) ** 4),
+        ])
+        got = sh_energy(u, lam, dealias)
+        assert abs(got - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 class TestEvaluatePhysical:
@@ -584,7 +620,7 @@ class TestValueSemantics:
         _ = f - g
         _ = 2.0 * f
         _ = f.symmetrize()
-        _ = f.cubic()
+        _ = cube(f)
         assert np.array_equal(f.coeffs, before)
 
 

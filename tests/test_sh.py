@@ -32,7 +32,7 @@ def e_first(rank):
 
 def rhs(field, lam):
     """The engine's time derivative of a one-component state, as a field."""
-    return HullField(field.active, sh.make_state(field, lam).rhs()[0])
+    return HullField(field.active, sum(sh.make_state(field, lam).terms())[0])
 
 
 class TestParams:
@@ -48,7 +48,9 @@ class TestParams:
             SHParams(lam=0.9)
             SHParams(lam=-3.0)
 
-    @pytest.mark.parametrize("bad", [{"scheme": "euler"}, {"dt": 0.0}, {"dt": -1.0}])
+    @pytest.mark.parametrize(
+        "bad", [{"scheme": "euler"}, {"dt": 0.0}, {"dt": -1.0}, {"dealias": 1}]
+    )
     def test_stepper_config_rejects(self, bad):
         with pytest.raises(ValueError):
             StepperConfig(**{"scheme": "etdrk2", "dt": 0.01, **bad})
@@ -185,8 +187,7 @@ class TestIntegrate:
         st = sh.make_state(sh.random_ic(act12, 0.1, seed=4), lam=-0.3, dt=0.02)
         _, traj = sh.integrate(st, 0.2, diag_every=2)
         assert traj.dt == 0.02
-        assert traj.lam == -0.3
-        assert traj.equation == "sh"
+        assert traj.s == 3.0
 
     def test_negative_horizon_rejected(self, act12):
         st = sh.make_state(HullField.zeros(act12), lam=0.1, dt=0.01)

@@ -10,7 +10,6 @@ from quasiflow.symmetry import (
     ORBIT_SEPARATION_TOL,
     RELATION_TOL,
     FrequencyModule,
-    NotRepresentable,
     OddOrderNoMinusI,
     RelationSearchExhausted,
     UnknownSpec,
@@ -18,8 +17,6 @@ from quasiflow.symmetry import (
     default_k0,
     generate_frequency_module,
     integer_box,
-    integer_coordinates,
-    integer_representation,
     mode_wavevector,
     module_points_in_ball,
 )
@@ -160,13 +157,11 @@ class TestTwelvefoldModule:
             assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_integer_coordinates_roundtrip(self, mod):
-        for m in integer_box(4, 2):
-            back = integer_coordinates(mod, mode_wavevector(mod, m))
-            assert np.array_equal(back, m)
-
-    def test_unrepresentable_vector_rejected(self, mod):
-        with pytest.raises(NotRepresentable):
-            integer_coordinates(mod, np.array([0.5, 0.0]))
+        # distinct bounded indices have distinct wavevectors, so each
+        # wavevector of the box names its index uniquely
+        ks = mode_wavevector(mod, integer_box(4, 2))
+        gaps = np.linalg.norm(ks[:, None, :] - ks[None, :, :], axis=-1)
+        assert np.min(gaps[~np.eye(len(ks), dtype=bool)]) > RELATION_TOL
 
     def test_non_unit_seed_rejected(self):
         H = build_holohedry("dihedral:12")
@@ -198,10 +193,7 @@ class TestRepresentationHomomorphism:
     def test_lookup_by_element_or_matrix(self):
         mod = generate_frequency_module(build_holohedry("dihedral:4"))
         el = mod.holohedry.elements[1]
-        r1 = integer_representation(mod, el)
-        r2 = integer_representation(mod, 1)
-        r3 = integer_representation(mod, el.matrix)
-        assert np.array_equal(r1, r2) and np.array_equal(r1, r3)
+        assert mod.holohedry.index_of(el.matrix) == 1
 
 
 class TestCrystallographicRestriction:
