@@ -1,8 +1,8 @@
 """Two-component reaction-diffusion hulls: activator-depleted substrate kinetics.
 
 Fields are stored in absolute (not deviation) variables so positivity is
-meaningful.  The exponential stepper (the engine in etd.py) puts diffusion,
-the same-component linear kinetics, and the lower-triangular cross coupling
+meaningful.  The ETDRK2 or ETDRK4 stepper (etd.py) puts diffusion, the
+same-component linear kinetics, and the lower-triangular cross coupling
 B*u into the exact exponential; the quadratic-cubic term u^2 v and the
 constant feed A stay in the explicit part handled by phi functions.  The
 homogeneous steady state is then a fixed point of the discrete step to
@@ -234,7 +234,7 @@ class BrusselatorState(etd.EtdState):
 
 
 def bruss_step(state: BrusselatorState, dt: float | None = None) -> BrusselatorState:
-    """One exponential step with a phi2 corrector, ETDRK2 (see ``etd.step``)."""
+    """One exponential step of the state's scheme (see ``etd.step``)."""
     return etd.step(state, dt)
 
 
@@ -296,10 +296,11 @@ def make_bruss_state(
     dt: float = 0.01,
     t: float = 0.0,
     dealias: int = 2,
+    scheme: str = "etdrk2",
 ) -> BrusselatorState:
     if v.active is not u.active:
         raise ValueError("components must share one active mode set")
     return BrusselatorState(
         u.active, np.stack((u.coeffs, v.coeffs)), t, params,
-        StepperConfig(dt=dt, dealias=dealias),
+        StepperConfig(scheme, dt, dealias=dealias),
     )

@@ -81,7 +81,9 @@ def _run_simulation(cfg: cfgmod.RunConfig, outdir: Path) -> int:
     else:
         params = br.BrusselatorParams(A=cfg.A, B=cfg.B, d1=cfg.d1, d2=cfg.d2)
         u, v = _bruss_initial_fields(cfg, active, params)
-        state = br.make_bruss_state(u, v, params, dt=cfg.dt, dealias=cfg.dealias)
+        state = br.make_bruss_state(
+            u, v, params, dt=cfg.dt, dealias=cfg.dealias, scheme=cfg.scheme
+        )
         integrate = br.bruss_integrate
     try:
         final, traj = integrate(

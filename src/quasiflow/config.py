@@ -66,8 +66,6 @@ class RunConfig:
                 raise BadValue(f"brusselator runs need {', '.join(missing)}")
             if min(self.A, self.B, self.d1, self.d2) <= 0:
                 raise BadValue("brusselator parameters must be positive")
-            if self.scheme != "etdrk2":
-                raise BadValue("brusselator runs support scheme = etdrk2 only")
         if not (self.T >= 0):
             raise BadValue("T must be nonnegative")
         if not (self.dt > 0):
@@ -91,6 +89,9 @@ class RunConfig:
             raise BadValue("diag_every must be at least 1")
         if self.snapshot_every < 0:
             raise BadValue("snapshot_every must be nonnegative")
+        if self.snapshot_every % self.diag_every:
+            raise BadValue("snapshot_every must be a multiple of diag_every "
+                           "(snapshots are taken at records)")
         if self.s <= 0:
             raise BadValue("s must be positive")
         return self

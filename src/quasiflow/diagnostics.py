@@ -143,6 +143,10 @@ class CheckReport:
     tolerance: float
 
     def __post_init__(self):
+        # plain Python scalars, so a report serializes with json
+        for name, kind in (("passed", bool), ("worst_slack", float),
+                           ("worst_t", float), ("tolerance", float)):
+            object.__setattr__(self, name, kind(getattr(self, name)))
         if self.passed != (self.worst_slack <= self.tolerance):
             raise ValueError("passed flag must equal worst_slack <= tolerance")
 

@@ -14,20 +14,19 @@ object, which provides
 
 L is integrated exactly through its exponential and phi functions; N enters
 through the ETDRK2 or ETDRK4 combination (Cox & Matthews, J. Comput. Phys.
-176, 2002).
+176, 2002; Hochbruck & Ostermann, Acta Numerica 19, 2010), for either block.
 
-The scalar phi functions phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j drive the
-ETDRK steppers.  Away from zero the closed forms built on expm1 are stable;
+One family phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j, with phi_0 = exp, drives
+the steppers.  Away from zero the closed forms built on expm1 are stable;
 below the series threshold the defining Taylor series avoids the 0/0
 cancellation entirely.
 
 A coupled two-component block needs the same functions of a lower-triangular
 2x2 matrix [[x, 0], [w, y]].  Any analytic f gives
-f([[x,0],[w,y]]) = [[f(x), 0], [w*D, f(y)]] with D the divided difference
-(f(x)-f(y))/(x-y); the exponential's divided difference has the exact form
-e^mu * sinhc(nu) (mu, nu the mean and half-gap), and the phi divided
-differences reduce to stable closed forms away from the origin and to joint
-series near it.
+f([[x,0],[w,y]]) = [[f(x), 0], [w*f[x,y], f(y)]] with f[x,y] the divided
+difference (f(x)-f(y))/(x-y) (``divided_difference``).  Every table is a phi
+function of h L or a linear combination of them (``LowerTri.phi``), so one
+code path builds both schemes for both block shapes.
 """
 
 from __future__ import annotations
@@ -46,39 +45,20 @@ SERIES_TERMS = 8
 SCHEMES = ("etdrk2", "etdrk4")
 
 
-def _phi_series(z, j, terms=SERIES_TERMS):
+def phi(j: int, z, threshold=SERIES_THRESHOLD):
+    """phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j elementwise; phi_0 is exp."""
     z = np.asarray(z, dtype=float)
-    acc = np.zeros_like(z)
-    for n in range(terms - 1, -1, -1):
-        acc = acc * z + 1.0 / math.factorial(n + j)
-    return acc
-
-
-def phi1(z, threshold=SERIES_THRESHOLD):
-    """(e^z - 1)/z, elementwise."""
-    z = np.asarray(z, dtype=float)
+    if j == 0:
+        return np.exp(z)
+    series = np.zeros_like(z)
+    for n in range(SERIES_TERMS - 1, -1, -1):
+        series = series * z + 1.0 / math.factorial(n + j)
     small = np.abs(z) < threshold
     safe = np.where(small, 1.0, z)
-    closed = np.expm1(safe) / safe
-    return np.where(small, _phi_series(z, 1), closed)
-
-
-def phi2(z, threshold=SERIES_THRESHOLD):
-    """(e^z - 1 - z)/z^2, elementwise."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < threshold
-    safe = np.where(small, 1.0, z)
-    closed = (np.expm1(safe) - safe) / safe ** 2
-    return np.where(small, _phi_series(z, 2), closed)
-
-
-def phi3(z, threshold=SERIES_THRESHOLD):
-    """(e^z - 1 - z - z^2/2)/z^3, elementwise."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < threshold
-    safe = np.where(small, 1.0, z)
-    closed = (np.expm1(safe) - safe - 0.5 * safe ** 2) / safe ** 3
-    return np.where(small, _phi_series(z, 3), closed)
+    num = np.expm1(safe)
+    for n in range(1, j):
+        num = num - safe ** n / math.factorial(n)
+    return np.where(small, series, num / safe ** j)
 
 
 def sinhc(z):
@@ -97,12 +77,9 @@ def _h_series_divided(x, y, j, terms=18):
     homogeneous symmetric polynomials, generated by the two-variable
     recurrence h_m = x*h_{m-1} + y^m.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    out = np.zeros(np.broadcast(x, y).shape)
-    h = np.ones_like(out)
-    ypow = np.ones_like(out)
-    out += h / math.factorial(j + 1)
+    h = np.ones_like(x)
+    ypow = np.ones_like(x)
+    out = h / math.factorial(j + 1)
     for m in range(1, terms):
         ypow = ypow * y
         h = x * h + ypow
@@ -110,69 +87,41 @@ def _h_series_divided(x, y, j, terms=18):
     return out
 
 
-def _divided_difference(fn, j, x, y):
-    """phi_j[x, y], stable across the coincident and tiny-argument regimes."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    x, y = np.broadcast_arrays(x, y)
+def divided_difference(j: int, x, y):
+    """phi_j[x, y] = (phi_j(x) - phi_j(y))/(x - y), stable in every regime.
+
+    phi_0[x, y] = e^mu sinhc(nu), with mu and nu the mean and half-gap, is
+    exact for all arguments; j >= 1 takes one of three regimes.
+    """
+    x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+    if j == 0:
+        return np.exp(0.5 * (x + y)) * sinhc(0.5 * (x - y))
     scale = np.maximum(np.abs(x), np.abs(y))
     small = scale < 0.5
     apart = np.abs(x - y) > 0.1 * (1.0 + scale)
-
-    out = np.empty_like(x, dtype=float)
+    out = np.empty(x.shape)
 
     # near the origin: joint series, immune to every cancellation
     if np.any(small):
         out[small] = _h_series_divided(x[small], y[small], j)
 
     # well-separated arguments: direct quotient of stable scalar values
-    m_dir = (~small) & apart
+    m_dir = ~small & apart
     if np.any(m_dir):
         xd, yd = x[m_dir], y[m_dir]
-        out[m_dir] = (fn(xd) - fn(yd)) / (xd - yd)
+        out[m_dir] = (phi(j, xd) - phi(j, yd)) / (xd - yd)
 
-    # close but large arguments: mean/half-gap closed forms
-    m_mid = (~small) & (~apart)
+    # close arguments away from the origin (so |x| > 0.35): climb from phi_0
+    # by phi_k[x, y] = (phi_{k-1}[x, y] - phi_k(y))/x, the divided difference
+    # of z phi_k(z) = phi_{k-1}(z) - 1/(k-1)!
+    m_mid = ~small & ~apart
     if np.any(m_mid):
         xm, ym = x[m_mid], y[m_mid]
-        mu = 0.5 * (xm + ym)
-        nu = 0.5 * (xm - ym)
-        emu = np.exp(mu)
-        if j == 1:
-            val = (emu * (mu * sinhc(nu) - np.cosh(nu)) + 1.0) / (xm * ym)
-        elif j == 2:
-            val = (
-                emu * ((mu ** 2 + nu ** 2) * sinhc(nu) - 2.0 * mu * np.cosh(nu))
-                + 2.0 * mu
-                + xm * ym
-            ) / (xm * ym) ** 2
-        else:
-            raise ValueError("divided differences implemented for phi1, phi2")
+        val = divided_difference(0, xm, ym)
+        for k in range(1, j + 1):
+            val = (val - phi(k, ym)) / xm
         out[m_mid] = val
     return out
-
-
-def expm_lower_tri(x, w, y):
-    """Entries (e11, e21, e22) of exp([[x, 0], [w, y]]), closed form.
-
-    The off-diagonal divided difference (e^x - e^y)/(x - y) is evaluated as
-    e^mu * sinhc(nu), exact in the equal-eigenvalue limit.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    mu = 0.5 * (x + y)
-    nu = 0.5 * (x - y)
-    return np.exp(x), np.asarray(w) * np.exp(mu) * sinhc(nu), np.exp(y)
-
-
-def phi1_lower_tri(x, w, y):
-    """Entries of phi1([[x, 0], [w, y]])."""
-    return phi1(x), np.asarray(w) * _divided_difference(phi1, 1, x, y), phi1(y)
-
-
-def phi2_lower_tri(x, w, y):
-    """Entries of phi2([[x, 0], [w, y]])."""
-    return phi2(x), np.asarray(w) * _divided_difference(phi2, 2, x, y), phi2(y)
 
 
 @dataclass(frozen=True)
@@ -198,7 +147,8 @@ class LowerTri:
 
     ``diag`` holds the diagonal, shaped (ncomp, nmodes); ``low`` the entry
     coupling component 0 into component 1, or None for a diagonal block.
-    ``block @ coeffs`` applies every mode's matrix to its coefficients.
+    ``block @ coeffs`` applies every mode's matrix to its coefficients;
+    blocks scale by numbers and add entrywise, like the matrices they hold.
     """
 
     diag: np.ndarray
@@ -210,43 +160,45 @@ class LowerTri:
             out[1] += self.low * coeffs[0]
         return out
 
+    def __rmul__(self, c: float) -> LowerTri:
+        return LowerTri(c * self.diag, None if self.low is None else c * self.low)
 
-def _lower_tri(e11, e21, e22, scale=1.0) -> LowerTri:
-    return LowerTri(np.stack((scale * e11, scale * e22)), scale * np.asarray(e21))
+    def __add__(self, other: LowerTri) -> LowerTri:
+        low = None if self.low is None else self.low + other.low
+        return LowerTri(self.diag + other.diag, low)
+
+    def __sub__(self, other: LowerTri) -> LowerTri:
+        return self + -1.0 * other
+
+    def phi(self, j: int) -> LowerTri:
+        """phi_j of every mode's matrix; w phi_j[x, y] below the diagonal."""
+        low = None if self.low is None else self.low * divided_difference(j, *self.diag)
+        return LowerTri(phi(j, self.diag), low)
 
 
 class EtdTables:
     """Per-run stepper coefficients for a fixed (linear block, dt, scheme).
 
-    Functions of a lower-triangular block are lower-triangular, so every
-    table is a ``LowerTri`` applied like the linear block itself.
+    Every table is a phi function of the block h L, or a linear combination
+    of them, so it is a ``LowerTri`` applied like the linear block itself.
     """
 
     def __init__(self, linear: LowerTri, config: StepperConfig):
         self.dt = h = config.dt
         self.scheme = config.scheme
-        z = h * linear.diag
-        if linear.low is not None:
-            if config.scheme != "etdrk2":
-                # ETDRK4 would need divided differences of phi3
-                raise ValueError("a coupled linear block is stepped with etdrk2 only")
-            xwy = (z[0], h * linear.low, z[1])
-            self.E = _lower_tri(*expm_lower_tri(*xwy))
-            self.hp1 = _lower_tri(*phi1_lower_tri(*xwy), scale=h)
-            self.hp2 = _lower_tri(*phi2_lower_tri(*xwy), scale=h)
-        elif config.scheme == "etdrk2":
-            self.E = LowerTri(np.exp(z))
-            self.hp1 = LowerTri(h * phi1(z))
-            self.hp2 = LowerTri(h * phi2(z))
+        z = h * linear
+        self.E = z.phi(0)
+        if config.scheme == "etdrk2":
+            self.hp1 = h * z.phi(1)
+            self.hp2 = h * z.phi(2)
         else:
             z2 = 0.5 * z
-            self.E = LowerTri(np.exp(z))
-            self.E2 = LowerTri(np.exp(z2))
-            self.hq = LowerTri(0.5 * h * phi1(z2))
-            p1, p2, p3 = phi1(z), phi2(z), phi3(z)
-            self.f1 = LowerTri(h * (p1 - 3.0 * p2 + 4.0 * p3))
-            self.f2 = LowerTri(h * (2.0 * p2 - 4.0 * p3))
-            self.f3 = LowerTri(h * (4.0 * p3 - p2))
+            self.E2 = z2.phi(0)
+            self.hq = 0.5 * h * z2.phi(1)
+            p1, p2, p3 = z.phi(1), z.phi(2), z.phi(3)
+            self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
+            self.f2 = h * (2.0 * p2 - 4.0 * p3)
+            self.f3 = h * (4.0 * p3 - p2)
 
 
 @dataclass

@@ -295,9 +295,8 @@ class HullField:
 
     # -- sampling -----------------------------------------------------------
 
-    def values(self, axis_points: int | None = None,
-               pad_factor: int = DEFAULT_PAD_FACTOR) -> np.ndarray:
-        return self.active.grid_values(self.coeffs, axis_points, pad_factor)
+    def values(self, axis_points: int | None = None) -> np.ndarray:
+        return self.active.grid_values(self.coeffs, axis_points)
 
     def evaluate_physical(self, points: np.ndarray) -> np.ndarray:
         """Field values u(x) = U(A x) at physical points (rows).

@@ -158,22 +158,33 @@ def run_all(progress=None) -> list:
     worst = max(cubic_err, uuv_err)
     add(CheckReport("10-product-oracle", worst <= 1e-12, worst, 0.0, 1e-12))
 
-    # 11. stepper convergence orders on a twelvefold run
+    # 11. stepper convergence orders: both schemes on a twelvefold SH run,
+    # and ETDRK4 on the Brusselator's coupled block just above onset
     act1 = ActiveModeSet(act.module, 1)
     order_ic = sh.quasicrystal_ic(act1, 0.3, 0.5, 1e-3, seed=2)
+    onset = br.turing_analysis(2.0, 1.0, 4.0)  # critical ring at |k| = 1
+    p_grow = br.BrusselatorParams(A=2.0, B=1.05 * onset.B_c, d1=1.0, d2=4.0)
+    bruss_ic = br.steady_plus_critical_ic(act1, p_grow, onset.critical_eigenvector, 1e-2)
 
-    def _final_coeffs(scheme, dt):
-        st = sh.make_state(order_ic.copy(), 0.3, scheme=scheme, dt=dt)
-        fin, _ = sh.integrate(st, 1.0, diag_every=10 ** 9)
-        return fin.field.coeffs
+    def _final_coeffs(equation, scheme, dt):
+        if equation == "sh":
+            st = sh.make_state(order_ic.copy(), 0.3, scheme=scheme, dt=dt)
+            fin, _ = sh.integrate(st, 1.0, diag_every=10 ** 9)
+        else:
+            st = br.make_bruss_state(*bruss_ic, p_grow, dt=dt, scheme=scheme)
+            fin, _ = br.bruss_integrate(st, 1.0, diag_every=10 ** 9)
+        return fin.coeffs
 
-    for scheme, floor, tag in (("etdrk2", 1.9, "a"), ("etdrk4", 3.8, "b")):
-        ref = _final_coeffs(scheme, 0.025 / 64)
-        errs = [np.linalg.norm(_final_coeffs(scheme, dt) - ref)
+    for equation, scheme, floor, name in (
+        ("sh", "etdrk2", 1.9, "11a-order-etdrk2"),
+        ("sh", "etdrk4", 3.8, "11b-order-etdrk4"),
+        ("brusselator", "etdrk4", 3.8, "11c-order-etdrk4-brusselator"),
+    ):
+        ref = _final_coeffs(equation, scheme, 0.025 / 64)
+        errs = [np.linalg.norm(_final_coeffs(equation, scheme, dt) - ref)
                 for dt in (0.1, 0.05, 0.025)]
         order = float(min(np.log2(errs[i] / errs[i + 1]) for i in range(2)))
-        add(CheckReport(f"11{tag}-order-{scheme}", order >= floor,
-                        floor - order, 0.0, 0.0))
+        add(CheckReport(name, order >= floor, floor - order, 0.0, 0.0))
 
     # 12. symmetry preservation over 10^3 steps, planar and spatial
     drift12 = float(np.max(traj_sup.column("sym_drift")))
@@ -227,10 +238,8 @@ def run_all(progress=None) -> list:
                     worst_triple, 0.0, 1e-8))
 
     # 15. two-component dynamics: fixed point, onset growth, positivity
-    act_b = ActiveModeSet(act.module, 1)
-    onset = br.turing_analysis(2.0, 1.0, 4.0)  # critical ring at |k| = 1
     p_steady = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
-    st = br.make_bruss_state(*br.steady_ic(act_b, p_steady), p_steady, dt=DT)
+    st = br.make_bruss_state(*br.steady_ic(act1, p_steady), p_steady, dt=DT)
     fin, _ = br.bruss_integrate(st, 10.0, diag_every=100)
     zero = np.zeros(4, dtype=int)
     steady_err = max(
@@ -242,10 +251,9 @@ def run_all(progress=None) -> list:
     add(CheckReport("15a-steady-state-fixed", steady_err <= 1e-12,
                     steady_err, 10.0, 1e-12))
 
-    p_grow = br.BrusselatorParams(A=2.0, B=1.05 * onset.B_c, d1=1.0, d2=4.0)
     predicted = float(np.max(np.linalg.eigvals(
         br.dispersion_matrix(p_grow, 1.0)).real))
-    u, v = br.steady_plus_critical_ic(act_b, p_grow,
+    u, v = br.steady_plus_critical_ic(act1, p_grow,
                                       onset.critical_eigenvector, 1e-6)
     gst = br.make_bruss_state(u, v, p_grow, dt=DT)
     e0 = np.zeros(4, dtype=int)
@@ -264,8 +272,8 @@ def run_all(progress=None) -> list:
     add(CheckReport("15b-onset-growth-rate", rate_err <= 0.05,
                     rate_err, 40.0, 0.05))
 
-    u, v = br.steady_ic(act_b, p_steady)
-    bump = HullField.zeros(act_b)
+    u, v = br.steady_ic(act1, p_steady)
+    bump = HullField.zeros(act1)
     bump.set_coefficient(e0, 0.05)
     u = u + bump.symmetrize()
     pst = br.make_bruss_state(u, v, p_steady, dt=DT)

@@ -153,6 +153,19 @@ class TestSimulateBruss:
         assert state.params.B == 4.2
         assert state.u_field.active is state.v_field.active
 
+    def test_etdrk4_run_round_trips_its_scheme(self, tmp_path):
+        from quasiflow.config import parse_config
+
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BRUSS_CFG + "scheme = etdrk4\n")
+        out = tmp_path / "run"
+        code = cli.main(["simulate-bruss", "--config", str(cfg), "--output", str(out)])
+        assert code == 0
+        assert parse_config((out / "config.txt").read_text()).scheme == "etdrk4"
+        state, snap_cfg = snapshots.read_snapshot(out / "final.qcs")
+        assert state.stepper.scheme == snap_cfg.scheme == "etdrk4"
+        assert state.step_index == 20
+
 
 class TestTuring:
     def test_reference_triple(self, capsys):

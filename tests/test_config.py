@@ -136,13 +136,19 @@ class TestValidate:
         with pytest.raises(BadValue, match="positive"):
             parse_config(text)
 
-    def test_brusselator_rejects_etdrk4(self):
+    def test_brusselator_accepts_etdrk4(self):
         text = (
             "symmetry = dihedral:12\nT = 1\nequation = brusselator\n"
             "A = 2\nB = 4.2\nd1 = 1\nd2 = 4\nscheme = etdrk4\n"
         )
-        with pytest.raises(BadValue, match="etdrk2 only"):
-            parse_config(text)
+        assert parse_config(text).scheme == "etdrk4"
+
+    @pytest.mark.parametrize("every", [15, 5, 1])
+    def test_snapshot_cadence_must_follow_records(self, every):
+        # snapshots are taken at records, so 15 with diag_every = 10 would
+        # write steps 0, 30, 60, ... instead of every 15th
+        with pytest.raises(BadValue, match="multiple of diag_every"):
+            parse_config(MINIMAL + f"diag_every = 10\nsnapshot_every = {every}\n")
 
     @pytest.mark.parametrize("line,msg", [
         ("T = -1", "T"),
@@ -214,12 +220,12 @@ def run_configs(draw):
         perturbation=draw(st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2 ** 31)),
         diag_every=draw(st.integers(1, 99)),
-        snapshot_every=draw(st.integers(0, 99)),
+        scheme=draw(st.sampled_from(config.SCHEMES)),
         s=draw(st.floats(0.5, 9.0)),
         output_dir=draw(st.sampled_from(["out", "runs/a", "x_1"])),
     )
+    kw["snapshot_every"] = kw["diag_every"] * draw(st.integers(0, 9))
     if eq == "sh":
-        kw["scheme"] = draw(st.sampled_from(config.SCHEMES))
         kw["lam"] = draw(st.floats(-2.0, 2.0))
         kw["ic"] = draw(st.sampled_from(["quasicrystal", "random"]))
         if kw["ic"] == "quasicrystal":

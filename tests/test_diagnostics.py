@@ -6,6 +6,7 @@ reject a bad trajectory tests nothing.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -138,6 +139,14 @@ class TestCheckReport:
     def test_flag_must_match_slack(self):
         with pytest.raises(ValueError):
             CheckReport("demo", True, 1.0, 0.0, 1e-9)
+
+    def test_numpy_scalars_serialize(self):
+        rep = CheckReport("demo", np.bool_(True), np.float64(-0.5),
+                          np.float64(2.0), np.float64(1e-9))
+        back = json.loads(json.dumps(dataclasses.asdict(rep)))
+        assert back == {"name": "demo", "passed": True, "worst_slack": -0.5,
+                        "worst_t": 2.0, "tolerance": 1e-9}
+        assert type(rep.passed) is bool and type(rep.worst_slack) is float
 
 
 class TestDecayChecks:

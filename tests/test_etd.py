@@ -1,5 +1,6 @@
-"""Phi functions and triangular matrix exponentials."""
+"""Phi functions, their divided differences and triangular matrix functions."""
 
+import decimal
 import math
 
 import numpy as np
@@ -10,6 +11,15 @@ from hypothesis import strategies as st
 from quasiflow import etd
 
 
+def phi_longdouble(j, z):
+    """The closed form (e^z - sum_{n<j} z^n/n!)/z^j in longdouble."""
+    Z = np.longdouble(z)
+    num = np.expm1(Z)
+    for n in range(1, j):
+        num = num - Z ** n / math.factorial(n)
+    return num / Z ** j
+
+
 def phi_ref(z, j, terms=40):
     """Longdouble reference: series near zero, expm1 form elsewhere."""
     Z = np.longdouble(z)
@@ -18,11 +28,7 @@ def phi_ref(z, j, terms=40):
         for n in range(terms - 1, -1, -1):
             acc = acc * Z + np.longdouble(1) / math.factorial(n + j)
         return float(acc)
-    e = np.expm1(Z)
-    num = e
-    for i in range(1, j):
-        num = num - Z ** i / math.factorial(i)
-    return float(num / Z ** j)
+    return float(phi_longdouble(j, z))
 
 
 def mat_phi_ref(j, x, w, y, terms=60):
@@ -36,27 +42,54 @@ def mat_phi_ref(j, x, w, y, terms=60):
     return np.array(out, dtype=float)
 
 
+def dd_ref(j, x, y, digits=60):
+    """phi_j[x, y] as the quotient of 60-digit decimal phi values."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+
+        def phi_dec(z):
+            z = decimal.Decimal(z)
+            num = z.exp() - sum(z ** n / math.factorial(n) for n in range(j))
+            return num / z ** j
+
+        return float((phi_dec(x) - phi_dec(y)) / (decimal.Decimal(x) - decimal.Decimal(y)))
+
+
+def tri_phi(j, x, w, y):
+    """Entries (f11, f21, f22) of phi_j([[x, 0], [w, y]]) through LowerTri.phi."""
+    block = etd.LowerTri(np.array([[x], [y]], dtype=float), np.array([w], dtype=float))
+    out = block.phi(j)
+    return out.diag[0, 0], out.low[0], out.diag[1, 0]
+
+
+# (j, relative tolerance) of the scalar phi_j against phi_ref
+REFERENCE_TOLS = [(1, 1e-14), (2, 1e-13), (3, 1e-11)]
+
+
 class TestScalarPhis:
     def test_values_at_zero(self):
-        assert etd.phi1(0.0) == pytest.approx(1.0, abs=1e-15)
-        assert etd.phi2(0.0) == pytest.approx(0.5, abs=1e-15)
-        assert etd.phi3(0.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
+        assert etd.phi(0, 0.0) == 1.0
+        assert etd.phi(1, 0.0) == pytest.approx(1.0, abs=1e-15)
+        assert etd.phi(2, 0.0) == pytest.approx(0.5, abs=1e-15)
+        assert etd.phi(3, 0.0) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
     def test_value_at_one(self):
         e = math.e
-        assert etd.phi1(1.0) == pytest.approx(e - 1.0, rel=1e-14)
-        assert etd.phi2(1.0) == pytest.approx(e - 2.0, rel=1e-14)
-        assert etd.phi3(1.0) == pytest.approx(e - 2.5, rel=1e-13)
+        assert etd.phi(0, 1.0) == pytest.approx(e, rel=1e-15)
+        assert etd.phi(1, 1.0) == pytest.approx(e - 1.0, rel=1e-14)
+        assert etd.phi(2, 1.0) == pytest.approx(e - 2.0, rel=1e-14)
+        assert etd.phi(3, 1.0) == pytest.approx(e - 2.5, rel=1e-13)
 
-    @pytest.mark.parametrize("j,fn,tol", [(1, etd.phi1, 1e-14), (2, etd.phi2, 1e-13), (3, etd.phi3, 1e-11)])
-    def test_against_reference_across_threshold(self, j, fn, tol):
+    @pytest.mark.parametrize("j,tol", REFERENCE_TOLS,
+                             ids=[f"{j}-phi{j}-{tol}" for j, tol in REFERENCE_TOLS])
+    def test_against_reference_across_threshold(self, j, tol):
         rng = np.random.default_rng(0)
         zs = np.concatenate([
             rng.uniform(-6, 6, 200),
             rng.uniform(-2e-2, 2e-2, 400),
             [0.0, 1e-2, -1e-2, 0.0099999, 0.0100001, -0.0099999, -0.0100001],
         ])
-        vals = fn(zs)
+        vals = etd.phi(j, zs)
         refs = np.array([phi_ref(z, j) for z in zs])
         rel = np.abs(vals - refs) / np.maximum(np.abs(refs), 1e-300)
         assert np.max(rel) < tol
@@ -64,18 +97,20 @@ class TestScalarPhis:
     @settings(max_examples=200, deadline=None)
     @given(st.floats(-20, 3, allow_nan=False))
     def test_recurrence_identities(self, z):
-        assert etd.phi1(z) == pytest.approx(1.0 + z * etd.phi2(z), rel=1e-11, abs=1e-13)
-        assert etd.phi2(z) == pytest.approx(0.5 + z * etd.phi3(z), rel=1e-11, abs=1e-13)
+        assert etd.phi(0, z) == pytest.approx(1.0 + z * etd.phi(1, z), rel=1e-11, abs=1e-13)
+        assert etd.phi(1, z) == pytest.approx(1.0 + z * etd.phi(2, z), rel=1e-11, abs=1e-13)
+        assert etd.phi(2, z) == pytest.approx(0.5 + z * etd.phi(3, z), rel=1e-11, abs=1e-13)
 
     def test_vectorized_shape(self):
         z = np.linspace(-1, 1, 7).reshape(7, 1)
-        assert etd.phi1(z).shape == (7, 1)
+        for j in range(4):
+            assert etd.phi(j, z).shape == (7, 1)
 
     def test_threshold_is_respected(self):
         # series and closed form agree to round-off in a band around the switch
         band = np.linspace(0.5e-2, 2e-2, 101)
-        lo = etd.phi2(band, threshold=1e-6)   # closed form everywhere
-        hi = etd.phi2(band, threshold=1e-1)   # series everywhere
+        lo = etd.phi(2, band, threshold=1e-6)   # closed form everywhere
+        hi = etd.phi(2, band, threshold=1e-1)   # series everywhere
         assert np.allclose(lo, hi, rtol=1e-10)
 
 
@@ -94,6 +129,22 @@ class TestSinhc:
         assert abs(v[1] - v[0]) < 1e-8
 
 
+class TestDividedDifference:
+    @pytest.mark.parametrize("j,tol", [(0, 1e-14), (1, 1e-14), (2, 1e-13), (3, 1e-12)])
+    def test_close_pairs_match_decimal_oracle(self, j, tol):
+        # close pairs across [-60, 3]: the climb from phi_0 away from the
+        # origin, the joint series near it
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-60.0, 3.0, 400)
+        gap = rng.choice([-1.0, 1.0], 400) * 10.0 ** rng.uniform(-12, -1.2, 400)
+        y = np.clip(x + gap * (1.0 + np.abs(x)), -60.0, 3.0)
+        keep = x != y
+        x, y = x[keep], y[keep]
+        got = etd.divided_difference(j, x, y)
+        ref = np.array([dd_ref(j, a, b) for a, b in zip(x, y)])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) < tol
+
+
 class TestLowerTriangular:
     @pytest.mark.parametrize("x,w,y", [
         (-0.5, 2.0, -0.1),
@@ -105,10 +156,9 @@ class TestLowerTriangular:
         (1.0, 2.0, -1.0),
     ])
     def test_exp_phi1_phi2_match_series(self, x, w, y):
-        e11, e21, e22 = etd.expm_lower_tri(x, w, y)
-        p11, p21, p22 = etd.phi1_lower_tri(x, w, y)
-        q11, q21, q22 = etd.phi2_lower_tri(x, w, y)
-        for got, j in [((e11, e21, e22), 0), ((p11, p21, p22), 1), ((q11, q21, q22), 2)]:
+        # phi_0 = exp through phi_3, every entry against the matrix series
+        for j in range(4):
+            got = tri_phi(j, x, w, y)
             ref = mat_phi_ref(j, x, w, y)
             assert got[0] == pytest.approx(ref[0, 0], rel=1e-12, abs=1e-14)
             assert got[1] == pytest.approx(ref[1, 0], rel=1e-10, abs=1e-13)
@@ -116,13 +166,14 @@ class TestLowerTriangular:
 
     @settings(max_examples=300, deadline=None)
     @given(
+        st.integers(0, 3),
         st.floats(-8, 2, allow_nan=False),
         st.floats(-4, 4, allow_nan=False),
         st.floats(-8, 2, allow_nan=False),
     )
-    def test_random_triangles(self, x, w, y):
-        p11, p21, p22 = etd.phi1_lower_tri(x, w, y)
-        ref = mat_phi_ref(1, x, w, y)
+    def test_random_triangles(self, j, x, w, y):
+        p11, p21, p22 = tri_phi(j, x, w, y)
+        ref = mat_phi_ref(j, x, w, y)
         assert p21 == pytest.approx(ref[1, 0], rel=1e-9, abs=1e-12)
         assert p11 == pytest.approx(ref[0, 0], rel=1e-12)
 
@@ -130,17 +181,17 @@ class TestLowerTriangular:
         # far outside the series oracle's domain; compare against the
         # longdouble quotient of stable phi values
         x, y = -40.0, -39.99999999
-        _, p21, _ = etd.phi1_lower_tri(x, 1.0, y)
-        fx = (np.expm1(np.longdouble(x))) / np.longdouble(x)
-        fy = (np.expm1(np.longdouble(y))) / np.longdouble(y)
-        ref = float((fx - fy) / (np.longdouble(x) - np.longdouble(y)))
-        assert p21 == pytest.approx(ref, rel=1e-8)
+        for j in (1, 2, 3):
+            _, p21, _ = tri_phi(j, x, 1.0, y)
+            fx, fy = phi_longdouble(j, x), phi_longdouble(j, y)
+            ref = float((fx - fy) / (np.longdouble(x) - np.longdouble(y)))
+            assert p21 == pytest.approx(ref, rel=1e-8)
 
     def test_exponential_group_property(self):
         # exp(M) @ exp(M) = exp(2M) entrywise for the triangular family
         x, w, y = -1.3, 0.7, -0.2
-        e11, e21, e22 = etd.expm_lower_tri(x, w, y)
-        d11, d21, d22 = etd.expm_lower_tri(2 * x, 2 * w, 2 * y)
+        e11, e21, e22 = tri_phi(0, x, w, y)
+        d11, d21, d22 = tri_phi(0, 2 * x, 2 * w, 2 * y)
         assert d11 == pytest.approx(e11 * e11, rel=1e-13)
         assert d22 == pytest.approx(e22 * e22, rel=1e-13)
         assert d21 == pytest.approx(e21 * e11 + e22 * e21, rel=1e-12)
@@ -148,8 +199,8 @@ class TestLowerTriangular:
     def test_phi1_defining_identity(self):
         # M @ phi1(M) = exp(M) - I
         for x, w, y in [(-0.5, 2.0, -0.1), (-0.05, 4.0, 0.0), (-3.0, 1.0, -3.0)]:
-            e11, e21, e22 = etd.expm_lower_tri(x, w, y)
-            p11, p21, p22 = etd.phi1_lower_tri(x, w, y)
+            e11, e21, e22 = tri_phi(0, x, w, y)
+            p11, p21, p22 = tri_phi(1, x, w, y)
             assert x * p11 == pytest.approx(e11 - 1.0, rel=1e-12, abs=1e-15)
             assert w * p11 + y * p21 == pytest.approx(e21, rel=1e-11, abs=1e-14)
             assert y * p22 == pytest.approx(e22 - 1.0, rel=1e-12, abs=1e-15)

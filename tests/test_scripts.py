@@ -28,6 +28,8 @@ def test_script_exits_cleanly(script, tmp_path):
         cwd=tmp_path, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    if script == "stepper_order_study.py":
+        assert "brusselator etdrk4:" in proc.stdout
     if script == "run_sh_quasicrystal.py":
         assert sorted(p.name for p in out.iterdir()) == \
             ["diagnostics.csv", "final.pgm", "final.qcs"]
