@@ -182,13 +182,3 @@ def to_text(cfg: RunConfig) -> str:
         else:
             lines.append(f"{f.name} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def config_key_values(cfg: RunConfig) -> list[tuple[str, str]]:
-    """(key, rendered value) pairs in to_text order, for manifests."""
-    out = []
-    for line in to_text(cfg).splitlines():
-        key, raw = (part.strip() for part in line.split("=", 1))
-        out.append((key, raw))
-    return out
-

@@ -90,14 +90,14 @@ def _h_series_divided(x, y, j, terms=18):
 def divided_difference(j: int, x, y):
     """phi_j[x, y] = (phi_j(x) - phi_j(y))/(x - y), stable in every regime.
 
-    phi_0[x, y] = e^mu sinhc(nu), with mu and nu the mean and half-gap, is
-    exact for all arguments; j >= 1 takes one of three regimes.
+    Well-separated arguments take the direct quotient.  Close ones take
+    phi_0[x, y] = e^mu sinhc(nu), with mu and nu the mean and half-gap, which
+    is exact there, and climb from it to j >= 1 away from the origin; near
+    the origin j >= 1 takes a joint series.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-    if j == 0:
-        return np.exp(0.5 * (x + y)) * sinhc(0.5 * (x - y))
     scale = np.maximum(np.abs(x), np.abs(y))
-    small = scale < 0.5
+    small = (scale < 0.5) & (j > 0)
     apart = np.abs(x - y) > 0.1 * (1.0 + scale)
     out = np.empty(x.shape)
 
@@ -105,19 +105,20 @@ def divided_difference(j: int, x, y):
     if np.any(small):
         out[small] = _h_series_divided(x[small], y[small], j)
 
-    # well-separated arguments: direct quotient of stable scalar values
+    # well-separated arguments: direct quotient of stable scalar values.  For
+    # j = 0 this also keeps e^mu from underflowing while sinh(nu) overflows
     m_dir = ~small & apart
     if np.any(m_dir):
         xd, yd = x[m_dir], y[m_dir]
         out[m_dir] = (phi(j, xd) - phi(j, yd)) / (xd - yd)
 
-    # close arguments away from the origin (so |x| > 0.35): climb from phi_0
-    # by phi_k[x, y] = (phi_{k-1}[x, y] - phi_k(y))/x, the divided difference
-    # of z phi_k(z) = phi_{k-1}(z) - 1/(k-1)!
+    # close arguments, away from the origin when j >= 1 (so |x| > 0.35):
+    # climb from phi_0 by phi_k[x, y] = (phi_{k-1}[x, y] - phi_k(y))/x, the
+    # divided difference of z phi_k(z) = phi_{k-1}(z) - 1/(k-1)!
     m_mid = ~small & ~apart
     if np.any(m_mid):
         xm, ym = x[m_mid], y[m_mid]
-        val = divided_difference(0, xm, ym)
+        val = np.exp(0.5 * (xm + ym)) * sinhc(0.5 * (xm - ym))
         for k in range(1, j + 1):
             val = (val - phi(k, ym)) / xm
         out[m_mid] = val

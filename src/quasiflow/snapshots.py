@@ -48,7 +48,7 @@ class CorruptPayload(ValueError):
 def _manifest_text(state, cfg: cfgmod.RunConfig) -> str:
     active = state.active
     lines = [f"{FORMAT_NAME} {FORMAT_VERSION}"]
-    lines.extend(f"{k} = {v}" for k, v in cfgmod.config_key_values(cfg))
+    lines.extend(cfgmod.to_text(cfg).splitlines())
     for i, row in enumerate(active.module.generators):
         lines.append(
             f"generator {i} = " + " ".join(f"{x:.17g}" for x in row)

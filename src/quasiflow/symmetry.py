@@ -12,7 +12,6 @@ are exact instead of approximate.
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,77 +43,64 @@ class RelationSearchExhausted(RuntimeError):
     """
 
 
-def _key(mat: np.ndarray) -> bytes:
-    # +0.0 collapses -0.0 to +0.0 so byte keys are stable
-    return (np.round(mat, 8) + 0.0).tobytes()
-
-
-@dataclass(eq=False)
-class GroupElement:
-    """One orthogonal matrix of a holohedry, with a short text label."""
-
-    matrix: np.ndarray
-    label: str
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=float)
-        d = self.matrix.shape[0]
-        if self.matrix.shape != (d, d):
-            raise ValueError("group element matrix must be square")
-        err = np.max(np.abs(self.matrix.T @ self.matrix - np.eye(d)))
-        if err > ORTHOGONALITY_TOL:
-            raise ValueError(f"matrix is not orthogonal (residual {err:.2e})")
-        if abs(abs(np.linalg.det(self.matrix)) - 1.0) > ORTHOGONALITY_TOL:
-            raise ValueError("matrix determinant must be +-1")
-
-    def __repr__(self):
-        return f"GroupElement({self.label!r})"
-
-
 class Holohedry:
-    """A finite orthogonal group containing I and -I.
+    """A finite orthogonal group containing I and -I, as one matrix stack.
 
-    Immutable after construction.  Element order is deterministic, with the
-    identity always first; ``index_of`` matches matrices to elements with a
-    1e-10 tolerance.
+    Immutable after construction.  ``matrices`` is a read-only
+    ``(order, d, d)`` array in a deterministic order with the identity
+    first, and an element is named by its index there.  Matrices are
+    compared at one tolerance: ``index_of`` finds the element whose entries
+    all agree with the given matrix within CLOSURE_TOL.
     """
 
-    def __init__(self, name: str, dimension: int, elements: list[GroupElement]):
-        self.name = name
-        self.dimension = dimension
-        self.elements = tuple(elements)
-        self._index = {}
-        for i, g in enumerate(self.elements):
-            k = _key(g.matrix)
-            if k in self._index:
-                raise ValueError("duplicate group element")
-            self._index[k] = i
-        eye = np.eye(dimension)
-        if self.index_of(eye) != 0:
+    def __init__(self, name: str, matrices):
+        mats = np.array(matrices, dtype=float)
+        if mats.ndim != 3 or mats.shape[1] != mats.shape[2]:
+            raise ValueError("group elements must be a stack of square matrices")
+        eye = np.eye(mats.shape[1])
+        err = np.max(np.abs(np.swapaxes(mats, 1, 2) @ mats - eye))
+        if err > ORTHOGONALITY_TOL:
+            raise ValueError(f"matrix is not orthogonal (residual {err:.2e})")
+        if np.max(np.abs(np.abs(np.linalg.det(mats)) - 1.0)) > ORTHOGONALITY_TOL:
+            raise ValueError("matrix determinant must be +-1")
+        if np.any(_first_match(mats, mats) != np.arange(len(mats))):
+            raise ValueError("duplicate group element")
+        ident, minus = _first_match(np.stack([eye, -eye]), mats)
+        if ident != 0:
             raise ValueError("identity must be the first element")
-        self.minus_identity_index = self.index_of(-eye)
+        if minus < 0:
+            raise ValueError("group must contain -I")
+        mats.setflags(write=False)
+        self.name = name
+        self.matrices = mats
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.matrices)
+
+    @property
+    def dimension(self) -> int:
+        return self.matrices.shape[1]
 
     def index_of(self, matrix: np.ndarray) -> int:
-        """Index of the element equal to ``matrix`` (within 1e-10)."""
-        k = _key(np.asarray(matrix, dtype=float))
-        i = self._index.get(k)
-        if i is not None:
-            return i
-        # fall back to a tolerant scan in case rounding straddled a boundary
-        for j, g in enumerate(self.elements):
-            if np.max(np.abs(g.matrix - matrix)) < CLOSURE_TOL:
-                return j
-        raise KeyError("matrix is not an element of this holohedry")
+        """Index of the element equal to ``matrix`` within CLOSURE_TOL."""
+        i = int(_first_match(np.asarray(matrix, dtype=float)[None], self.matrices)[0])
+        if i < 0:
+            raise KeyError("matrix is not an element of this holohedry")
+        return i
 
     def product_index(self, i: int, j: int) -> int:
-        return self.index_of(self.elements[i].matrix @ self.elements[j].matrix)
+        return self.index_of(self.matrices[i] @ self.matrices[j])
 
     def __repr__(self):
         return f"Holohedry({self.name!r}, order={self.order})"
+
+
+def _first_match(mats: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Per matrix of ``mats``, the first element of ``stack`` within
+    CLOSURE_TOL entrywise, or -1."""
+    close = np.max(np.abs(mats[:, None] - stack[None]), axis=(-2, -1)) < CLOSURE_TOL
+    return np.where(close.any(axis=1), np.argmax(close, axis=1), -1)
 
 
 def _rotation_2d(theta: float) -> np.ndarray:
@@ -132,28 +118,25 @@ def _rotation_3d(axis: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _close_under_products(generators: list[np.ndarray], max_order: int = 200):
-    """Generate a finite matrix group from generators (identity included)."""
-    d = generators[0].shape[0]
-    elements = [np.eye(d)]
-    seen = {_key(elements[0])}
-    frontier = [np.eye(d)]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                prod = h @ g
-                k = _key(prod)
-                if k not in seen:
-                    seen.add(k)
-                    elements.append(prod)
-                    nxt.append(prod)
-                    if len(elements) > max_order:
-                        raise ValueError("group generation did not terminate")
-        frontier = nxt
-    return elements
+    """Generate a finite matrix group from generators (identity included).
+
+    Breadth first: each level multiplies the new elements by every generator
+    on the left and keeps the products not seen before, in order.
+    """
+    gens = np.array(generators)
+    d = gens.shape[-1]
+    group = frontier = np.eye(d)[None]
+    while len(frontier):
+        cand = np.matmul(gens[None], frontier[:, None]).reshape(-1, d, d)
+        pool = np.concatenate([group, cand])
+        frontier = cand[_first_match(cand, pool) == len(group) + np.arange(len(cand))]
+        group = np.concatenate([group, frontier])
+        if len(group) > max_order:
+            raise ValueError("group generation did not terminate")
+    return group
 
 
-def _icosahedral_rotations() -> list[np.ndarray]:
+def _icosahedral_rotations() -> np.ndarray:
     # five-fold axis through a vertex, two-fold axis through an edge midpoint
     r5 = _rotation_3d(np.array([0.0, 1.0, GOLDEN]), 2.0 * np.pi / 5.0)
     r2 = np.diag([-1.0, -1.0, 1.0])
@@ -175,12 +158,7 @@ def build_holohedry(spec: str) -> Holohedry:
     spec = spec.strip()
     if spec == "icosahedral":
         rotations = _icosahedral_rotations()
-        elements = []
-        for i, r in enumerate(rotations):
-            elements.append(GroupElement(r, "I" if i == 0 else f"g{i}"))
-        for i, r in enumerate(rotations):
-            elements.append(GroupElement(-r, "-I" if i == 0 else f"-g{i}"))
-        return Holohedry("icosahedral", 3, elements)
+        return Holohedry("icosahedral", np.concatenate([rotations, -rotations]))
 
     if ":" in spec:
         family, _, tail = spec.partition(":")
@@ -196,22 +174,11 @@ def build_holohedry(spec: str) -> Holohedry:
                 raise OddOrderNoMinusI(
                     f"{spec!r} has odd order; the group would not contain -I"
                 )
-            elements = []
-            for j in range(q):
-                mat = _rotation_2d(2.0 * np.pi * j / q)
-                if j == 0:
-                    label = "I"
-                elif 2 * j == q:
-                    label = "-I"
-                else:
-                    label = f"r{j}"
-                elements.append(GroupElement(mat, label))
+            mats = [_rotation_2d(2.0 * np.pi * j / q) for j in range(q)]
             if family == "dihedral":
                 flip = np.diag([1.0, -1.0])
-                for j in range(q):
-                    mat = _rotation_2d(2.0 * np.pi * j / q) @ flip
-                    elements.append(GroupElement(mat, f"s{j}"))
-            return Holohedry(spec, 2, elements)
+                mats += [m @ flip for m in mats]
+            return Holohedry(spec, mats)
     raise UnknownSpec(f"unknown symmetry descriptor {spec!r}")
 
 
@@ -233,10 +200,10 @@ def integer_box(p: int, bound: int) -> np.ndarray:
 class FrequencyModule:
     """Integer span of a holohedry orbit of a unit wavevector.
 
-    ``generators`` has one row per torus coordinate; ``integer_reps[i]`` is
-    the exact integer matrix of ``holohedry.elements[i]`` acting on mode
-    indices, column j holding the coordinates of the element applied to
-    generator j.  ``relation_bound`` caps the coefficients searched when a
+    ``generators`` has one row per torus coordinate.  ``integer_reps`` is a
+    read-only ``(order, p, p)`` int64 stack: ``integer_reps[i]`` is the exact
+    integer matrix of ``holohedry.matrices[i]`` acting on mode indices,
+    column j holding the coordinates of the element applied to generator j.  ``relation_bound`` caps the coefficients searched when a
     vector is matched against the module.
     """
 
@@ -244,7 +211,7 @@ class FrequencyModule:
     k0: np.ndarray
     generators: np.ndarray
     relation_bound: int
-    integer_reps: tuple
+    integer_reps: np.ndarray
     uniformly_discrete: bool
     orbit: np.ndarray
     _box_ms: np.ndarray = field(repr=False, default=None)
@@ -279,14 +246,6 @@ def _check_search_size(p, bound):
         )
 
 
-def _representable(v, gens, bound, tol):
-    _check_search_size(len(gens), bound)
-    ms = integer_box(len(gens), bound)
-    pts = ms @ np.asarray(gens)
-    dist = np.linalg.norm(pts - v, axis=1)
-    return np.min(dist) < tol
-
-
 def generate_frequency_module(
     holohedry: Holohedry, k0: np.ndarray | None = None, relation_bound: int = 2
 ) -> FrequencyModule:
@@ -308,30 +267,31 @@ def generate_frequency_module(
     if relation_bound < 1:
         raise ValueError("relation bound must be a positive integer")
 
-    orbit = []
-    for g in holohedry.elements:
-        v = g.matrix @ k0
-        if not any(np.linalg.norm(v - w) < RELATION_TOL for w in orbit):
-            orbit.append(v)
-    orbit = np.array(orbit)
-    gaps = np.linalg.norm(orbit[:, None, :] - orbit[None, :, :], axis=-1)
-    closest = np.min(gaps[~np.eye(len(orbit), dtype=bool)], initial=np.inf)
+    images = holohedry.matrices @ k0
+    gaps = np.linalg.norm(images[:, None] - images[None], axis=-1)
+    near = gaps < RELATION_TOL
+    closest = np.min(gaps[~near], initial=np.inf)
     if closest < ORBIT_SEPARATION_TOL:
         raise ValueError(
             f"two orbit points of k0 are {closest:.1e} apart, closer than "
             f"{ORBIT_SEPARATION_TOL:g}: k0 lies just off a symmetry axis"
         )
+    # every gap is now below RELATION_TOL or above ORBIT_SEPARATION_TOL, so
+    # nearness is transitive: keep the first image of each class
+    orbit = images[np.argmax(near, axis=1) == np.arange(len(images))]
 
-    gens: list[np.ndarray] = [orbit[0]]
+    # the box spans the generators kept so far and grows with them
+    gens = [orbit[0]]
+    box_ms = integer_box(1, relation_bound)
+    box_ks = box_ms @ orbit[:1]
     for v in orbit[1:]:
-        if not _representable(v, gens, relation_bound, RELATION_TOL):
+        if np.min(np.linalg.norm(box_ks - v, axis=1)) >= RELATION_TOL:
             gens.append(v)
+            _check_search_size(len(gens), relation_bound)
+            box_ms = integer_box(len(gens), relation_bound)
+            box_ks = box_ms @ np.array(gens)
     A = np.array(gens)
     p = len(gens)
-
-    _check_search_size(p, relation_bound)
-    box_ms = integer_box(p, relation_bound)
-    box_ks = box_ms @ A
 
     # generators must be independent over the integers within the bound
     dist = np.linalg.norm(box_ks, axis=1)
@@ -341,7 +301,10 @@ def generate_frequency_module(
             "chosen generators satisfy a bounded integer relation"
         )
 
-    def coords(v):
+    # every image g A[j] is an orbit point: search the box once per orbit
+    # point, then read each representation's columns off by matching
+    coords = np.empty((len(orbit), p), dtype=np.int64)
+    for o, v in enumerate(orbit):
         d = np.linalg.norm(box_ks - v, axis=1)
         i = int(np.argmin(d))
         if d[i] >= RELATION_TOL:
@@ -349,12 +312,11 @@ def generate_frequency_module(
                 "orbit vector has no bounded integer expression; "
                 "retry with a larger relation_bound"
             )
-        return box_ms[i]
-
-    reps = []
-    for g in holohedry.elements:
-        cols = [coords(g.matrix @ A[j]) for j in range(p)]
-        reps.append(np.array(cols, dtype=np.int64).T)
+        coords[o] = box_ms[i]
+    moved = np.einsum("gab,jb->gja", holohedry.matrices, A)
+    slot = np.argmin(np.linalg.norm(moved[:, :, None] - orbit, axis=-1), axis=-1)
+    reps = np.swapaxes(coords[slot], 1, 2).copy()
+    reps.setflags(write=False)
 
     rank_real = np.linalg.matrix_rank(A, tol=RANK_TOL)
     return FrequencyModule(
@@ -362,7 +324,7 @@ def generate_frequency_module(
         k0=k0,
         generators=A,
         relation_bound=relation_bound,
-        integer_reps=tuple(reps),
+        integer_reps=reps,
         uniformly_discrete=bool(p == rank_real),
         orbit=orbit,
         _box_ms=box_ms,

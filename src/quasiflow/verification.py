@@ -292,8 +292,8 @@ def run_all(progress=None) -> list:
             else np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
         )
         reps = mod.integer_reps
-        for i in range(len(hol.elements)):
-            for j in range(len(hol.elements)):
+        for i in range(hol.order):
+            for j in range(hol.order):
                 k = hol.product_index(i, j)
                 if not np.array_equal(reps[i] @ reps[j], reps[k]):
                     algebra_ok = False

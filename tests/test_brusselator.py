@@ -195,6 +195,17 @@ class TestStepper:
         off_v = np.sort(np.abs(fin.v_field.coeffs))[-2]
         assert max(off_u, off_v) == 0.0
 
+    def test_steady_state_fixed_at_a_long_step(self):
+        # dt = 50 puts h L of the outer modes near -4000 against a diagonal
+        # partner near -50: the coupling entry of the exponential table then
+        # needs the direct quotient of the divided difference
+        mod = symmetry.generate_frequency_module(symmetry.build_holohedry("dihedral:12"))
+        act = ActiveModeSet(mod, 2)
+        p = BrusselatorParams(B=4.2, **RUN_PARAMS)
+        st = br.make_bruss_state(*br.steady_ic(act, p), p, dt=50.0)
+        fin = br.bruss_step(st)
+        assert np.max(np.abs(fin.coeffs - st.coeffs)) < 1e-12
+
     def test_near_onset_growth_matches_dispersion(self, act12, onset):
         B = 1.05 * onset.B_c
         p = BrusselatorParams(B=B, **RUN_PARAMS)

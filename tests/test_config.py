@@ -199,12 +199,6 @@ class TestToText:
         back = parse_config(to_text(cfg))
         assert back.ic == "file" and back.ic_file == "runs/a/final.qcs"
 
-    def test_key_values_match_lines(self):
-        cfg = parse_config(MINIMAL)
-        pairs = config.config_key_values(cfg)
-        assert pairs[0] == ("symmetry", "dihedral:12")
-        assert dict(pairs)["scheme"] == "etdrk2"
-
 
 @st.composite
 def run_configs(draw):

@@ -144,6 +144,19 @@ class TestDividedDifference:
         ref = np.array([dd_ref(j, a, b) for a, b in zip(x, y)])
         assert np.max(np.abs(got - ref) / np.abs(ref)) < tol
 
+    @pytest.mark.parametrize("j,tol", [(0, 1e-14)] + REFERENCE_TOLS)
+    def test_far_apart_pairs_match_decimal_oracle(self, j, tol):
+        # a stiff mode against a slow one: e^x underflows and, at j = 0,
+        # so does the mean factor e^mu while sinh of the half-gap overflows.
+        # The quotient is as accurate as the scalar phi_j(y), hence its tolerance
+        rng = np.random.default_rng(6)
+        x = rng.uniform(-3000.0, -1500.0, 100)
+        y = rng.uniform(-5.0, 0.0, 100)
+        got = etd.divided_difference(j, np.concatenate([x, y]), np.concatenate([y, x]))
+        ref = np.array([dd_ref(j, a, b) for a, b in zip(x, y)])
+        assert np.all(np.isfinite(got))
+        assert np.max(np.abs(got - np.tile(ref, 2)) / np.abs(np.tile(ref, 2))) < tol
+
 
 class TestLowerTriangular:
     @pytest.mark.parametrize("x,w,y", [

@@ -461,8 +461,8 @@ class TestEvaluatePhysical:
         rng = np.random.default_rng(53)
         xs = rng.normal(scale=5.0, size=(20, 2))
         base = u.evaluate_physical(xs)
-        for el in act12.module.holohedry.elements:
-            rotated = u.evaluate_physical(xs @ el.matrix.T)
+        for mat in act12.module.holohedry.matrices:
+            rotated = u.evaluate_physical(xs @ mat.T)
             assert np.allclose(rotated, base, atol=1e-10)
 
     def test_near_period(self, act12):

@@ -98,6 +98,16 @@ class TestSnapshotRoundTrip:
         assert any(line.startswith("generator 0 = ") for line in lines)
         assert "active_count = 49" in lines
 
+    def test_manifest_config_block_is_to_text(self, tmp_path, sh_state):
+        from quasiflow.config import to_text
+
+        cfg = snapshots.config_from_state(sh_state)
+        path = tmp_path / "s.qcs"
+        write_snapshot(sh_state, path, cfg)
+        head = path.read_bytes().split(b"---\n")[0].decode("ascii")
+        block = head.split("\n", 1)[1].split("generator 0 = ")[0]
+        assert block == to_text(cfg)
+
 
 def _written(tmp_path, state) -> bytes:
     path = tmp_path / "x.qcs"

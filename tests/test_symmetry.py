@@ -6,10 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quasiflow.symmetry import (
+    CLOSURE_TOL,
     GOLDEN,
     ORBIT_SEPARATION_TOL,
     RELATION_TOL,
     FrequencyModule,
+    Holohedry,
     OddOrderNoMinusI,
     RelationSearchExhausted,
     UnknownSpec,
@@ -25,38 +27,38 @@ from quasiflow.symmetry import (
 class TestBuildHolohedry:
     @pytest.mark.parametrize("q", [2, 4, 6, 8, 10, 12])
     def test_cyclic_order(self, q):
-        assert len(build_holohedry(f"cyclic:{q}").elements) == q
+        assert len(build_holohedry(f"cyclic:{q}").matrices) == q
 
     @pytest.mark.parametrize("q", [2, 4, 6, 8, 10, 12])
     def test_dihedral_order(self, q):
-        assert len(build_holohedry(f"dihedral:{q}").elements) == 2 * q
+        assert len(build_holohedry(f"dihedral:{q}").matrices) == 2 * q
 
     def test_icosahedral_order(self):
         H = build_holohedry("icosahedral")
-        assert len(H.elements) == 120
-        dets = sorted(round(np.linalg.det(g.matrix)) for g in H.elements)
+        assert len(H.matrices) == 120
+        dets = sorted(round(d) for d in np.linalg.det(H.matrices))
         assert dets.count(1) == 60 and dets.count(-1) == 60
 
     def test_identity_first(self):
         for spec in ["cyclic:4", "dihedral:12", "icosahedral"]:
             H = build_holohedry(spec)
-            assert np.allclose(H.elements[0].matrix, np.eye(H.dimension))
+            assert np.allclose(H.matrices[0], np.eye(H.dimension))
 
     @pytest.mark.parametrize("spec", ["cyclic:2", "cyclic:12", "dihedral:8", "icosahedral"])
     def test_contains_minus_identity(self, spec):
         H = build_holohedry(spec)
-        i = H.minus_identity_index
-        assert np.allclose(H.elements[i].matrix, -np.eye(H.dimension))
+        i = H.index_of(-np.eye(H.dimension))
+        assert np.allclose(H.matrices[i], -np.eye(H.dimension))
 
     @pytest.mark.parametrize("spec", ["dihedral:12", "icosahedral"])
     def test_elements_orthogonal(self, spec):
-        for g in build_holohedry(spec).elements:
-            assert np.allclose(g.matrix @ g.matrix.T, np.eye(g.matrix.shape[0]), atol=1e-12)
+        for g in build_holohedry(spec).matrices:
+            assert np.allclose(g @ g.T, np.eye(g.shape[0]), atol=1e-12)
 
     @pytest.mark.parametrize("spec", ["dihedral:12", "icosahedral"])
     def test_closed_under_products(self, spec):
         H = build_holohedry(spec)
-        mats = [g.matrix for g in H.elements]
+        mats = H.matrices
         for a in range(len(mats)):
             for b in range(len(mats)):
                 k = H.product_index(a, b)
@@ -74,6 +76,13 @@ class TestBuildHolohedry:
     def test_unknown_spec_rejected(self, spec):
         with pytest.raises((UnknownSpec, OddOrderNoMinusI)):
             build_holohedry(spec)
+
+    def test_group_without_minus_identity_refused(self):
+        # ActiveModeSet pairs each mode with its negative through -I
+        rotations = [[[np.cos(t), -np.sin(t)], [np.sin(t), np.cos(t)]]
+                     for t in 2 * np.pi * np.arange(3) / 3]
+        with pytest.raises(ValueError, match="-I"):
+            Holohedry("cyclic:3", rotations)
 
     def test_construction_is_cached(self):
         assert build_holohedry("dihedral:12") is build_holohedry("dihedral:12")
@@ -126,9 +135,9 @@ class TestTwelvefoldModule:
         # companion matrix of x^4 - x^2 + 1, the minimal polynomial of e^{i pi/6}
         H = mod.holohedry
         rot30 = next(
-            i for i, g in enumerate(H.elements)
-            if np.allclose(g.matrix, [[np.cos(np.pi / 6), -np.sin(np.pi / 6)],
-                                      [np.sin(np.pi / 6), np.cos(np.pi / 6)]])
+            i for i, g in enumerate(H.matrices)
+            if np.allclose(g, [[np.cos(np.pi / 6), -np.sin(np.pi / 6)],
+                               [np.sin(np.pi / 6), np.cos(np.pi / 6)]])
         )
         expected = np.array([
             [0, 0, 0, -1],
@@ -151,9 +160,9 @@ class TestTwelvefoldModule:
     def test_wavevector_equivariance(self, mod):
         rng = np.random.default_rng(3)
         ms = rng.integers(-5, 6, size=(40, 4))
-        for g, el in enumerate(mod.holohedry.elements):
+        for g, mat in enumerate(mod.holohedry.matrices):
             lhs = (ms @ mod.integer_reps[g].T) @ mod.generators
-            rhs = (ms @ mod.generators) @ el.matrix.T
+            rhs = (ms @ mod.generators) @ mat.T
             assert np.allclose(lhs, rhs, atol=1e-9)
 
     def test_integer_coordinates_roundtrip(self, mod):
@@ -170,12 +179,14 @@ class TestTwelvefoldModule:
 
 
 class TestRepresentationHomomorphism:
-    @pytest.mark.parametrize("spec", ["dihedral:8", "dihedral:12", "icosahedral"])
+    @pytest.mark.parametrize(
+        "spec", ["dihedral:8", "dihedral:12", "dihedral:16", "icosahedral"]
+    )
     def test_exact_over_whole_group(self, spec):
         H = build_holohedry(spec)
         mod = generate_frequency_module(H)
         reps = mod.integer_reps
-        n = len(H.elements)
+        n = len(H.matrices)
         for a in range(n):
             for b in range(n):
                 k = H.product_index(a, b)
@@ -187,13 +198,22 @@ class TestRepresentationHomomorphism:
 
     def test_minus_identity_maps_to_negation(self):
         mod = generate_frequency_module(build_holohedry("dihedral:12"))
-        i = mod.holohedry.minus_identity_index
+        i = mod.holohedry.index_of(-np.eye(2))
         assert np.array_equal(mod.integer_reps[i], -np.eye(4, dtype=np.int64))
 
     def test_lookup_by_element_or_matrix(self):
         mod = generate_frequency_module(build_holohedry("dihedral:4"))
-        el = mod.holohedry.elements[1]
-        assert mod.holohedry.index_of(el.matrix) == 1
+        mat = mod.holohedry.matrices[1]
+        assert mod.holohedry.index_of(mat) == 1
+
+    def test_lookup_tolerance_is_closure_tol(self):
+        # one tolerance: a matrix within CLOSURE_TOL entrywise is the
+        # element, one ten times that away is not
+        H = build_holohedry("dihedral:12")
+        mat = H.matrices[5]
+        assert H.index_of(mat + 0.5 * CLOSURE_TOL) == 5
+        with pytest.raises(KeyError):
+            H.index_of(mat + 10 * CLOSURE_TOL)
 
 
 class TestCrystallographicRestriction:
@@ -282,7 +302,7 @@ def test_rotated_seed_module_contract(theta):
     # vectors, and the two rank-4 families are independent
     H = build_holohedry("dihedral:12")
     k0 = np.array([np.cos(theta), np.sin(theta)])
-    images = np.array([g.matrix @ k0 for g in H.elements])
+    images = np.array([g @ k0 for g in H.matrices])
     gaps = np.linalg.norm(images[:, None] - images[None, :], axis=-1)
     gap = np.min(gaps[gaps >= RELATION_TOL], initial=np.inf)
     if gap < ORBIT_SEPARATION_TOL:
@@ -305,7 +325,7 @@ def test_rotated_seed_module_contract(theta):
 @given(st.integers(2, 6).map(lambda n: 2 * n))
 def test_even_dihedral_always_buildable(q):
     H = build_holohedry(f"dihedral:{q}")
-    assert len(H.elements) == 2 * q
+    assert len(H.matrices) == 2 * q
     mod = generate_frequency_module(H)
     assert mod.rank >= 1
     for rep in mod.integer_reps:
