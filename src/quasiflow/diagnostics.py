@@ -114,8 +114,9 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
     with np.errstate(over="ignore", invalid="ignore"):
         linear, nonlinear = state.terms()
         rates = [HullField(state.active, c) for c in linear + nonlinear]
-        axis_points = _monitor_axis_points(state.active.rank)
-        extrema = [f.torus_minmax(axis_points) for f in fields]
+        grids = state.active.grid_values(
+            state.coeffs, _monitor_axis_points(state.active.rank))
+        extrema = [(float(g.min()), float(g.max())) for g in grids]
         (min_u, max_u), (min_v, max_v) = (extrema + [(None, None)])[:2]
         values = dict(
             l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),

@@ -16,6 +16,12 @@ L is integrated exactly through its exponential and phi functions; N enters
 through the ETDRK2 or ETDRK4 combination (Cox & Matthews, J. Comput. Phys.
 176, 2002; Hochbruck & Ostermann, Acta Numerica 19, 2010), for either block.
 
+The combinations are written in increment form: with e^{hL} = I + hL phi_1(hL)
+each stage is the current value plus phi-weighted rates L a + N, e.g. ETDRK2's
+predictor a + h phi_1(hL) (L a + N(a)).  A fixed point, where L a + N(a) = 0,
+then gets a zero increment at any step instead of a difference of large terms
+that cancel only to round-off.
+
 One family phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j, with phi_0 = exp, drives
 the steppers.  Away from zero the closed forms built on expm1 are stable;
 below the series threshold the defining Taylor series avoids the 0/0
@@ -181,21 +187,21 @@ class EtdTables:
     """Per-run stepper coefficients for a fixed (linear block, dt, scheme).
 
     Every table is a phi function of the block h L, or a linear combination
-    of them, so it is a ``LowerTri`` applied like the linear block itself.
+    of them, so it is a ``LowerTri`` applied like the linear block ``L``
+    itself.  The weights satisfy hp1 = h phi_1(hL), hq = (h/2) phi_1(hL/2)
+    and f1 + 2 f2 + f3 = h phi_1(hL), which the increment form relies on.
     """
 
     def __init__(self, linear: LowerTri, config: StepperConfig):
         self.dt = h = config.dt
         self.scheme = config.scheme
+        self.L = linear
         z = h * linear
-        self.E = z.phi(0)
         if config.scheme == "etdrk2":
             self.hp1 = h * z.phi(1)
             self.hp2 = h * z.phi(2)
         else:
-            z2 = 0.5 * z
-            self.E2 = z2.phi(0)
-            self.hq = 0.5 * h * z2.phi(1)
+            self.hq = 0.5 * h * (0.5 * z).phi(1)
             p1, p2, p3 = z.phi(1), z.phi(2), z.phi(3)
             self.f1 = h * (p1 - 3.0 * p2 + 4.0 * p3)
             self.f2 = h * (2.0 * p2 - 4.0 * p3)
@@ -244,18 +250,19 @@ def step(state: EtdState, dt: float | None = None) -> EtdState:
 
     # overflow surfaces as the explicit NonFiniteState below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        Na = nonlinear(a)
+        La, Na = tab.L @ a, nonlinear(a)
         if tab.scheme == "etdrk2":
-            pred = tab.E @ a + tab.hp1 @ Na
+            pred = a + tab.hp1 @ (La + Na)
             out = pred + tab.hp2 @ (nonlinear(pred) - Na)
         else:
-            an = tab.E2 @ a + tab.hq @ Na
+            an = a + tab.hq @ (La + Na)
             Nb = nonlinear(an)
-            bn = tab.E2 @ a + tab.hq @ Nb
+            bn = a + tab.hq @ (La + Nb)
             Nc = nonlinear(bn)
-            cn = tab.E2 @ an + tab.hq @ (2.0 * Nc - Na)
+            cn = an + tab.hq @ (tab.L @ an + 2.0 * Nc - Na)
             Nd = nonlinear(cn)
-            out = tab.E @ a + tab.f1 @ Na + tab.f2 @ (Nb + Nc) + tab.f3 @ Nd
+            out = (a + tab.f1 @ (La + Na) + tab.f2 @ (2.0 * La + Nb + Nc)
+                   + tab.f3 @ (La + Nd))
 
         out = 0.5 * (out + np.conj(out[:, act.neg_perm]))
     if not np.all(np.isfinite(out.view(float))):

@@ -14,6 +14,14 @@ default padding factor 2 the grid has at least 4N+2 points per axis, so the
 retained coefficients of a cubic product carry no aliasing error at all.  The
 equations' ``nonlinear`` callbacks (``sh.SHParams``,
 ``brusselator.BrusselatorParams``) are the products the package computes.
+
+Fields are real, so the transforms are real-to-complex (``scipy.fft.rfftn`` /
+``irfftn``) and touch only the half spectrum whose last index is at most G/2:
+an active mode with last index >= 0 has its own slot there, and every other
+mode is the conjugate of its partner -m.  Both transforms act on the last p
+axes, so the components of a stacked ``(ncomp, nmodes)`` state go through one
+call.  A grid above ``MAX_GRID_BYTES`` per component is refused before it is
+allocated.
 """
 
 from __future__ import annotations
@@ -22,6 +30,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .symmetry import FrequencyModule, integer_box, module_points_in_ball
 
@@ -29,6 +38,9 @@ DEFAULT_PAD_FACTOR = 2
 HERMITIAN_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 EVAL_CHUNK = 4096  # physical points per block of plane waves
+# 256 MiB of float64 per component grid: 64^4 (134 MB) and icosahedral N=3
+# (14^6, 60 MB) fit; rank 8 at N=2 (10^8 points, 800 MB) does not
+MAX_GRID_BYTES = 2 ** 28
 
 
 class InactiveMode(KeyError):
@@ -52,7 +64,7 @@ class BallExceedsTruncation(ValueError):
 
 
 class TooLarge(ValueError):
-    """Brute-force path refused; the mode count is too big for it."""
+    """A grid or brute-force path refused as too big to allocate or run."""
 
 
 def default_grid_axis_points(p: int) -> int:
@@ -152,40 +164,67 @@ class ActiveModeSet:
         return np.unique(self.perms[:, i])
 
     def _grid(self, axis_points: int | None = None, pad_factor: int = DEFAULT_PAD_FACTOR):
-        """Scatter positions for an FFT grid; grid must hold indices exactly."""
+        """Grid shape and half-spectrum positions; the grid holds indices exactly.
+
+        Returns (shape, upper, slots, lower, partner): the active positions
+        ``upper`` whose last index is >= 0 sit at the flat half-spectrum
+        positions ``slots``; each position in ``lower`` is the conjugate of
+        the one in ``partner``.  G >= 2N+1 keeps every active index off a
+        Nyquist plane.
+        """
         if axis_points is None:
             axis_points = pad_factor * (2 * self.N + 1)
         G = max(int(axis_points), 2 * self.N + 1)
-        key = (G,)
-        hit = self._grid_cache.get(key)
+        hit = self._grid_cache.get(G)
         if hit is None:
+            if 8 * G ** self.rank > MAX_GRID_BYTES:
+                raise TooLarge(
+                    f"a {G}^{self.rank} grid needs {8 * G ** self.rank / 2 ** 20:.0f} MiB "
+                    f"per component; the limit is {MAX_GRID_BYTES / 2 ** 20:.0f} MiB"
+                )
             shape = (G,) * self.rank
-            flat = np.zeros(len(self), dtype=np.int64)
-            for j in range(self.rank):
-                flat = flat * G + (self.indices[:, j] % G)
-            hit = (shape, flat)
-            self._grid_cache[key] = hit
+            last = self.indices[:, -1]
+            upper, lower = np.flatnonzero(last >= 0), np.flatnonzero(last < 0)
+            slots = np.zeros(len(upper), dtype=np.int64)
+            for j in range(self.rank - 1):
+                slots = slots * G + (self.indices[upper, j] % G)
+            slots = slots * (G // 2 + 1) + last[upper]
+            hit = (shape, upper, slots, lower, self.neg_perm[lower])
+            self._grid_cache[G] = hit
         return hit
 
     def grid_values(self, coeffs: np.ndarray, axis_points: int | None = None,
                     pad_factor: int = DEFAULT_PAD_FACTOR) -> np.ndarray:
-        """Real field values on a uniform torus grid (inverse FFT)."""
-        shape, flat = self._grid(axis_points, pad_factor)
-        spread = np.zeros(shape, dtype=complex)
-        spread.ravel()[flat] = coeffs
-        vals = np.fft.ifftn(spread) * spread.size
-        return np.ascontiguousarray(vals.real)
+        """Real field values on a uniform torus grid (inverse FFT).
+
+        ``coeffs`` must be Hermitian, a_{-m} = conj(a_m): only the modes with
+        last index >= 0 are read, and the rest are taken to be their
+        partners' conjugates.  Coefficients stacked ``(..., nmodes)`` give
+        grids stacked ``(..., G, ..., G)``, all from one transform.
+        """
+        shape, upper, slots, _, _ = self._grid(axis_points, pad_factor)
+        lead = coeffs.shape[:-1]
+        half = np.zeros(lead + shape[:-1] + (shape[-1] // 2 + 1,), dtype=complex)
+        half.reshape(lead + (-1,))[..., slots] = coeffs[..., upper]
+        return scipy.fft.irfftn(half, s=shape, axes=tuple(range(-self.rank, 0)), norm="forward")
 
     def coefficients_from_grid(self, vals: np.ndarray) -> np.ndarray:
         """Retained coefficients of the trigonometric interpolant of vals.
 
-        Chain every factor of a product on the grid and call this once:
-        truncating an intermediate product to the active set would discard
-        tail modes that feed back into retained ones.
+        Grids stacked ``(..., G, ..., G)`` give coefficients stacked
+        ``(..., nmodes)``.  Chain every factor of a product on the grid and
+        call this once: truncating an intermediate product to the active set
+        would discard tail modes that feed back into retained ones.
         """
-        shape, flat = self._grid(vals.shape[0])
-        spec = np.fft.fftn(vals) / vals.size
-        return spec.ravel()[flat].copy()
+        _, upper, slots, lower, partner = self._grid(vals.shape[-1])
+        spec = scipy.fft.rfftn(vals, axes=tuple(range(-self.rank, 0)))
+        lead = vals.shape[:-self.rank]
+        out = np.empty(lead + (len(self),), dtype=complex)
+        # scale after the gather: fewer divisions, and n c / n gives back c
+        # exactly; norm="forward" left a steady state's mean one ulp off
+        out[..., upper] = spec.reshape(lead + (-1,))[..., slots] / vals.shape[-1] ** self.rank
+        out[..., lower] = np.conj(out[..., partner])
+        return out
 
 
 @dataclass

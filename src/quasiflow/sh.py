@@ -44,8 +44,8 @@ class SHParams:
         return LowerTri(sigma_array(active, self.lam)[None])
 
     def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
-        u = active.grid_values(coeffs[0], pad_factor=pad)
-        return -active.coefficients_from_grid(u * u * u)[None]
+        u = active.grid_values(coeffs, pad_factor=pad)
+        return -active.coefficients_from_grid(u * u * u)
 
     def energy(self, coeffs: np.ndarray, linear: np.ndarray, nonlinear: np.ndarray) -> float:
         """0.5|(lap+1)u|^2 - 0.5*lam*|u|^2 + 0.25*mean(u^4), from L a and N(a).

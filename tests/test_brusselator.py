@@ -206,6 +206,16 @@ class TestStepper:
         fin = br.bruss_step(st)
         assert np.max(np.abs(fin.coeffs - st.coeffs)) < 1e-12
 
+    def test_steady_state_fixed_at_a_long_step_etdrk4(self):
+        # every ETDRK4 stage is the steady state plus phi-weighted rates that
+        # vanish there, so no stage cancels large terms
+        mod = symmetry.generate_frequency_module(symmetry.build_holohedry("dihedral:12"))
+        act = ActiveModeSet(mod, 2)
+        p = BrusselatorParams(B=4.2, **RUN_PARAMS)
+        st = br.make_bruss_state(*br.steady_ic(act, p), p, dt=50.0, scheme="etdrk4")
+        fin = br.bruss_step(st)
+        assert np.max(np.abs(fin.coeffs - st.coeffs)) < 1e-12
+
     def test_near_onset_growth_matches_dispersion(self, act12, onset):
         B = 1.05 * onset.B_c
         p = BrusselatorParams(B=B, **RUN_PARAMS)

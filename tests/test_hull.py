@@ -506,6 +506,74 @@ class TestGridAndParseval:
         assert np.isclose(lo, -2.0, atol=1e-9) and np.isclose(hi, 2.0, atol=1e-9)
 
 
+def complex_reference_grid(active, coeffs, G):
+    """Full complex spectrum scattered and inverted with numpy's ifftn."""
+    spread = np.zeros(coeffs.shape[:-1] + (G,) * active.rank, dtype=complex)
+    spread[(...,) + tuple((active.indices % G).T)] = coeffs
+    axes = tuple(range(-active.rank, 0))
+    return np.fft.ifftn(spread, axes=axes) * G ** active.rank
+
+
+def complex_reference_coefficients(active, vals):
+    """Retained coefficients gathered from numpy's complex fftn."""
+    G, axes = vals.shape[-1], tuple(range(-active.rank, 0))
+    spec = np.fft.fftn(vals, axes=axes) / G ** active.rank
+    return spec[(...,) + tuple((active.indices % G).T)]
+
+
+@pytest.fixture(scope="module", params=[("dihedral:12", 2), ("vertex", 1)],
+                ids=["rank4", "rank6"])
+def transform_set(request):
+    name, N = request.param
+    if name == "vertex":
+        k0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
+        return ActiveModeSet(generate_frequency_module(build_holohedry("icosahedral"), k0), N)
+    return ActiveModeSet(generate_frequency_module(build_holohedry(name)), N)
+
+
+class TestRealTransforms:
+    """The half-spectrum transforms against numpy's complex ones."""
+
+    # odd (2N+1, pad 3) and even (8, pad 2) axis lengths
+    GRIDS = {"exact": {"pad_factor": 1}, "eight": {"axis_points": 8},
+             "pad2": {"pad_factor": 2}, "pad3": {"pad_factor": 3}}
+
+    @pytest.mark.parametrize("grid", list(GRIDS))
+    @settings(max_examples=6, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_match_complex_reference(self, transform_set, grid, seed):
+        act = transform_set
+        kw = self.GRIDS[grid]
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(3, len(act))) + 1j * rng.normal(size=(3, len(act)))
+        a = 0.5 * (raw + np.conj(raw[:, act.neg_perm]))
+        scale = np.abs(a).max()
+
+        vals = act.grid_values(a, **kw)
+        G = vals.shape[-1]
+        assert vals.shape == (3,) + (G,) * act.rank and vals.dtype == float
+        ref = complex_reference_grid(act, a, G)
+        assert np.abs(ref.imag).max() <= 1e-13 * scale
+        assert np.abs(vals - ref.real).max() <= 1e-13 * scale
+
+        back = act.coefficients_from_grid(vals)
+        assert np.abs(back - complex_reference_coefficients(act, vals)).max() <= 1e-13 * scale
+        assert np.abs(back - a).max() <= 1e-13 * scale
+
+        assert np.array_equal(vals, np.stack([act.grid_values(c, **kw) for c in a]))
+        assert np.array_equal(back, np.stack([act.coefficients_from_grid(v) for v in vals]))
+
+    def test_oversized_grid_refused(self, act12):
+        u = random_hermitian(act12, 3)
+        side = int(round((hull.MAX_GRID_BYTES / 8) ** 0.25)) + 1
+        with pytest.raises(hull.TooLarge, match="MiB"):
+            u.values(axis_points=side)
+        # 64^4 (the rank-4 torus_minmax default) and icosahedral N=3 fit;
+        # rank 8 at N=2 does not
+        assert 8 * 64 ** 4 <= hull.MAX_GRID_BYTES and 8 * 14 ** 6 <= hull.MAX_GRID_BYTES
+        assert 8 * 10 ** 8 > hull.MAX_GRID_BYTES
+
+
 class TestSupportAndConditions:
     def test_support_empty_for_zero(self, act12):
         assert len(HullField.zeros(act12).support_set(0.0)) == 0
