@@ -50,10 +50,6 @@ class BrusselatorParams:
         if min(self.A, self.B, self.d1, self.d2) <= 0:
             raise ValueError("all four parameters must be positive")
 
-    @property
-    def eta(self) -> float:
-        return float(np.sqrt(self.d1 / self.d2))
-
     def linear_block(self, active: ActiveModeSet) -> LowerTri:
         ksq = active.ksq
         return LowerTri(

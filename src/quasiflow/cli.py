@@ -26,6 +26,25 @@ def _build_active(cfg: cfgmod.RunConfig) -> ActiveModeSet:
     return ActiveModeSet(module, cfg.N, cfg.K_max)
 
 
+def _restart_coeffs(cfg: cfgmod.RunConfig, active: ActiveModeSet, equation: str):
+    """The snapshot's stacked coefficients, refused unless it was run on ``active``.
+
+    The built sets are compared, not the config text: a snapshot written
+    without a config names its k0 explicitly where a run config may not.
+    """
+    state, snap_cfg = snapshots.read_snapshot(cfg.ic_file)
+    if snap_cfg.equation != equation:
+        raise cfgmod.BadValue(f"snapshot holds a {snap_cfg.equation} state, not {equation}")
+    snap = state.active
+    if not (np.array_equal(snap.module.generators, active.module.generators)
+            and np.array_equal(snap.indices, active.indices)):
+        raise cfgmod.BadValue(
+            f"snapshot's active set ({len(snap)} modes, N = {snap.N}) is not "
+            f"the run's ({len(active)} modes, N = {active.N})"
+        )
+    return state.coeffs
+
+
 def _sh_initial_field(cfg: cfgmod.RunConfig, active: ActiveModeSet):
     if cfg.ic == "quasicrystal":
         return sh.quasicrystal_ic(
@@ -34,10 +53,7 @@ def _sh_initial_field(cfg: cfgmod.RunConfig, active: ActiveModeSet):
     if cfg.ic == "random":
         return sh.random_ic(active, cfg.ic_amplitude, cfg.seed)
     if cfg.ic == "file":
-        state, snap_cfg = snapshots.read_snapshot(cfg.ic_file)
-        if snap_cfg.equation != "sh":
-            raise cfgmod.BadValue("snapshot is not a one-component state")
-        return state.field
+        return HullField(active, _restart_coeffs(cfg, active, "sh")[0])
     raise cfgmod.BadValue(f"ic {cfg.ic!r} not available for sh runs")
 
 
@@ -48,10 +64,8 @@ def _bruss_initial_fields(cfg: cfgmod.RunConfig, active: ActiveModeSet, params):
             active, params, onset.critical_eigenvector, cfg.perturbation or 1e-6
         )
     if cfg.ic == "file":
-        state, snap_cfg = snapshots.read_snapshot(cfg.ic_file)
-        if snap_cfg.equation != "brusselator":
-            raise cfgmod.BadValue("snapshot is not a two-component state")
-        return state.u_field, state.v_field
+        u, v = _restart_coeffs(cfg, active, "brusselator")
+        return HullField(active, u), HullField(active, v)
     raise cfgmod.BadValue(f"ic {cfg.ic!r} not available for brusselator runs")
 
 

@@ -24,6 +24,8 @@ from .symmetry import FrequencyModule
 
 DECAY_TOL = 1e-9
 L1_CONTROL_TOL = 1e-12
+# relative margin of the absorbing ball a trajectory must enter
+BALL_MARGIN = 0.1
 
 
 class NeverEnters(ValueError):
@@ -186,8 +188,8 @@ def check_decay_zero_lambda(traj: Trajectory) -> CheckReport:
     return _report("polynomial-decay", slack, t, DECAY_TOL)
 
 
-def check_absorbing_ball(traj: Trajectory, lam: float, eps: float = 0.1) -> CheckReport:
-    """Trajectories enter the ball of radius (1+eps)*sqrt(lam) and stay.
+def check_absorbing_ball(traj: Trajectory, lam: float) -> CheckReport:
+    """Trajectories enter the ball of radius (1+BALL_MARGIN)*sqrt(lam) and stay.
 
     Starting inside the unit-radius ball sqrt(lam) additionally verifies
     forward invariance of that smaller ball.
@@ -197,7 +199,7 @@ def check_absorbing_ball(traj: Trajectory, lam: float, eps: float = 0.1) -> Chec
     t = traj.times
     l2 = traj.column("l2")
     root = np.sqrt(lam)
-    radius = (1.0 + eps) * root
+    radius = (1.0 + BALL_MARGIN) * root
     slacks = []
     times = []
     if l2[0] <= root:
@@ -291,9 +293,6 @@ class ClassificationReport:
     condition_iii: bool
     best_eps: float
     caveat: str
-
-    def is_quasicrystal(self) -> bool:
-        return self.condition_i and self.condition_ii and self.condition_iii
 
 
 def classify_quasicrystal(field: HullField, eps_grid, M: float, r: float) -> ClassificationReport:

@@ -41,6 +41,8 @@ EVAL_CHUNK = 4096  # physical points per block of plane waves
 # 256 MiB of float64 per component grid: 64^4 (134 MB) and icosahedral N=3
 # (14^6, 60 MB) fit; rank 8 at N=2 (10^8 points, 800 MB) does not
 MAX_GRID_BYTES = 2 ** 28
+# pairwise products per stage of the brute-force convolution oracle
+MAX_PAIR_SUMS = 4_000_000
 
 
 class InactiveMode(KeyError):
@@ -244,9 +246,6 @@ class HullField:
     def zeros(cls, active: ActiveModeSet) -> "HullField":
         return cls(active, np.zeros(len(active), dtype=complex))
 
-    def copy(self) -> "HullField":
-        return HullField(self.active, self.coeffs.copy())
-
     # -- coefficient access -------------------------------------------------
 
     def set_coefficient(self, m, value: complex) -> None:
@@ -368,16 +367,16 @@ class HullField:
         return float(vals.min()), float(vals.max())
 
 
-def convolve_direct(*fields: HullField, max_pair_sums: int = 4_000_000) -> dict:
+def convolve_direct(*fields: HullField) -> dict:
     """Exact convolution of the fields' coefficient arrays, as {index: coeff}.
 
     Brute force, no FFT; intended as an oracle for the pseudospectral path
     on small mode sets.  Raises TooLarge rather than grinding through a
-    search with more than ``max_pair_sums`` pairwise products per stage.
+    search with more than MAX_PAIR_SUMS pairwise products per stage.
     """
     out = {tuple(m): c for m, c in zip(fields[0].active.indices, fields[0].coeffs)}
     for f in fields[1:]:
-        if len(out) * len(f.active) > max_pair_sums:
+        if len(out) * len(f.active) > MAX_PAIR_SUMS:
             raise TooLarge("direct convolution refused; use the padded-grid path")
         nxt: dict = {}
         items = list(out.items())

@@ -20,7 +20,6 @@ from . import diagnostics, etd
 from .etd import SCHEMES, NonFiniteState  # noqa: F401  (re-exported)
 from .etd import LowerTri, StepperConfig
 from .hull import ActiveModeSet, HullField, TooLarge, convolve_direct
-from .symmetry import FrequencyModule, mode_wavevector
 
 DIRECT_PAIR_LIMIT = 10_000
 
@@ -60,12 +59,6 @@ class SHParams:
 
     def config_keys(self) -> dict:
         return {"equation": "sh", "lam": self.lam}
-
-
-def linear_symbol(module: FrequencyModule, m, lam: float) -> float:
-    """Growth rate of one mode: lam - (|k(m)|^2 - 1)^2."""
-    k = mode_wavevector(module, np.asarray(m))
-    return float(lam - (k @ k - 1.0) ** 2)
 
 
 def sigma_array(active: ActiveModeSet, lam: float) -> np.ndarray:
@@ -172,42 +165,9 @@ def make_state(
     t: float = 0.0,
     dealias: int = 2,
 ) -> SolverState:
+    """A state holding its own copy of the field's coefficients."""
     return SolverState(
-        field.active, field.coeffs[None], t, SHParams(lam),
+        field.active, field.coeffs[None].copy(), t, SHParams(lam),
         StepperConfig(scheme, dt, dealias=dealias),
     )
 
-
-def branch_growth(
-    active: ActiveModeSet,
-    lam: float,
-    delta: float,
-    T: float,
-    dt: float = 0.01,
-    fit_window: float = 5.0,
-    diag_every: int = 10,
-) -> tuple[diagnostics.Trajectory, float]:
-    """Integrate from a small symmetric seed and fit the early growth rate.
-
-    The seed has l2 norm delta on the critical orbit; for small delta the
-    early dynamics are linear with per-mode rate lam, so the fitted slope of
-    log l2 over the fit window estimates lam.  Returns (trajectory, rate);
-    the rate is nan for the identically zero seed.
-    """
-    if delta > 1e-4:
-        raise ValueError("seed amplitude too large for the linear-growth fit")
-    field = HullField.zeros(active)
-    e0 = np.zeros(active.rank, dtype=int)
-    e0[0] = 1
-    orbit = active.orbit_positions(e0)
-    if delta > 0:
-        field.coeffs[orbit] = delta / np.sqrt(len(orbit))
-    state = make_state(field, lam, dt=dt)
-    _, traj = integrate(state, T, diag_every=diag_every)
-    t = traj.times
-    l2 = traj.column("l2")
-    window = (t <= min(fit_window, t[-1]) + 1e-12) & (l2 > 0)
-    if np.count_nonzero(window) < 2:
-        return traj, float("nan")
-    slope = np.polyfit(t[window], np.log(l2[window]), 1)[0]
-    return traj, float(slope)

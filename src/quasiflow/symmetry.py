@@ -24,6 +24,9 @@ RANK_TOL = 1e-9
 # seed just off a mirror axis, where the bounded relation search at
 # RELATION_TOL cannot tell near-coincident generators apart.
 ORBIT_SEPARATION_TOL = 1e-7
+# coefficient bound of the integer relation search, and so of the box the
+# covering check enumerates
+RELATION_BOUND = 2
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -37,10 +40,7 @@ class OddOrderNoMinusI(ValueError):
 
 
 class RelationSearchExhausted(RuntimeError):
-    """Some orbit vector has no integer expression with bounded coefficients.
-
-    Retrying with a larger relation bound usually fixes this.
-    """
+    """Some orbit vector has no integer expression with bounded coefficients."""
 
 
 class Holohedry:
@@ -203,14 +203,12 @@ class FrequencyModule:
     ``generators`` has one row per torus coordinate.  ``integer_reps`` is a
     read-only ``(order, p, p)`` int64 stack: ``integer_reps[i]`` is the exact
     integer matrix of ``holohedry.matrices[i]`` acting on mode indices,
-    column j holding the coordinates of the element applied to generator j.  ``relation_bound`` caps the coefficients searched when a
-    vector is matched against the module.
+    column j holding the coordinates of the element applied to generator j.
     """
 
     holohedry: Holohedry
     k0: np.ndarray
     generators: np.ndarray
-    relation_bound: int
     integer_reps: np.ndarray
     uniformly_discrete: bool
     orbit: np.ndarray
@@ -238,21 +236,13 @@ class FrequencyModule:
 MAX_SEARCH_CANDIDATES = 4_000_000
 
 
-def _check_search_size(p, bound):
-    if (2 * bound + 1) ** p > MAX_SEARCH_CANDIDATES:
-        raise RelationSearchExhausted(
-            f"integer relation search space (2*{bound}+1)^{p} is too large; "
-            "the orbit may not admit a bounded-coefficient basis at this bound"
-        )
-
-
 def generate_frequency_module(
-    holohedry: Holohedry, k0: np.ndarray | None = None, relation_bound: int = 2
+    holohedry: Holohedry, k0: np.ndarray | None = None
 ) -> FrequencyModule:
     """Select module generators greedily from the orbit of k0.
 
     Walks the orbit in group-element order and keeps every vector that is not
-    an integer combination (coefficients bounded by ``relation_bound``) of the
+    an integer combination (coefficients bounded by RELATION_BOUND) of the
     vectors kept so far.  Afterwards every orbit vector, and hence the action
     of every group element, must be expressible within the same bound, or
     RelationSearchExhausted is raised.
@@ -264,8 +254,6 @@ def generate_frequency_module(
         raise ValueError("k0 dimension does not match the holohedry")
     if abs(np.linalg.norm(k0) - 1.0) > RELATION_TOL:
         raise ValueError("k0 must be a unit vector")
-    if relation_bound < 1:
-        raise ValueError("relation bound must be a positive integer")
 
     images = holohedry.matrices @ k0
     gaps = np.linalg.norm(images[:, None] - images[None], axis=-1)
@@ -282,13 +270,17 @@ def generate_frequency_module(
 
     # the box spans the generators kept so far and grows with them
     gens = [orbit[0]]
-    box_ms = integer_box(1, relation_bound)
+    box_ms = integer_box(1, RELATION_BOUND)
     box_ks = box_ms @ orbit[:1]
     for v in orbit[1:]:
         if np.min(np.linalg.norm(box_ks - v, axis=1)) >= RELATION_TOL:
             gens.append(v)
-            _check_search_size(len(gens), relation_bound)
-            box_ms = integer_box(len(gens), relation_bound)
+            if (2 * RELATION_BOUND + 1) ** len(gens) > MAX_SEARCH_CANDIDATES:
+                raise RelationSearchExhausted(
+                    f"integer relation search space (2*{RELATION_BOUND}+1)^{len(gens)} "
+                    "is too large; the orbit may not admit a bounded-coefficient basis"
+                )
+            box_ms = integer_box(len(gens), RELATION_BOUND)
             box_ks = box_ms @ np.array(gens)
     A = np.array(gens)
     p = len(gens)
@@ -309,8 +301,7 @@ def generate_frequency_module(
         i = int(np.argmin(d))
         if d[i] >= RELATION_TOL:
             raise RelationSearchExhausted(
-                "orbit vector has no bounded integer expression; "
-                "retry with a larger relation_bound"
+                "orbit vector has no bounded integer expression"
             )
         coords[o] = box_ms[i]
     moved = np.einsum("gab,jb->gja", holohedry.matrices, A)
@@ -323,7 +314,6 @@ def generate_frequency_module(
         holohedry=holohedry,
         k0=k0,
         generators=A,
-        relation_bound=relation_bound,
         integer_reps=reps,
         uniformly_discrete=bool(p == rank_real),
         orbit=orbit,
@@ -332,27 +322,14 @@ def generate_frequency_module(
     )
 
 
-def mode_wavevector(module: FrequencyModule, m) -> np.ndarray:
-    """Wavevector of an integer mode index (rows for batched input)."""
-    return np.asarray(m, dtype=np.int64) @ module.generators
-
-
-def module_points_in_ball(
-    module: FrequencyModule, radius: float, coeff_bound: int | None = None
-):
-    """Module points |k(m)| <= radius with |m|_inf <= coeff_bound.
+def module_points_in_ball(module: FrequencyModule, radius: float):
+    """Module points |k(m)| <= radius with |m|_inf <= RELATION_BOUND.
 
     Returns (indices, wavevectors) sorted by |k| then lexicographic index, so
     the enumeration is deterministic.  The enumeration is complete only up to
-    the coefficient bound (module.relation_bound by default).
+    the coefficient bound.
     """
-    if coeff_bound is None:
-        coeff_bound = module.relation_bound
-    if coeff_bound == module.relation_bound:
-        ms, ks = module._box_ms, module._box_ks
-    else:
-        ms = integer_box(module.rank, coeff_bound)
-        ks = ms @ module.generators
+    ms, ks = module._box_ms, module._box_ks
     lens = np.linalg.norm(ks, axis=1)
     keep = lens <= radius + 1e-12
     ms, ks, lens = ms[keep], ks[keep], lens[keep]

@@ -18,8 +18,8 @@ from dataclasses import replace
 import numpy as np
 
 from . import brusselator as br
-from . import diagnostics, sh, snapshots
-from .diagnostics import CheckReport
+from . import diagnostics, etd, sh, snapshots
+from .diagnostics import CheckReport, Trajectory
 from .hull import (
     ActiveModeSet,
     HullField,
@@ -58,6 +58,46 @@ def _orbit_field(active: ActiveModeSet, l2_target: float) -> HullField:
 def _pass_report(name: str, value: float, note_t: float = 0.0) -> CheckReport:
     """A reported-but-not-asserted quantity; tolerance infinite by design."""
     return CheckReport(name, True, float(value), note_t, np.inf)
+
+
+def dt_ladder(state: etd.EtdState, T: float, dts) -> list[float]:
+    """Final-state errors at T for each dt, against the state's scheme at min(dts)/64.
+
+    Every rung, and the reference, steps ``state`` with its own dt to T with
+    no intermediate records; the error is the l2 distance of the stacked
+    final coefficients from the reference's.
+    """
+    def final(dt):
+        st = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
+        fin, _ = etd.integrate(st, T, etd.step, Trajectory([], dt=dt),
+                               diag_every=10 ** 9)
+        return fin.coeffs
+
+    ref = final(min(dts) / 64)
+    return [float(np.linalg.norm(final(dt) - ref)) for dt in dts]
+
+
+def growth_rate(state: etd.EtdState, T: float, t_fit: float) -> float:
+    """Least-squares slope of log|a_e0| over t >= t_fit, from a run to T.
+
+    a_e0 is the first component's coefficient on the first generator,
+    sampled every 10 steps; seeded on the critical orbit it grows at that
+    orbit's linear rate once the other eigendirections have died out.
+    """
+    e0 = np.zeros(state.active.rank, dtype=int)
+    e0[0] = 1
+    i = state.active.position(e0)
+    ts, amps = [], []
+
+    def sample(st, _rec):
+        ts.append(st.t)
+        amps.append(abs(st.coeffs[0, i]))
+
+    etd.integrate(state, T, etd.step, Trajectory([], dt=state.stepper.dt),
+                  (sample,), diag_every=10)
+    ts, amps = np.array(ts), np.array(amps)
+    mask = ts >= t_fit
+    return float(np.polyfit(ts[mask], np.log(amps[mask]), 1)[0])
 
 
 def run_all(progress=None) -> list:
@@ -165,24 +205,13 @@ def run_all(progress=None) -> list:
     onset = br.turing_analysis(2.0, 1.0, 4.0)  # critical ring at |k| = 1
     p_grow = br.BrusselatorParams(A=2.0, B=1.05 * onset.B_c, d1=1.0, d2=4.0)
     bruss_ic = br.steady_plus_critical_ic(act1, p_grow, onset.critical_eigenvector, 1e-2)
-
-    def _final_coeffs(equation, scheme, dt):
-        if equation == "sh":
-            st = sh.make_state(order_ic.copy(), 0.3, scheme=scheme, dt=dt)
-            fin, _ = sh.integrate(st, 1.0, diag_every=10 ** 9)
-        else:
-            st = br.make_bruss_state(*bruss_ic, p_grow, dt=dt, scheme=scheme)
-            fin, _ = br.bruss_integrate(st, 1.0, diag_every=10 ** 9)
-        return fin.coeffs
-
-    for equation, scheme, floor, name in (
-        ("sh", "etdrk2", 1.9, "11a-order-etdrk2"),
-        ("sh", "etdrk4", 3.8, "11b-order-etdrk4"),
-        ("brusselator", "etdrk4", 3.8, "11c-order-etdrk4-brusselator"),
+    for state, floor, name in (
+        (sh.make_state(order_ic, 0.3), 1.9, "11a-order-etdrk2"),
+        (sh.make_state(order_ic, 0.3, scheme="etdrk4"), 3.8, "11b-order-etdrk4"),
+        (br.make_bruss_state(*bruss_ic, p_grow, scheme="etdrk4"), 3.8,
+         "11c-order-etdrk4-brusselator"),
     ):
-        ref = _final_coeffs(equation, scheme, 0.025 / 64)
-        errs = [np.linalg.norm(_final_coeffs(equation, scheme, dt) - ref)
-                for dt in (0.1, 0.05, 0.025)]
+        errs = dt_ladder(state, 1.0, (0.1, 0.05, 0.025))
         order = float(min(np.log2(errs[i] / errs[i + 1]) for i in range(2)))
         add(CheckReport(name, order >= floor, floor - order, 0.0, 0.0))
 
@@ -255,26 +284,14 @@ def run_all(progress=None) -> list:
         br.dispersion_matrix(p_grow, 1.0)).real))
     u, v = br.steady_plus_critical_ic(act1, p_grow,
                                       onset.critical_eigenvector, 1e-6)
-    gst = br.make_bruss_state(u, v, p_grow, dt=DT)
-    e0 = np.zeros(4, dtype=int)
-    e0[0] = 1
-    ts, amps = [], []
-    br.bruss_integrate(
-        gst, 40.0,
-        hooks=(lambda s, r: (ts.append(s.t),
-                             amps.append(abs(s.u_field.get_coefficient(e0)))),),
-        diag_every=10,
-    )
-    ts_a, amps_a = np.array(ts), np.array(amps)
-    mask = ts_a >= 20.0
-    rate = float(np.polyfit(ts_a[mask], np.log(amps_a[mask]), 1)[0])
+    rate = growth_rate(br.make_bruss_state(u, v, p_grow, dt=DT), 40.0, 20.0)
     rate_err = abs(rate - predicted) / abs(predicted)
     add(CheckReport("15b-onset-growth-rate", rate_err <= 0.05,
                     rate_err, 40.0, 0.05))
 
     u, v = br.steady_ic(act1, p_steady)
     bump = HullField.zeros(act1)
-    bump.set_coefficient(e0, 0.05)
+    bump.set_coefficient((1, 0, 0, 0), 0.05)
     u = u + bump.symmetrize()
     pst = br.make_bruss_state(u, v, p_steady, dt=DT)
     pfin, _ = br.bruss_integrate(pst, 10.0, diag_every=10)
@@ -347,7 +364,7 @@ def _io_checks():
             return False, "bruss-roundtrip"
 
         # CSV header and numeric round trip
-        _, traj = sh.integrate(sh.make_state(f.copy(), 0.2, dt=0.01), 0.2,
+        _, traj = sh.integrate(sh.make_state(f, 0.2, dt=0.01), 0.2,
                                diag_every=5)
         cpath = os.path.join(tmp, "d.csv")
         snapshots.write_diagnostics_csv(traj, cpath)

@@ -3,7 +3,10 @@
 import numpy as np
 import pytest
 
-from quasiflow import cli, snapshots
+from quasiflow import brusselator as br
+from quasiflow import cli, sh, snapshots
+from quasiflow.hull import ActiveModeSet
+from quasiflow.symmetry import build_holohedry, generate_frequency_module
 
 SH_CFG = """\
 symmetry = dihedral:12
@@ -165,6 +168,60 @@ class TestSimulateBruss:
         state, snap_cfg = snapshots.read_snapshot(out / "final.qcs")
         assert state.stepper.scheme == snap_cfg.scheme == "etdrk4"
         assert state.step_index == 20
+
+
+def _twelvefold(N):
+    module = generate_frequency_module(build_holohedry("dihedral:12"))
+    return ActiveModeSet(module, N)
+
+
+class TestRestart:
+    """``ic = file:`` restarts only on the truncation the snapshot was run on."""
+
+    def _restart_cfg(self, tmp_path, base, ic_line, snap, N):
+        # the snapshot is written without a config, so its manifest names k0
+        # explicitly where these run configs leave it at the default
+        text = base.replace(ic_line, f"ic = file:{snap}").replace("N = 1", f"N = {N}")
+        path = tmp_path / "restart.cfg"
+        path.write_text(text)
+        return path
+
+    def _sh_snapshot(self, tmp_path):
+        snap = tmp_path / "n1.qcs"
+        state = sh.make_state(sh.random_ic(_twelvefold(1), 0.1, seed=1), 0.2)
+        snapshots.write_snapshot(state, snap)
+        return snap, state
+
+    def test_same_truncation_continues(self, tmp_path):
+        snap, state = self._sh_snapshot(tmp_path)
+        cfg = self._restart_cfg(tmp_path, SH_CFG, "ic = quasicrystal", snap, 1)
+        out = tmp_path / "run"
+        assert cli.main(["simulate-sh", "--config", str(cfg), "--output", str(out)]) == 0
+        back, _ = snapshots.read_snapshot(out / "final.qcs")
+        want, _ = sh.integrate(state, 0.3)
+        assert np.array_equal(back.coeffs, want.coeffs)
+
+    def test_sh_other_truncation_refused(self, tmp_path, capsys):
+        snap, _ = self._sh_snapshot(tmp_path)
+        cfg = self._restart_cfg(tmp_path, SH_CFG, "ic = quasicrystal", snap, 2)
+        out = tmp_path / "run"
+        code = cli.main(["simulate-sh", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "49 modes" in err and "361 modes" in err
+        assert not (out / "final.qcs").exists()
+
+    def test_bruss_other_truncation_refused(self, tmp_path, capsys):
+        p = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+        snap = tmp_path / "b1.qcs"
+        snapshots.write_snapshot(
+            br.make_bruss_state(*br.steady_ic(_twelvefold(1), p), p), snap
+        )
+        cfg = self._restart_cfg(tmp_path, BRUSS_CFG, "ic = steady-plus-critical", snap, 2)
+        code = cli.main(["simulate-bruss", "--config", str(cfg),
+                         "--output", str(tmp_path / "run")])
+        assert code == 1
+        assert "361 modes" in capsys.readouterr().err
 
 
 class TestTuring:

@@ -6,6 +6,7 @@ import pytest
 from quasiflow import hull, sh, symmetry
 from quasiflow.hull import ActiveModeSet, HullField, TooLarge
 from quasiflow.sh import NonFiniteState, SHParams, SolverState, StepperConfig
+from quasiflow.verification import dt_ladder, growth_rate
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +29,20 @@ def e_first(rank):
     m = np.zeros(rank, dtype=int)
     m[0] = 1
     return m
+
+
+def symbol(module, m, lam):
+    """Scalar oracle for the linear symbol: lam - (|k(m)|^2 - 1)^2."""
+    k = np.asarray(m) @ module.generators
+    return lam - (k @ k - 1.0) ** 2
+
+
+def critical_orbit_seed(active, l2):
+    """A field of l2 norm ``l2`` spread evenly over the first generator's orbit."""
+    f = HullField.zeros(active)
+    orbit = active.orbit_positions(e_first(active.rank))
+    f.coeffs[orbit] = l2 / np.sqrt(len(orbit))
+    return f
 
 
 def rhs(field, lam):
@@ -59,15 +74,15 @@ class TestParams:
 class TestLinearSymbol:
     def test_unit_ring_value(self, mod12):
         # |k| = 1 there, so the quartic term vanishes
-        assert sh.linear_symbol(mod12, e_first(4), 0.3) == pytest.approx(0.3, abs=1e-14)
+        assert symbol(mod12, e_first(4), 0.3) == pytest.approx(0.3, abs=1e-14)
 
     def test_zero_mode_value(self, mod12):
-        assert sh.linear_symbol(mod12, np.zeros(4, dtype=int), 0.3) == pytest.approx(-0.7)
+        assert symbol(mod12, np.zeros(4, dtype=int), 0.3) == pytest.approx(-0.7)
 
     def test_array_matches_pointwise(self, act12):
         sig = sh.sigma_array(act12, 0.25)
         for i, m in enumerate(act12.indices):
-            assert sig[i] == pytest.approx(sh.linear_symbol(act12.module, m, 0.25), abs=1e-13)
+            assert sig[i] == pytest.approx(symbol(act12.module, m, 0.25), abs=1e-13)
 
     def test_maximum_on_unit_ring(self, act12):
         sig = sh.sigma_array(act12, 0.1)
@@ -100,6 +115,16 @@ class TestRhs:
         big = ActiveModeSet(mod12, 3)  # 1369 modes, pair count over the limit
         with pytest.raises(TooLarge):
             sh.cubic_direct(HullField.zeros(big))
+
+
+class TestMakeState:
+    def test_owns_its_coefficients(self, act12):
+        f = sh.random_ic(act12, 0.1, seed=2)
+        st = sh.make_state(f, lam=0.2)
+        before = st.coeffs.copy()
+        f.set_coefficient(e_first(4), 1.0)
+        assert not np.shares_memory(st.coeffs, f.coeffs)
+        assert np.array_equal(st.coeffs, before)
 
 
 class TestStep:
@@ -149,8 +174,8 @@ class TestStep:
 
     def test_schemes_agree_to_second_order(self, act12):
         f = sh.quasicrystal_ic(act12, 0.2, 0.5, 1e-3, seed=3)
-        a = sh.make_state(f.copy(), lam=0.2, scheme="etdrk2", dt=0.01)
-        b = sh.make_state(f.copy(), lam=0.2, scheme="etdrk4", dt=0.01)
+        a = sh.make_state(f, lam=0.2, scheme="etdrk2", dt=0.01)
+        b = sh.make_state(f, lam=0.2, scheme="etdrk4", dt=0.01)
         for _ in range(100):
             a, b = sh.step(a), sh.step(b)
         assert (a.field - b.field).l2_norm() < 1e-5
@@ -203,20 +228,12 @@ def order_ic(act4):
 class TestConvergenceOrder:
     """dt-halving study against a much finer reference of the same scheme."""
 
-    def _final(self, ic, scheme, dt):
-        st = sh.make_state(ic.copy(), lam=0.3, scheme=scheme, dt=dt)
-        fin, _ = sh.integrate(st, 1.0, diag_every=10 ** 9)
-        return fin.field.coeffs
-
     @pytest.mark.parametrize(
         "scheme,floor", [("etdrk2", 1.9), ("etdrk4", 3.8)]
     )
     def test_observed_order(self, order_ic, scheme, floor):
-        ref = self._final(order_ic, scheme, 0.0125 / 64)
-        errs = [
-            np.linalg.norm(self._final(order_ic, scheme, dt) - ref)
-            for dt in (0.025, 0.0125)
-        ]
+        st = sh.make_state(order_ic, lam=0.3, scheme=scheme)
+        errs = dt_ladder(st, 1.0, (0.025, 0.0125))
         order = np.log2(errs[0] / errs[1])
         assert order >= floor
         assert order < 4.6  # sanity: not a cancellation artifact
@@ -277,17 +294,15 @@ class TestRandomIC:
 
 
 class TestBranchGrowth:
+    """A small critical-orbit seed grows or decays at the unit ring's rate lam."""
+
     def test_rate_above_threshold(self, act12):
-        _, rate = sh.branch_growth(act12, lam=0.2, delta=1e-6, T=6.0, fit_window=5.0)
-        assert rate == pytest.approx(0.2, rel=1e-3)
+        st = sh.make_state(critical_orbit_seed(act12, 1e-6), lam=0.2)
+        assert growth_rate(st, 6.0, 0.0) == pytest.approx(0.2, rel=1e-3)
 
     def test_rate_below_threshold(self, act12):
-        _, rate = sh.branch_growth(act12, lam=-0.1, delta=1e-6, T=6.0, fit_window=5.0)
-        assert rate == pytest.approx(-0.1, rel=1e-3)
-
-    def test_large_seed_rejected(self, act12):
-        with pytest.raises(ValueError):
-            sh.branch_growth(act12, lam=0.2, delta=0.1, T=1.0)
+        st = sh.make_state(critical_orbit_seed(act12, 1e-6), lam=-0.1)
+        assert growth_rate(st, 6.0, 0.0) == pytest.approx(-0.1, rel=1e-3)
 
 
 class TestSymmetryPropagation:
