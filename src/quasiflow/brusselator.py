@@ -21,7 +21,6 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import diagnostics, etd
-from .etd import NonFiniteState  # noqa: F401  (re-exported)
 from .etd import LowerTri, StepperConfig
 from .hull import ActiveModeSet, HullField
 
@@ -243,8 +242,7 @@ def bruss_integrate(
     s: float = 3.0,
 ) -> tuple[BrusselatorState, diagnostics.Trajectory]:
     """March to time T recording two-component diagnostics (see ``etd.integrate``)."""
-    traj = diagnostics.Trajectory([], dt=state.stepper.dt, s=s)
-    return etd.integrate(state, T, bruss_step, traj, hooks, diag_every)
+    return etd.integrate(state, T, bruss_step, hooks, diag_every, s)
 
 
 def steady_ic(active: ActiveModeSet, params: BrusselatorParams) -> tuple[HullField, HullField]:

@@ -15,7 +15,7 @@ import numpy as np
 from . import brusselator as br
 from . import config as cfgmod
 from . import sh, snapshots
-from .etd import NonFiniteState
+from .diagnostics import NonFiniteState
 from .hull import ActiveModeSet, HullField
 from .symmetry import build_holohedry, generate_frequency_module
 
@@ -23,7 +23,7 @@ from .symmetry import build_holohedry, generate_frequency_module
 def _build_active(cfg: cfgmod.RunConfig) -> ActiveModeSet:
     k0 = None if cfg.k0 is None else np.asarray(cfg.k0, dtype=float)
     module = generate_frequency_module(build_holohedry(cfg.symmetry), k0)
-    return ActiveModeSet(module, cfg.N, cfg.K_max)
+    return ActiveModeSet(module, cfg.N)
 
 
 def _restart_coeffs(cfg: cfgmod.RunConfig, active: ActiveModeSet, equation: str):
@@ -113,13 +113,8 @@ def _run_simulation(cfg: cfgmod.RunConfig, outdir: Path) -> int:
     return 0
 
 
-def _cmd_simulate(args, equation: str) -> int:
-    text = Path(args.config).read_text(encoding="ascii")
-    cfg = cfgmod.parse_config(text)
-    if cfg.equation != equation:
-        raise cfgmod.BadValue(
-            f"config says equation = {cfg.equation}, this subcommand runs {equation}"
-        )
+def _cmd_simulate(args) -> int:
+    cfg = cfgmod.parse_config(Path(args.config).read_text(encoding="ascii"))
     outdir = Path(args.output) if args.output else Path(cfg.output_dir)
     return _run_simulation(cfg, outdir)
 
@@ -158,10 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    for name in ("simulate-sh", "simulate-bruss"):
-        p = sub.add_parser(name, help=f"run a {name.split('-')[1]} config")
-        p.add_argument("--config", required=True, help="path to key = value config")
-        p.add_argument("--output", default=None, help="override output directory")
+    p = sub.add_parser("simulate", help="run a config of either equation")
+    p.add_argument("--config", required=True, help="path to key = value config")
+    p.add_argument("--output", default=None, help="override output directory")
 
     p = sub.add_parser("turing", help="onset analysis for a parameter triple")
     p.add_argument("--A", type=float, required=True)
@@ -185,10 +179,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.subcommand == "simulate-sh":
-            return _cmd_simulate(args, "sh")
-        if args.subcommand == "simulate-bruss":
-            return _cmd_simulate(args, "brusselator")
+        if args.subcommand == "simulate":
+            return _cmd_simulate(args)
         if args.subcommand == "turing":
             return _cmd_turing(args)
         if args.subcommand == "render":

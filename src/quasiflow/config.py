@@ -7,7 +7,6 @@ echo in an output directory reparseable and the run reproducible.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields
 
 from .etd import SCHEMES
@@ -36,7 +35,6 @@ class RunConfig:
     d2: float | None = None
     k0: tuple | None = None
     N: int = 3
-    K_max: float = math.inf
     dt: float = 0.01
     scheme: str = "etdrk2"
     dealias: int = 2
@@ -72,8 +70,6 @@ class RunConfig:
             raise BadValue("dt must be positive")
         if self.N < 0:
             raise BadValue("N must be nonnegative")
-        if not (self.K_max > 0):
-            raise BadValue("K_max must be positive")
         if self.dealias < 2:
             raise BadValue("dealias factor below 2 cannot clear cubic aliasing")
         if not (0 < self.ic_amplitude <= 1) and self.equation == "sh" \
@@ -98,7 +94,7 @@ class RunConfig:
 
 
 _INT_KEYS = {"N", "seed", "diag_every", "snapshot_every", "dealias"}
-_FLOAT_KEYS = {"T", "lam", "A", "B", "d1", "d2", "K_max", "dt",
+_FLOAT_KEYS = {"T", "lam", "A", "B", "d1", "d2", "dt",
                "ic_amplitude", "perturbation", "s"}
 _STR_KEYS = {"symmetry", "equation", "scheme", "output_dir"}
 _KNOWN = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"k0", "ic"}
@@ -173,9 +169,6 @@ def to_text(cfg: RunConfig) -> str:
             continue
         if f.name == "k0":
             lines.append("k0 = " + " ".join(f"{v:.17g}" for v in value))
-            continue
-        if f.name == "K_max" and value == math.inf:
-            lines.append("K_max = inf")
             continue
         if isinstance(value, float):
             lines.append(f"{f.name} = {value:.17g}")

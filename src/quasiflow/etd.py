@@ -239,7 +239,7 @@ def step(state: EtdState, dt: float | None = None) -> EtdState:
     update so round-off cannot accumulate a complex-valued drift.
     """
     if dt is not None and dt != state.stepper.dt:
-        state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
+        state = replace(state, stepper=replace(state.stepper, dt=dt))
     tab = state.tables()
     act = state.active
     a = state.coeffs
@@ -278,26 +278,27 @@ def integrate(
     state: EtdState,
     T: float,
     step,
-    traj: diagnostics.Trajectory,
     hooks=(),
     diag_every: int = 10,
+    s: float = 3.0,
 ) -> tuple[EtdState, diagnostics.Trajectory]:
-    """March to time T with ``step``, recording into ``traj`` every diag_every steps.
+    """March to time T with ``step``, recording diagnostics every diag_every steps.
 
-    The first and final states are always recorded, with Sobolev index
-    ``traj.s``.  Hooks are called with (state, record) at each recording.  A
-    final fractional step lands exactly on T when T is not a multiple of dt.
-    A blow-up raises NonFiniteState carrying ``traj``, which then holds the
-    records taken before it.
+    The first and final states are always recorded, with Sobolev index ``s``.
+    Hooks are called with (state, record) at each recording.  A final
+    fractional step lands exactly on T when T is not a multiple of dt.  A
+    blow-up raises NonFiniteState carrying the trajectory, which then holds
+    the records taken before it.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
     dt = state.stepper.dt
+    traj = diagnostics.Trajectory([], dt=dt, s=s)
     n_steps = int(np.floor(T / dt + 1e-9))
     remainder = T - n_steps * dt
 
     def grab(st):
-        rec = diagnostics.record(st, s=traj.s)
+        rec = diagnostics.record(st, s=s)
         traj.records.append(rec)
         for hook in hooks:
             hook(st, rec)
@@ -311,7 +312,7 @@ def integrate(
                 grab(state)
         if remainder > 1e-12 * max(1.0, T):
             state = step(state, dt=remainder)
-            state = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
+            state = replace(state, stepper=replace(state.stepper, dt=dt))
         if n_steps > 0 or remainder > 0:
             grab(state)
     except NonFiniteState as exc:

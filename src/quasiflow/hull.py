@@ -1,11 +1,10 @@
 """Hull functions on the torus T^p, truncated to a symmetric set of modes.
 
 A hull field stores complex coefficients on an "active" set of integer mode
-indices: the largest subset of the box |m|_inf <= N (intersected with the
-wavevector ball |k(m)| <= K_max) that is mapped to itself by every group
-element.  Closure under the group action makes symmetrization exact; closure
-under negation lets the Hermitian constraint a_{-m} = conj(a_m) keep field
-values real.
+indices: the largest subset of the box |m|_inf <= N that is mapped to itself
+by every group element.  Closure under the group action makes symmetrization
+exact; closure under negation lets the Hermitian constraint a_{-m} =
+conj(a_m) keep field values real.
 
 Products of fields are evaluated pseudospectrally: ``grid_values`` synthesizes
 each factor on a zero-padded FFT grid, the product is taken pointwise there,
@@ -61,10 +60,6 @@ class DimensionUnsupported(ValueError):
     """Operation requires a different ambient dimension."""
 
 
-class BallExceedsTruncation(ValueError):
-    """Requested wavevector ball is not resolved by the truncation."""
-
-
 class TooLarge(ValueError):
     """A grid or brute-force path refused as too big to allocate or run."""
 
@@ -78,45 +73,33 @@ def default_grid_axis_points(p: int) -> int:
 
 
 class ActiveModeSet:
-    """Largest group-invariant set of modes in a box-and-ball truncation.
+    """Largest group-invariant set of modes in the box |m|_inf <= N.
 
-    Every index m in the box |m|_inf <= N has one int64 key, the mixed-radix
-    number with digits m_j + N in base 2N+1; an index outside the box gets
-    the key -1.  Numeric order of keys is lexicographic order of indices, and
-    the i-th row of ``integer_box`` has key i.  An index is kept when, under
-    every integer representation, its image lands on a candidate key.
-    Indices are stored in key order; all derived arrays (wavevectors, group
-    permutations, negation permutation) are aligned with that order.
+    Every index m in the box has one int64 key, the mixed-radix number with
+    digits m_j + N in base 2N+1.  Numeric order of keys is lexicographic
+    order of indices, and the i-th row of ``integer_box`` has key i.  An
+    index is kept when every integer representation maps it back into the
+    box.  Indices are stored in key order; all derived arrays (wavevectors,
+    group permutations, negation permutation) are aligned with that order.
     """
 
-    def __init__(self, module: FrequencyModule, N: int, K_max: float = np.inf):
+    def __init__(self, module: FrequencyModule, N: int):
         if N < 0 or int(N) != N:
             raise ValueError("N must be a nonnegative integer")
-        if not (K_max > 0):
-            raise ValueError("K_max must be positive")
         self.module = module
         self.N = int(N)
-        self.K_max = float(K_max)
 
         p = module.rank
         self._radix = (2 * self.N + 1) ** np.arange(p - 1, -1, -1, dtype=np.int64)
         box = integer_box(p, self.N)
-        kvec = box @ module.generators
-        klen = np.linalg.norm(kvec, axis=1)
-        inside = klen <= self.K_max * (1.0 + 1e-12) + 1e-12
-        cand, cand_keys = box[inside], np.flatnonzero(inside)
-
-        keep = np.ones(len(cand), dtype=bool)
+        keep = np.ones(len(box), dtype=bool)
         for rep in module.integer_reps:
-            keep &= np.isin(self._key(cand @ rep.T), cand_keys)
+            keep &= np.all(np.abs(box @ rep.T) <= self.N, axis=1)
         # one pass suffices: integer_reps is closed under products (check 16)
 
-        self.indices, self._keys = cand[keep], cand_keys[keep]
+        self.indices, self._keys = box[keep], np.flatnonzero(keep)
         if self.N > 0 and len(self.indices) <= 1:
-            raise EmptyActiveSet(
-                "symmetry reduction left only the zero mode; "
-                "raise N or K_max"
-            )
+            raise EmptyActiveSet("symmetry reduction left only the zero mode; raise N")
         self.wavevectors = self.indices @ module.generators
         self.ksq = np.einsum("ij,ij->i", self.wavevectors, self.wavevectors)
         self.msq = np.einsum("ij,ij->i", self.indices, self.indices).astype(float)
@@ -128,14 +111,9 @@ class ActiveModeSet:
         self.neg_perm = self._find(-self.indices)
         self._grid_cache: dict[tuple, tuple] = {}
 
-    def _key(self, m: np.ndarray) -> np.ndarray:
-        """Key of each index along the last axis; -1 outside the box."""
-        in_box = np.all(np.abs(m) <= self.N, axis=-1)
-        return np.where(in_box, (m + self.N) @ self._radix, -1)
-
     def _find(self, m: np.ndarray) -> np.ndarray:
         """Positions of indices known to be active."""
-        return np.searchsorted(self._keys, self._key(m))
+        return np.searchsorted(self._keys, (m + self.N) @ self._radix)
 
     @property
     def rank(self) -> int:
@@ -145,13 +123,10 @@ class ActiveModeSet:
         return len(self.indices)
 
     def __repr__(self):
-        return (
-            f"ActiveModeSet(N={self.N}, K_max={self.K_max}, "
-            f"modes={len(self)}, p={self.rank})"
-        )
+        return f"ActiveModeSet(N={self.N}, modes={len(self)}, p={self.rank})"
 
     def position(self, m) -> int:
-        # scalar path: _key's masking costs more than the lookup itself
+        # an index off the box has no key, so it cannot be active
         m = np.asarray(m)
         if m.shape == (self.rank,) and np.abs(m).max() <= self.N:
             key = (m + self.N) @ self._radix
@@ -412,11 +387,6 @@ def condition_iii_check(field: HullField, ball_radius: float, covering_radius: f
     ``covering_radius`` of the wavevector of some mode with |a_m| > eps.
     Returns (ok, uncovered) where uncovered lists witness wavevectors.
     """
-    if ball_radius > field.active.K_max:
-        raise BallExceedsTruncation(
-            "ball radius exceeds the truncation's wavevector cap; "
-            "the check would be vacuous"
-        )
     if eps < 0:
         raise ValueError("support threshold must be nonnegative")
     sup = np.abs(field.coeffs) > eps

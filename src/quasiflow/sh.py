@@ -17,7 +17,6 @@ from typing import ClassVar
 import numpy as np
 
 from . import diagnostics, etd
-from .etd import SCHEMES, NonFiniteState  # noqa: F401  (re-exported)
 from .etd import LowerTri, StepperConfig
 from .hull import ActiveModeSet, HullField, TooLarge, convolve_direct
 
@@ -106,8 +105,7 @@ def integrate(
     s: float = 3.0,
 ) -> tuple[SolverState, diagnostics.Trajectory]:
     """March to time T, recording diagnostics every diag_every steps (see ``etd.integrate``)."""
-    traj = diagnostics.Trajectory([], dt=state.stepper.dt, s=s)
-    return etd.integrate(state, T, step, traj, hooks, diag_every)
+    return etd.integrate(state, T, step, hooks, diag_every, s)
 
 
 def quasicrystal_ic(

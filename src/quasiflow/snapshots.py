@@ -2,7 +2,7 @@
 
 A snapshot is a text manifest followed by a raw binary payload:
 
-    quasiflow-snapshot 1
+    quasiflow-snapshot 2
     <key = value lines: the resolved run configuration>
     generator <i> = <17-significant-digit components>
     active_count = <number of modes>
@@ -33,7 +33,7 @@ from .hull import HERMITIAN_TOL, ActiveModeSet, HullField, render_image
 from .symmetry import build_holohedry, generate_frequency_module
 
 FORMAT_NAME = "quasiflow-snapshot"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 _SEPARATOR = b"---\n"
 
 
@@ -86,7 +86,6 @@ def config_from_state(state) -> cfgmod.RunConfig:
         T=0.0,
         k0=tuple(float(x) for x in module.k0),
         N=active.N,
-        K_max=active.K_max,
         dt=state.stepper.dt,
         scheme=state.stepper.scheme,
         dealias=state.stepper.dealias,
@@ -148,7 +147,7 @@ def read_snapshot(path):
         raise CorruptPayload(
             "stored generators disagree with the rebuilt frequency module"
         )
-    active = ActiveModeSet(module, cfg.N, cfg.K_max)
+    active = ActiveModeSet(module, cfg.N)
     if len(active) != count:
         raise CorruptPayload(
             f"manifest says {count} active modes, reconstruction has {len(active)}"

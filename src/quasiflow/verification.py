@@ -19,7 +19,7 @@ import numpy as np
 
 from . import brusselator as br
 from . import diagnostics, etd, sh, snapshots
-from .diagnostics import CheckReport, Trajectory
+from .diagnostics import CheckReport
 from .hull import (
     ActiveModeSet,
     HullField,
@@ -68,9 +68,8 @@ def dt_ladder(state: etd.EtdState, T: float, dts) -> list[float]:
     final coefficients from the reference's.
     """
     def final(dt):
-        st = replace(state, stepper=replace(state.stepper, dt=dt), _tables=None)
-        fin, _ = etd.integrate(st, T, etd.step, Trajectory([], dt=dt),
-                               diag_every=10 ** 9)
+        st = replace(state, stepper=replace(state.stepper, dt=dt))
+        fin, _ = etd.integrate(st, T, etd.step, diag_every=10 ** 9)
         return fin.coeffs
 
     ref = final(min(dts) / 64)
@@ -82,19 +81,19 @@ def growth_rate(state: etd.EtdState, T: float, t_fit: float) -> float:
 
     a_e0 is the first component's coefficient on the first generator,
     sampled every 10 steps; seeded on the critical orbit it grows at that
-    orbit's linear rate once the other eigendirections have died out.
+    orbit's linear rate once the other eigendirections have died out.  The
+    run takes whole steps only, so a T off the step grid ends at the last
+    whole step before it.
     """
     e0 = np.zeros(state.active.rank, dtype=int)
     e0[0] = 1
     i = state.active.position(e0)
-    ts, amps = [], []
-
-    def sample(st, _rec):
-        ts.append(st.t)
-        amps.append(abs(st.coeffs[0, i]))
-
-    etd.integrate(state, T, etd.step, Trajectory([], dt=state.stepper.dt),
-                  (sample,), diag_every=10)
+    ts, amps = [state.t], [abs(state.coeffs[0, i])]
+    for k in range(1, int(np.floor(T / state.stepper.dt + 1e-9)) + 1):
+        state = etd.step(state)
+        if k % 10 == 0:
+            ts.append(state.t)
+            amps.append(abs(state.coeffs[0, i]))
     ts, amps = np.array(ts), np.array(amps)
     mask = ts >= t_fit
     return float(np.polyfit(ts[mask], np.log(amps[mask]), 1)[0])

@@ -5,11 +5,8 @@ import pytest
 
 from quasiflow import diagnostics, hull, symmetry
 from quasiflow import brusselator as br
-from quasiflow.brusselator import (
-    BrusselatorParams,
-    NonFiniteState,
-    TuringReport,
-)
+from quasiflow.brusselator import BrusselatorParams, TuringReport
+from quasiflow.diagnostics import NonFiniteState
 from quasiflow.hull import ActiveModeSet, HullField
 from quasiflow.verification import growth_rate
 

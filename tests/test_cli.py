@@ -55,7 +55,7 @@ def bruss_cfg(tmp_path):
 class TestSimulateSH:
     def test_produces_outputs(self, tmp_path, sh_cfg, capsys):
         out = tmp_path / "run"
-        code = cli.main(["simulate-sh", "--config", str(sh_cfg),
+        code = cli.main(["simulate", "--config", str(sh_cfg),
                          "--output", str(out)])
         assert code == 0
         assert (out / "config.txt").exists()
@@ -65,7 +65,7 @@ class TestSimulateSH:
 
     def test_csv_has_expected_records(self, tmp_path, sh_cfg):
         out = tmp_path / "run"
-        cli.main(["simulate-sh", "--config", str(sh_cfg), "--output", str(out)])
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(out)])
         cols = snapshots.read_diagnostics_csv(out / "diagnostics.csv")
         # T = 0.3, dt = 0.01, diag_every = 10: records at 0, 0.1, 0.2, 0.3
         assert cols["t"].shape == (4,)
@@ -73,7 +73,7 @@ class TestSimulateSH:
 
     def test_final_snapshot_reloads(self, tmp_path, sh_cfg):
         out = tmp_path / "run"
-        cli.main(["simulate-sh", "--config", str(sh_cfg), "--output", str(out)])
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(out)])
         state, cfg = snapshots.read_snapshot(out / "final.qcs")
         assert state.step_index == 30
         assert cfg.lam == 0.2
@@ -82,7 +82,7 @@ class TestSimulateSH:
         from quasiflow.config import parse_config
 
         out = tmp_path / "run"
-        cli.main(["simulate-sh", "--config", str(sh_cfg), "--output", str(out)])
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(out)])
         cfg = parse_config((out / "config.txt").read_text())
         assert cfg.T == 0.3 and cfg.N == 1
 
@@ -90,7 +90,7 @@ class TestSimulateSH:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SH_CFG + "snapshot_every = 10\n")
         out = tmp_path / "run"
-        cli.main(["simulate-sh", "--config", str(cfg), "--output", str(out)])
+        cli.main(["simulate", "--config", str(cfg), "--output", str(out)])
         names = sorted(p.name for p in out.glob("snapshot_*.qcs"))
         assert names == [
             "snapshot_00000000.qcs", "snapshot_00000010.qcs",
@@ -99,20 +99,14 @@ class TestSimulateSH:
 
     def test_deterministic_bytes(self, tmp_path, sh_cfg):
         a, b = tmp_path / "a", tmp_path / "b"
-        cli.main(["simulate-sh", "--config", str(sh_cfg), "--output", str(a)])
-        cli.main(["simulate-sh", "--config", str(sh_cfg), "--output", str(b)])
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(a)])
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(b)])
         assert (a / "diagnostics.csv").read_bytes() == \
             (b / "diagnostics.csv").read_bytes()
         assert (a / "final.qcs").read_bytes() == (b / "final.qcs").read_bytes()
 
-    def test_equation_subcommand_mismatch(self, tmp_path, bruss_cfg, capsys):
-        code = cli.main(["simulate-sh", "--config", str(bruss_cfg),
-                         "--output", str(tmp_path / "x")])
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
-
     def test_missing_config_file(self, tmp_path, capsys):
-        code = cli.main(["simulate-sh", "--config", str(tmp_path / "no.cfg"),
+        code = cli.main(["simulate", "--config", str(tmp_path / "no.cfg"),
                          "--output", str(tmp_path / "x")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
@@ -120,7 +114,7 @@ class TestSimulateSH:
     def test_bad_config_value(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SH_CFG + "dt = -1\n")
-        code = cli.main(["simulate-sh", "--config", str(cfg),
+        code = cli.main(["simulate", "--config", str(cfg),
                          "--output", str(tmp_path / "x")])
         assert code == 1
         assert "dt" in capsys.readouterr().err
@@ -128,7 +122,7 @@ class TestSimulateSH:
     def test_blow_up_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SH_CFG + "dt = 100\nT = 1000\n")
-        code = cli.main(["simulate-sh", "--config", str(cfg),
+        code = cli.main(["simulate", "--config", str(cfg),
                          "--output", str(tmp_path / "x")])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
@@ -142,7 +136,7 @@ class TestSimulateSH:
 class TestSimulateBruss:
     def test_produces_two_component_csv(self, tmp_path, bruss_cfg):
         out = tmp_path / "run"
-        code = cli.main(["simulate-bruss", "--config", str(bruss_cfg),
+        code = cli.main(["simulate", "--config", str(bruss_cfg),
                          "--output", str(out)])
         assert code == 0
         header = (out / "diagnostics.csv").read_bytes().split(b"\n")[0]
@@ -150,7 +144,7 @@ class TestSimulateBruss:
 
     def test_final_snapshot_reloads(self, tmp_path, bruss_cfg):
         out = tmp_path / "run"
-        cli.main(["simulate-bruss", "--config", str(bruss_cfg),
+        cli.main(["simulate", "--config", str(bruss_cfg),
                   "--output", str(out)])
         state, cfg = snapshots.read_snapshot(out / "final.qcs")
         assert state.params.B == 4.2
@@ -162,7 +156,7 @@ class TestSimulateBruss:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(BRUSS_CFG + "scheme = etdrk4\n")
         out = tmp_path / "run"
-        code = cli.main(["simulate-bruss", "--config", str(cfg), "--output", str(out)])
+        code = cli.main(["simulate", "--config", str(cfg), "--output", str(out)])
         assert code == 0
         assert parse_config((out / "config.txt").read_text()).scheme == "etdrk4"
         state, snap_cfg = snapshots.read_snapshot(out / "final.qcs")
@@ -196,7 +190,7 @@ class TestRestart:
         snap, state = self._sh_snapshot(tmp_path)
         cfg = self._restart_cfg(tmp_path, SH_CFG, "ic = quasicrystal", snap, 1)
         out = tmp_path / "run"
-        assert cli.main(["simulate-sh", "--config", str(cfg), "--output", str(out)]) == 0
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
         back, _ = snapshots.read_snapshot(out / "final.qcs")
         want, _ = sh.integrate(state, 0.3)
         assert np.array_equal(back.coeffs, want.coeffs)
@@ -205,7 +199,7 @@ class TestRestart:
         snap, _ = self._sh_snapshot(tmp_path)
         cfg = self._restart_cfg(tmp_path, SH_CFG, "ic = quasicrystal", snap, 2)
         out = tmp_path / "run"
-        code = cli.main(["simulate-sh", "--config", str(cfg), "--output", str(out)])
+        code = cli.main(["simulate", "--config", str(cfg), "--output", str(out)])
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "49 modes" in err and "361 modes" in err
@@ -218,7 +212,7 @@ class TestRestart:
             br.make_bruss_state(*br.steady_ic(_twelvefold(1), p), p), snap
         )
         cfg = self._restart_cfg(tmp_path, BRUSS_CFG, "ic = steady-plus-critical", snap, 2)
-        code = cli.main(["simulate-bruss", "--config", str(cfg),
+        code = cli.main(["simulate", "--config", str(cfg),
                          "--output", str(tmp_path / "run")])
         assert code == 1
         assert "361 modes" in capsys.readouterr().err
@@ -244,7 +238,7 @@ class TestTuring:
 class TestRender:
     def test_pgm_from_snapshot(self, tmp_path, sh_cfg, capsys):
         out = tmp_path / "run"
-        cli.main(["simulate-sh", "--config", str(sh_cfg), "--output", str(out)])
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(out)])
         img = tmp_path / "f.pgm"
         code = cli.main(["render", "--snapshot", str(out / "final.qcs"),
                          "--out", str(img), "--resolution", "32"])
@@ -253,7 +247,7 @@ class TestRender:
 
     def test_two_component_renders_activator(self, tmp_path, bruss_cfg):
         out = tmp_path / "run"
-        cli.main(["simulate-bruss", "--config", str(bruss_cfg),
+        cli.main(["simulate", "--config", str(bruss_cfg),
                   "--output", str(out)])
         img = tmp_path / "f.pgm"
         code = cli.main(["render", "--snapshot", str(out / "final.qcs"),

@@ -1,7 +1,5 @@
 """Run-configuration parsing, validation ranges, and serialization."""
 
-import math
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +12,7 @@ from quasiflow.config import (
     parse_config,
     to_text,
 )
+from quasiflow.etd import SCHEMES
 
 MINIMAL = "symmetry = dihedral:12\nT = 1\nlam = 0.2\n"
 
@@ -26,7 +25,6 @@ class TestParse:
         assert cfg.lam == 0.2
         assert cfg.equation == "sh"
         assert cfg.N == 3
-        assert cfg.K_max == math.inf
         assert cfg.dt == 0.01
         assert cfg.scheme == "etdrk2"
         assert cfg.dealias == 2
@@ -55,6 +53,11 @@ class TestParse:
         text = MINIMAL + "lamda = 0.3\n"
         with pytest.raises(UnknownKey, match=r"line 4.*lamda"):
             parse_config(text)
+
+    def test_k_max_refused(self):
+        # the truncation is the box |m|_inf <= N alone
+        with pytest.raises(UnknownKey, match=r"line 4.*K_max"):
+            parse_config(MINIMAL + "K_max = inf\n")
 
     def test_missing_equals(self):
         with pytest.raises(BadValue, match="line 2"):
@@ -154,7 +157,6 @@ class TestValidate:
         ("T = -1", "T"),
         ("dt = 0", "dt"),
         ("N = -1", "N"),
-        ("K_max = 0", "K_max"),
         ("dealias = 1", "dealias"),
         ("ic_amplitude = 0", "ic_amplitude"),
         ("ic_amplitude = 1.5", "ic_amplitude"),
@@ -185,11 +187,6 @@ class TestToText:
         assert "lam = " in text
         assert "A = " not in text and "B = " not in text
 
-    def test_k_max_infinity(self):
-        assert "K_max = inf" in to_text(parse_config(MINIMAL))
-        cfg = parse_config(MINIMAL + "K_max = 2.5\n")
-        assert parse_config(to_text(cfg)).K_max == 2.5
-
     def test_k0_round_trip(self):
         cfg = parse_config(MINIMAL + "k0 = 0.3, 0.7\n")
         assert parse_config(to_text(cfg)).k0 == (0.3, 0.7)
@@ -214,7 +211,7 @@ def run_configs(draw):
         perturbation=draw(st.floats(0.0, 1.0)),
         seed=draw(st.integers(0, 2 ** 31)),
         diag_every=draw(st.integers(1, 99)),
-        scheme=draw(st.sampled_from(config.SCHEMES)),
+        scheme=draw(st.sampled_from(SCHEMES)),
         s=draw(st.floats(0.5, 9.0)),
         output_dir=draw(st.sampled_from(["out", "runs/a", "x_1"])),
     )

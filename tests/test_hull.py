@@ -1,5 +1,7 @@
 """Truncated hull fields: mode sets, norms, products, condition checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from quasiflow import hull, sh
 from quasiflow.brusselator import BrusselatorParams
 from quasiflow.hull import (
     ActiveModeSet,
-    BallExceedsTruncation,
     DimensionUnsupported,
     EmptyActiveSet,
     HullField,
@@ -87,25 +88,24 @@ def random_hermitian(active, seed, scale=0.5):
     return HullField(active, scale * raw).hermitianized()
 
 
-# (holohedry, N, K_max); "vertex" is the icosahedral module seeded on a
-# vertex axis, the rank-6 module of battery check 12b
+# (holohedry, N); "vertex" is the icosahedral module seeded on a vertex
+# axis, the rank-6 module of battery check 12b
 ACTIVE_CASES = (
-    [("dihedral:4", 2, np.inf)]
-    + [(f"dihedral:{n}", N, np.inf) for n in (8, 10, 12) for N in (1, 2, 3)]
-    + [("dihedral:12", 3, 1.1), ("vertex", 1, np.inf)]
+    [("dihedral:4", 2)]
+    + [(f"dihedral:{n}", N) for n in (8, 10, 12) for N in (1, 2, 3)]
+    + [("vertex", 1)]
 )
 
 
-@pytest.fixture(scope="module", params=ACTIVE_CASES,
-                ids=lambda c: f"{c[0]}-N{c[1]}" + ("" if c[2] == np.inf else f"-K{c[2]}"))
+@pytest.fixture(scope="module", params=ACTIVE_CASES, ids=lambda c: f"{c[0]}-N{c[1]}")
 def active_case(request):
-    name, N, K_max = request.param
+    name, N = request.param
     if name == "vertex":
         k0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
         module = generate_frequency_module(build_holohedry("icosahedral"), k0)
     else:
         module = generate_frequency_module(build_holohedry(name))
-    return ActiveModeSet(module, N, K_max)
+    return ActiveModeSet(module, N)
 
 
 class TestActiveModeSet:
@@ -123,13 +123,10 @@ class TestActiveModeSet:
                 assert tuple(rep @ m) in members
 
     def test_maximality(self, active_case):
-        # every discarded candidate (box index inside the wavevector cap) has
-        # an orbit member leaving the candidates
+        # every discarded box index has an orbit member leaving the box
         act = active_case
         members = {tuple(m) for m in act.indices}
-        box = integer_box(act.rank, act.N)
-        kept_cap = np.linalg.norm(box @ act.module.generators, axis=1) <= act.K_max + 1e-9
-        candidates = {tuple(m) for m in box[kept_cap]}
+        candidates = {tuple(m) for m in integer_box(act.rank, act.N)}
         for m in candidates - members:
             assert any(
                 tuple(rep @ np.array(m)) not in candidates
@@ -151,28 +148,16 @@ class TestActiveModeSet:
         rows = [tuple(m) for m in act12.indices]
         assert rows == sorted(rows)
 
-    def test_wavenumber_cap(self, mod12):
-        act = ActiveModeSet(mod12, 2, K_max=1.5)
-        assert np.all(np.linalg.norm(act.wavevectors, axis=1) <= 1.5 + 1e-9)
-        assert len(act) < len(ActiveModeSet(mod12, 2))
-
-    def test_cap_keeps_generator_orbit(self, mod12):
-        act = ActiveModeSet(mod12, 3, K_max=1.1)
-        for i in range(4):
-            e = np.zeros(4, dtype=int)
-            e[i] = 1
-            act.position(e)
-        assert len(act.orbit_positions([1, 0, 0, 0])) == 12
-
-    def test_cap_below_all_modes_is_empty(self, mod12):
-        with pytest.raises(EmptyActiveSet):
-            ActiveModeSet(mod12, 1, K_max=0.4)
+    def test_reduction_to_the_zero_mode_is_empty(self, mod12):
+        # doubled representations map every nonzero index of the N = 1 box,
+        # each generator among them, out of the box
+        doubled = replace(mod12, integer_reps=2 * mod12.integer_reps)
+        with pytest.raises(EmptyActiveSet, match="raise N"):
+            ActiveModeSet(doubled, 1)
 
     def test_bad_arguments(self, mod12):
         with pytest.raises(ValueError):
             ActiveModeSet(mod12, -1)
-        with pytest.raises(ValueError):
-            ActiveModeSet(mod12, 1, K_max=0.0)
 
     def test_position_lookup(self, act12):
         for i, m in enumerate(act12.indices):
@@ -617,12 +602,6 @@ class TestSupportAndConditions:
         f.set_coefficient([1, 0, 0, 0], 1.0)
         ok, uncovered = condition_iii_check(f.symmetrize(), 1.05, 0.3, 1e-6)
         assert not ok and len(uncovered) == 27
-
-    def test_ball_beyond_truncation_rejected(self, mod12):
-        act = ActiveModeSet(mod12, 2, K_max=1.5)
-        f = HullField.zeros(act)
-        with pytest.raises(BallExceedsTruncation):
-            condition_iii_check(f, 2.0, 0.5, 0.0)
 
 
 class TestSeparation:

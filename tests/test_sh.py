@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from quasiflow import hull, sh, symmetry
+from quasiflow import diagnostics, hull, sh, symmetry
+from quasiflow.diagnostics import NonFiniteState
+from quasiflow.etd import SCHEMES
 from quasiflow.hull import ActiveModeSet, HullField, TooLarge
-from quasiflow.sh import NonFiniteState, SHParams, SolverState, StepperConfig
+from quasiflow.sh import SHParams, SolverState, StepperConfig
 from quasiflow.verification import dt_ladder, growth_rate
 
 
@@ -137,12 +139,12 @@ class TestStep:
         out = sh.step(st).field.get_coefficient(e_first(4))
         assert out == pytest.approx(1e-6 * np.exp(0.02), rel=1e-9)
 
-    @pytest.mark.parametrize("scheme", sh.SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_zero_is_fixed_point(self, act12, scheme):
         st = sh.make_state(HullField.zeros(act12), lam=0.3, scheme=scheme, dt=0.05)
         assert sh.step(st).field.l2_norm() == 0.0
 
-    @pytest.mark.parametrize("scheme", sh.SCHEMES)
+    @pytest.mark.parametrize("scheme", SCHEMES)
     def test_hermitian_preserved(self, act12, scheme):
         f = sh.random_ic(act12, 0.3, seed=1)
         st = sh.make_state(f, lam=0.2, scheme=scheme, dt=0.02)
@@ -303,6 +305,14 @@ class TestBranchGrowth:
     def test_rate_below_threshold(self, act12):
         st = sh.make_state(critical_orbit_seed(act12, 1e-6), lam=-0.1)
         assert growth_rate(st, 6.0, 0.0) == pytest.approx(-0.1, rel=1e-3)
+
+    def test_samples_without_records(self, act12, monkeypatch):
+        calls = []
+        record = diagnostics.record
+        monkeypatch.setattr(diagnostics, "record",
+                            lambda *a, **k: calls.append(1) or record(*a, **k))
+        growth_rate(sh.make_state(critical_orbit_seed(act12, 1e-6), lam=0.2), 0.2, 0.0)
+        assert calls == []
 
 
 class TestSymmetryPropagation:

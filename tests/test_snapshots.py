@@ -93,7 +93,7 @@ class TestSnapshotRoundTrip:
         write_snapshot(sh_state, path)
         head = path.read_bytes().split(b"---\n")[0].decode("ascii")
         lines = head.splitlines()
-        assert lines[0] == "quasiflow-snapshot 1"
+        assert lines[0] == "quasiflow-snapshot 2"
         assert "symmetry = dihedral:12" in lines
         assert any(line.startswith("generator 0 = ") for line in lines)
         assert "active_count = 49" in lines
@@ -130,9 +130,20 @@ class TestCorruption:
 
     def test_future_version(self, tmp_path, sh_state):
         data = _written(tmp_path, sh_state)
-        data = data.replace(b"quasiflow-snapshot 1", b"quasiflow-snapshot 2", 1)
+        data = data.replace(b"quasiflow-snapshot 2", b"quasiflow-snapshot 3", 1)
         (tmp_path / "t.qcs").write_bytes(data)
-        with pytest.raises(FormatVersionMismatch, match="version 2"):
+        with pytest.raises(FormatVersionMismatch, match="version 3"):
+            read_snapshot(tmp_path / "t.qcs")
+
+    def test_version_1_refused(self, tmp_path, sh_state):
+        # version 1 manifests carried the wavevector cap, K_max = inf; the
+        # header check refuses them before the config block is parsed
+        data = _written(tmp_path, sh_state)
+        data = data.replace(b"quasiflow-snapshot 2\n", b"quasiflow-snapshot 1\n", 1)
+        data = data.replace(b"\ndt = ", b"\nK_max = inf\ndt = ", 1)
+        assert b"\nK_max = inf\n" in data
+        (tmp_path / "t.qcs").write_bytes(data)
+        with pytest.raises(FormatVersionMismatch, match="version 1"):
             read_snapshot(tmp_path / "t.qcs")
 
     def test_not_a_snapshot(self, tmp_path):
