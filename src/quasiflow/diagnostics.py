@@ -103,7 +103,11 @@ def _monitor_axis_points(rank: int) -> int:
 
 
 def record(state, s: float = 3.0) -> DiagnosticsRecord:
-    """Snapshot a solver state.  Pure; safe to call repeatedly.
+    """Snapshot a solver state; safe to call repeatedly.
+
+    The record may fill the state's (L a, N(a)) memo (``EtdState.terms``),
+    which the next step then reuses; filling it changes neither the
+    coefficients nor any result.
 
     Norms combine the components of the stacked coefficients: l2-type norms
     in quadrature, l1 and the squared gradient by sum.  The energy column is

@@ -22,6 +22,13 @@ predictor a + h phi_1(hL) (L a + N(a)).  A fixed point, where L a + N(a) = 0,
 then gets a zero increment at any step instead of a difference of large terms
 that cancel only to round-off.
 
+Every ETDRK stage starts from the rates at a_n, so a state memoizes its pair
+(L a, N(a)) (``EtdState.terms``): a diagnostics record and the step that
+follows it share one nonlinear evaluation, and a recorded ETDRK2 step pays
+two instead of three.  The memo is keyed on the coefficient array object and
+the pad factor, and a state's coefficients are never mutated in place; a
+stepped state starts with an empty memo.
+
 One family phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j, with phi_0 = exp, drives
 the steppers.  Away from zero the closed forms built on expm1 are stable;
 below the series threshold the defining Taylor series avoids the 0/0
@@ -219,6 +226,7 @@ class EtdState:
     stepper: StepperConfig
     step_index: int = 0
     _tables: EtdTables | None = None
+    _terms: tuple | None = None
 
     def tables(self) -> EtdTables:
         if self._tables is None or self._tables.dt != self.stepper.dt \
@@ -227,9 +235,23 @@ class EtdState:
         return self._tables
 
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
-        """(L a, N(a)); their sum is the time derivative of the coefficients."""
-        return (self.params.linear_block(self.active) @ self.coeffs,
-                self.params.nonlinear(self.coeffs, self.active, self.stepper.dealias))
+        """(L a, N(a)); their sum is the time derivative of the coefficients.
+
+        The pair is memoized on the state, keyed on the coefficient array
+        object itself (not its id, which a freed array can pass on) and on
+        the pad factor, so a ``replace`` with new coefficients or a new
+        ``dealias`` recomputes it, while a new dt or scheme keeps it.  The
+        key holds only if coefficients are never mutated in place: every
+        update builds a new array.  Like the tables, it takes ``params`` and
+        ``active`` as fixed for the state's lifetime.
+        """
+        pad = self.stepper.dealias
+        memo = self._terms
+        if memo is None or memo[0] is not self.coeffs or memo[1] != pad:
+            pair = (self.params.linear_block(self.active) @ self.coeffs,
+                    self.params.nonlinear(self.coeffs, self.active, pad))
+            self._terms = memo = (self.coeffs, pad, pair)
+        return memo[2]
 
 
 def step(state: EtdState, dt: float | None = None) -> EtdState:
@@ -250,7 +272,7 @@ def step(state: EtdState, dt: float | None = None) -> EtdState:
 
     # overflow surfaces as the explicit NonFiniteState below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        La, Na = tab.L @ a, nonlinear(a)
+        La, Na = state.terms()
         if tab.scheme == "etdrk2":
             pred = a + tab.hp1 @ (La + Na)
             out = pred + tab.hp2 @ (nonlinear(pred) - Na)
@@ -270,7 +292,8 @@ def step(state: EtdState, dt: float | None = None) -> EtdState:
             f"non-finite coefficient after step at t = {state.t:.6g}"
         )
     return replace(
-        state, coeffs=out, t=state.t + tab.dt, step_index=state.step_index + 1
+        state, coeffs=out, t=state.t + tab.dt, step_index=state.step_index + 1,
+        _terms=None,
     )
 
 
@@ -284,7 +307,8 @@ def integrate(
 ) -> tuple[EtdState, diagnostics.Trajectory]:
     """March to time T with ``step``, recording diagnostics every diag_every steps.
 
-    The first and final states are always recorded, with Sobolev index ``s``.
+    The first state is always recorded, with Sobolev index ``s``, and so is
+    the final one when a step was taken.
     Hooks are called with (state, record) at each recording.  A final
     fractional step lands exactly on T when T is not a multiple of dt.  A
     blow-up raises NonFiniteState carrying the trajectory, which then holds
@@ -313,7 +337,7 @@ def integrate(
         if remainder > 1e-12 * max(1.0, T):
             state = step(state, dt=remainder)
             state = replace(state, stepper=replace(state.stepper, dt=dt))
-        if n_steps > 0 or remainder > 0:
+        if state.step_index != start:
             grab(state)
     except NonFiniteState as exc:
         done = state.step_index - start

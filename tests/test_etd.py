@@ -1,14 +1,18 @@
-"""Phi functions, their divided differences and triangular matrix functions."""
+"""Phi functions, their divided differences and triangular matrix functions;
+the memoized (L a, N(a)) pair that records and steps share."""
 
 import decimal
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiflow import etd
+from quasiflow import brusselator as br
+from quasiflow import etd, sh, symmetry
+from quasiflow.hull import ActiveModeSet
 
 
 def phi_longdouble(j, z):
@@ -217,3 +221,99 @@ class TestLowerTriangular:
             assert x * p11 == pytest.approx(e11 - 1.0, rel=1e-12, abs=1e-15)
             assert w * p11 + y * p21 == pytest.approx(e21, rel=1e-11, abs=1e-14)
             assert y * p22 == pytest.approx(e22 - 1.0, rel=1e-12, abs=1e-15)
+
+
+@pytest.fixture(scope="module")
+def act12():
+    mod = symmetry.generate_frequency_module(symmetry.build_holohedry("dihedral:12"))
+    return ActiveModeSet(mod, 1)
+
+
+def fresh_state(active, equation, scheme, dealias=2):
+    """A new state off the fixed point, with an empty memo."""
+    if equation == "sh":
+        return sh.make_state(sh.random_ic(active, 0.3, seed=5), lam=0.1, scheme=scheme,
+                             dt=0.05, dealias=dealias)
+    p = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+    u, v = br.steady_plus_critical_ic(active, p, (1.0, -0.5), 0.05)
+    return br.make_bruss_state(u, v, p, dt=0.05, dealias=dealias, scheme=scheme)
+
+
+def count_nonlinear(state, monkeypatch):
+    """Patch the state's params class to count nonlinear evaluations."""
+    calls = []
+    cls = type(state.params)
+    original = cls.nonlinear
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "nonlinear", counted)
+    return calls
+
+
+EQUATIONS = [(eq, scheme) for eq in ("sh", "bruss") for scheme in etd.SCHEMES]
+
+
+class TestTermsMemo:
+    @pytest.mark.parametrize("equation,scheme", EQUATIONS)
+    @pytest.mark.parametrize("T", [0.5, 0.53])
+    def test_recorded_run_matches_plain_steps(self, act12, equation, scheme, T):
+        # T = 0.53 ends on a fractional step, taken through the dt override
+        fin, _ = etd.integrate(fresh_state(act12, equation, scheme), T, etd.step,
+                               diag_every=1)
+        state = fresh_state(act12, equation, scheme)
+        n = int(np.floor(T / state.stepper.dt + 1e-9))
+        for _ in range(n):
+            state = etd.step(state)
+        if T != n * state.stepper.dt:
+            state = etd.step(state, dt=T - n * state.stepper.dt)
+        assert np.array_equal(fin.coeffs, state.coeffs)
+
+    @pytest.mark.parametrize("equation,scheme,per_step",
+                             [(eq, sc, 2 if sc == "etdrk2" else 4) for eq, sc in EQUATIONS])
+    def test_one_evaluation_per_recorded_state(self, act12, monkeypatch, equation, scheme,
+                                               per_step):
+        state = fresh_state(act12, equation, scheme)
+        calls = count_nonlinear(state, monkeypatch)
+        n = 6
+        _, traj = etd.integrate(state, n * state.stepper.dt, etd.step, diag_every=1)
+        assert len(traj) == n + 1
+        assert len(calls) == 1 + per_step * n
+
+    @pytest.mark.parametrize("equation", ["sh", "bruss"])
+    def test_new_pad_factor_recomputes(self, act12, equation):
+        state = fresh_state(act12, equation, "etdrk2")
+        _, n2 = state.terms()
+        padded = replace(state, stepper=replace(state.stepper, dealias=3))
+        la3, n3 = padded.terms()
+        ref_la, ref_n = fresh_state(act12, equation, "etdrk2", dealias=3).terms()
+        assert n3 is not n2
+        assert np.array_equal(la3, ref_la) and np.array_equal(n3, ref_n)
+
+    @pytest.mark.parametrize("equation", ["sh", "bruss"])
+    def test_new_coefficients_recompute(self, act12, equation):
+        state = fresh_state(act12, equation, "etdrk2")
+        state.terms()
+        c2 = 1.5 * state.coeffs
+        la, n = replace(state, coeffs=c2).terms()
+        ref_la, ref_n = replace(fresh_state(act12, equation, "etdrk2"), coeffs=c2).terms()
+        assert np.array_equal(la, ref_la) and np.array_equal(n, ref_n)
+
+    def test_new_dt_keeps_the_memo(self, act12, monkeypatch):
+        state = fresh_state(act12, "sh", "etdrk2")
+        pair = state.terms()
+        calls = count_nonlinear(state, monkeypatch)
+        shorter = replace(state, stepper=replace(state.stepper, dt=0.01, scheme="etdrk4"))
+        assert all(x is y for x, y in zip(shorter.terms(), pair))
+        assert calls == []
+
+    @pytest.mark.parametrize("equation,scheme", EQUATIONS)
+    def test_stepped_state_starts_empty(self, act12, equation, scheme):
+        state = fresh_state(act12, equation, scheme)
+        state.terms()
+        for stepped in (etd.step(state), etd.step(state, dt=0.02)):
+            assert stepped._terms is None
+            ref = replace(stepped, coeffs=stepped.coeffs.copy()).terms()
+            assert all(np.array_equal(x, y) for x, y in zip(stepped.terms(), ref))

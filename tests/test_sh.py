@@ -190,6 +190,13 @@ class TestIntegrate:
         assert len(traj) == 1
         assert fin.t == 0.0
 
+    def test_horizon_below_fractional_threshold(self, act12):
+        # no step is taken, so the initial state is the only record
+        st = sh.make_state(sh.random_ic(act12, 0.1, seed=4), lam=0.1, dt=0.01)
+        fin, traj = sh.integrate(st, 1e-13, diag_every=1)
+        assert fin.step_index == 0 and fin.t == 0.0
+        assert traj.column("step").tolist() == [0.0]
+
     def test_record_cadence(self, act12):
         st = sh.make_state(sh.random_ic(act12, 0.1, seed=4), lam=0.1, dt=0.01)
         fin, traj = sh.integrate(st, 1.0, diag_every=10)
