@@ -5,9 +5,10 @@ meaningful.  The ETDRK2 or ETDRK4 stepper (etd.py) puts diffusion, the
 same-component linear kinetics, and the lower-triangular cross coupling
 B*u into the exact exponential; the quadratic-cubic term u^2 v and the
 constant feed A stay in the explicit part handled by phi functions.  The
-homogeneous steady state is then a fixed point of the discrete step at any
-dt, not just to O(dt^2): each stage adds phi-weighted rates L a + N(a), which
-vanish there up to the round-off of one transform, so no large terms cancel
+homogeneous steady state is then an exact fixed point of the discrete step at
+any dt and on every product grid, not just to O(dt^2): each stage adds
+phi-weighted rates L a + N(a), which vanish there because the forward
+transform gives the constant u^2 v back exactly, so no large terms cancel
 even where h L reaches thousands.
 """
 
@@ -56,8 +57,8 @@ class BrusselatorParams:
             np.full_like(ksq, self.B),
         )
 
-    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
-        u, v = active.grid_values(coeffs, pad_factor=pad)
+    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet) -> np.ndarray:
+        u, v = active.grid_values(coeffs)
         uuv = active.coefficients_from_grid(u * u * v)
         out = np.array((uuv, -uuv))
         out[0, active.position(np.zeros(active.rank, dtype=int))] += self.A
@@ -293,9 +294,11 @@ def make_bruss_state(
     dealias: int = 2,
     scheme: str = "etdrk2",
 ) -> BrusselatorState:
+    """A state stacking the two components; ``dealias`` as in ``sh.make_state``."""
+    if dealias != 2:
+        raise ValueError(f"dealias = {dealias} is not supported; the only value is 2")
     if v.active is not u.active:
         raise ValueError("components must share one active mode set")
     return BrusselatorState(
-        u.active, np.stack((u.coeffs, v.coeffs)), t, params,
-        StepperConfig(scheme, dt, dealias=dealias),
+        u.active, np.stack((u.coeffs, v.coeffs)), t, params, StepperConfig(scheme, dt),
     )

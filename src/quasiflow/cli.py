@@ -88,16 +88,12 @@ def _run_simulation(cfg: cfgmod.RunConfig, outdir: Path) -> int:
     hook = _snapshot_hook(outdir, cfg)
     if cfg.equation == "sh":
         field = _sh_initial_field(cfg, active)
-        state = sh.make_state(
-            field, cfg.lam, scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias
-        )
+        state = sh.make_state(field, cfg.lam, scheme=cfg.scheme, dt=cfg.dt)
         integrate = sh.integrate
     else:
         params = br.BrusselatorParams(A=cfg.A, B=cfg.B, d1=cfg.d1, d2=cfg.d2)
         u, v = _bruss_initial_fields(cfg, active, params)
-        state = br.make_bruss_state(
-            u, v, params, dt=cfg.dt, dealias=cfg.dealias, scheme=cfg.scheme
-        )
+        state = br.make_bruss_state(u, v, params, dt=cfg.dt, scheme=cfg.scheme)
         integrate = br.bruss_integrate
     try:
         final, traj = integrate(

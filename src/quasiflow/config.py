@@ -37,6 +37,7 @@ class RunConfig:
     N: int = 3
     dt: float = 0.01
     scheme: str = "etdrk2"
+    # kept readable for older configs and snapshots; 2 is the only value
     dealias: int = 2
     ic: str = "quasicrystal"
     ic_amplitude: float = 0.5
@@ -70,8 +71,9 @@ class RunConfig:
             raise BadValue("dt must be positive")
         if self.N < 0:
             raise BadValue("N must be nonnegative")
-        if self.dealias < 2:
-            raise BadValue("dealias factor below 2 cannot clear cubic aliasing")
+        if self.dealias != 2:
+            # products are always computed on the smallest alias-free grid
+            raise BadValue(f"dealias = {self.dealias} is not supported; the only value is 2")
         if not (0 < self.ic_amplitude <= 1) and self.equation == "sh" \
                 and self.ic == "quasicrystal":
             raise BadValue("ic_amplitude must lie in (0, 1] for the pattern seed")

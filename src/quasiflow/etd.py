@@ -6,8 +6,9 @@ object, which provides
 - ``ncomp``, the number of components;
 - ``linear_block(active)``, the per-mode linear operator L as a ``LowerTri``:
   diagonal for one component, lower-triangular 2x2 for two;
-- ``nonlinear(coeffs, active, pad)``, the coefficients of N(u), stacked as
-  ``(ncomp, nmodes)`` like the state's;
+- ``nonlinear(coeffs, active)``, the coefficients of N(u), stacked as
+  ``(ncomp, nmodes)`` like the state's, computed on the active set's
+  smallest alias-free grid;
 - ``energy(coeffs, linear, nonlinear)``, the descent functional recorded in
   diagnostics, given the coefficients and the pair ``(L a, N(a))`` that
   ``EtdState.terms`` returns, so it needs no grid synthesis of its own.
@@ -25,9 +26,10 @@ that cancel only to round-off.
 Every ETDRK stage starts from the rates at a_n, so a state memoizes its pair
 (L a, N(a)) (``EtdState.terms``): a diagnostics record and the step that
 follows it share one nonlinear evaluation, and a recorded ETDRK2 step pays
-two instead of three.  The memo is keyed on the coefficient array object and
-the pad factor, and a state's coefficients are never mutated in place; a
-stepped state starts with an empty memo.
+two instead of three.  The memo is keyed on the coefficient array, params
+and active set objects, and a state's coefficients are never mutated in
+place; a stepped state starts with an empty memo.  The ETD tables are
+memoized the same way, keyed on params, active set, dt and scheme.
 
 One family phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j, with phi_0 = exp, drives
 the steppers.  Away from zero the closed forms built on expm1 are stable;
@@ -140,19 +142,16 @@ def divided_difference(j: int, x, y):
 
 @dataclass(frozen=True)
 class StepperConfig:
-    """Scheme, step and dealiasing pad factor of a run."""
+    """Scheme and step of a run."""
 
     scheme: str = "etdrk2"
     dt: float = 0.01
-    dealias: int = 2
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}")
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
-        if self.dealias < 2:
-            raise ValueError("pad factor below 2 cannot clear cubic aliasing")
 
 
 @dataclass(frozen=True)
@@ -225,33 +224,38 @@ class EtdState:
     params: object
     stepper: StepperConfig
     step_index: int = 0
-    _tables: EtdTables | None = None
-    _terms: tuple | None = None
+    _tables: tuple | None = None  # (params, active, EtdTables)
+    _terms: tuple | None = None  # (params, active, coeffs, (L a, N(a)))
+
+    def _holds(self, memo) -> bool:
+        """Whether a memo was filled for this state's params and active set."""
+        return memo is not None and memo[0] is self.params and memo[1] is self.active
 
     def tables(self) -> EtdTables:
-        if self._tables is None or self._tables.dt != self.stepper.dt \
-                or self._tables.scheme != self.stepper.scheme:
-            self._tables = EtdTables(self.params.linear_block(self.active), self.stepper)
-        return self._tables
+        """The ETD tables, memoized on params, active set, dt and scheme."""
+        memo = self._tables
+        if not self._holds(memo) or memo[2].dt != self.stepper.dt \
+                or memo[2].scheme != self.stepper.scheme:
+            tab = EtdTables(self.params.linear_block(self.active), self.stepper)
+            self._tables = memo = (self.params, self.active, tab)
+        return memo[2]
 
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
         """(L a, N(a)); their sum is the time derivative of the coefficients.
 
-        The pair is memoized on the state, keyed on the coefficient array
-        object itself (not its id, which a freed array can pass on) and on
-        the pad factor, so a ``replace`` with new coefficients or a new
-        ``dealias`` recomputes it, while a new dt or scheme keeps it.  The
-        key holds only if coefficients are never mutated in place: every
-        update builds a new array.  Like the tables, it takes ``params`` and
-        ``active`` as fixed for the state's lifetime.
+        The pair is memoized on the state, keyed on the coefficient array,
+        params and active set objects themselves (not their ids, which a
+        freed object can pass on), so a ``replace`` with any of them new
+        recomputes it, while a new dt or scheme keeps it.  The key holds only
+        if coefficients are never mutated in place: every update builds a
+        new array.
         """
-        pad = self.stepper.dealias
         memo = self._terms
-        if memo is None or memo[0] is not self.coeffs or memo[1] != pad:
+        if not self._holds(memo) or memo[2] is not self.coeffs:
             pair = (self.params.linear_block(self.active) @ self.coeffs,
-                    self.params.nonlinear(self.coeffs, self.active, pad))
-            self._terms = memo = (self.coeffs, pad, pair)
-        return memo[2]
+                    self.params.nonlinear(self.coeffs, self.active))
+            self._terms = memo = (self.params, self.active, self.coeffs, pair)
+        return memo[3]
 
 
 def step(state: EtdState, dt: float | None = None) -> EtdState:
@@ -265,10 +269,9 @@ def step(state: EtdState, dt: float | None = None) -> EtdState:
     tab = state.tables()
     act = state.active
     a = state.coeffs
-    pad = state.stepper.dealias
 
     def nonlinear(coeffs):
-        return state.params.nonlinear(coeffs, act, pad)
+        return state.params.nonlinear(coeffs, act)
 
     # overflow surfaces as the explicit NonFiniteState below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):

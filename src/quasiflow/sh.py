@@ -41,17 +41,18 @@ class SHParams:
     def linear_block(self, active: ActiveModeSet) -> LowerTri:
         return LowerTri(sigma_array(active, self.lam)[None])
 
-    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet, pad: int = 2) -> np.ndarray:
-        u = active.grid_values(coeffs, pad_factor=pad)
+    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet) -> np.ndarray:
+        u = active.grid_values(coeffs)
         return -active.coefficients_from_grid(u * u * u)
 
     def energy(self, coeffs: np.ndarray, linear: np.ndarray, nonlinear: np.ndarray) -> float:
         """0.5|(lap+1)u|^2 - 0.5*lam*|u|^2 + 0.25*mean(u^4), from L a and N(a).
 
         The quadratic part is -Re<a, L a>/2.  The quartic part is
-        -Re<a, N(a)>/4 by Parseval, exactly: on a grid padded by 2 or more
-        the retained coefficients of u^3 carry no aliasing, and the mean of
-        u^4 pairs only retained modes of u with those of u^3.
+        -Re<a, N(a)>/4 by Parseval, exactly: on a grid of G >= 4N+1 points
+        per axis, as N(a)'s product grid is, the retained coefficients of u^3
+        carry no aliasing, and the mean of u^4 pairs only retained modes of u
+        with those of u^3.
         """
         return float(-0.5 * np.vdot(coeffs, linear).real
                      - 0.25 * np.vdot(coeffs, nonlinear).real)
@@ -163,9 +164,14 @@ def make_state(
     t: float = 0.0,
     dealias: int = 2,
 ) -> SolverState:
-    """A state holding its own copy of the field's coefficients."""
+    """A state holding its own copy of the field's coefficients.
+
+    ``dealias`` is accepted only as 2, the value older configs carry:
+    products are always computed on the smallest alias-free grid.
+    """
+    if dealias != 2:
+        raise ValueError(f"dealias = {dealias} is not supported; the only value is 2")
     return SolverState(
-        field.active, field.coeffs[None].copy(), t, SHParams(lam),
-        StepperConfig(scheme, dt, dealias=dealias),
+        field.active, field.coeffs[None].copy(), t, SHParams(lam), StepperConfig(scheme, dt),
     )
 

@@ -88,7 +88,6 @@ def config_from_state(state) -> cfgmod.RunConfig:
         N=active.N,
         dt=state.stepper.dt,
         scheme=state.stepper.scheme,
-        dealias=state.stepper.dealias,
         **state.params.config_keys(),
     ).validate()
 
@@ -120,6 +119,9 @@ def _parse_manifest(text: str):
             meta[key] = raw
         else:
             config_lines.append(line)
+    missing = [key for key in ("active_count", "t", "step_index") if key not in meta]
+    if missing:
+        raise CorruptPayload(f"manifest lacks {', '.join(missing)}")
     cfg = cfgmod.parse_config("\n".join(config_lines))
     gen = np.array([generators[i] for i in sorted(generators)])
     return cfg, gen, int(meta["active_count"]), float(meta["t"]), int(meta["step_index"])
@@ -172,7 +174,7 @@ def read_snapshot(path):
         raise CorruptPayload(f"payload is not Hermitian (defect {defect:.3e})")
     state = state_type(
         active, coeffs, t, params,
-        StepperConfig(scheme=cfg.scheme, dt=cfg.dt, dealias=cfg.dealias),
+        StepperConfig(scheme=cfg.scheme, dt=cfg.dt),
         step_index=step_index,
     )
     return state, cfg

@@ -189,22 +189,26 @@ class TestStepper:
         off_v = np.sort(np.abs(fin.v_field.coeffs))[-2]
         assert max(off_u, off_v) == 0.0
 
-    def test_steady_state_fixed_at_a_long_step(self):
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_steady_state_fixed_at_a_long_step(self, N):
         # dt = 50 puts h L of the outer modes near -4000 against a diagonal
         # partner near -50: the coupling entry of the exponential table then
-        # needs the direct quotient of the divided difference
+        # needs the direct quotient of the divided difference.  Every N runs
+        # on another product grid (5, 9, 14 points per axis), on each of which
+        # the constant u^2 v must transform exactly
         mod = symmetry.generate_frequency_module(symmetry.build_holohedry("dihedral:12"))
-        act = ActiveModeSet(mod, 2)
+        act = ActiveModeSet(mod, N)
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         st = br.make_bruss_state(*br.steady_ic(act, p), p, dt=50.0)
         fin = br.bruss_step(st)
         assert np.max(np.abs(fin.coeffs - st.coeffs)) < 1e-12
 
-    def test_steady_state_fixed_at_a_long_step_etdrk4(self):
+    @pytest.mark.parametrize("N", [1, 2, 3])
+    def test_steady_state_fixed_at_a_long_step_etdrk4(self, N):
         # every ETDRK4 stage is the steady state plus phi-weighted rates that
         # vanish there, so no stage cancels large terms
         mod = symmetry.generate_frequency_module(symmetry.build_holohedry("dihedral:12"))
-        act = ActiveModeSet(mod, 2)
+        act = ActiveModeSet(mod, N)
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         st = br.make_bruss_state(*br.steady_ic(act, p), p, dt=50.0, scheme="etdrk4")
         fin = br.bruss_step(st)

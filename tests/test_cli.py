@@ -262,6 +262,17 @@ class TestRender:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_manifest_without_time(self, tmp_path, capsys):
+        snap = tmp_path / "s.qcs"
+        snapshots.write_snapshot(sh.make_state(sh.random_ic(_twelvefold(1), 0.1), 0.2), snap)
+        head, sep, payload = snap.read_bytes().partition(b"---\n")
+        head = b"\n".join(l for l in head.split(b"\n") if not l.startswith(b"t = "))
+        snap.write_bytes(head + sep + payload)
+        code = cli.main(["render", "--snapshot", str(snap), "--out", str(tmp_path / "f.pgm")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "lacks t" in err[0]
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):

@@ -111,10 +111,10 @@ class TestRecord:
 
         monkeypatch.setattr(ActiveModeSet, "grid_values", counting)
         diagnostics.record(st)
-        padded = (st.stepper.dealias * (2 * act12.N + 1),) * act12.rank
-        # the components are stacked: one padded call synthesizes all of them
-        padded_leads = [s[0] for s in shapes if s[1:] == padded]
-        assert padded_leads == [st.params.ncomp]
+        product = (act12.product_axis_points,) * act12.rank
+        # the components are stacked: one product-grid call synthesizes all of them
+        product_leads = [s[0] for s in shapes if s[1:] == product]
+        assert product_leads == [st.params.ncomp]
 
     def test_validation_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from quasiflow import brusselator as br
 from quasiflow import etd, sh, symmetry
-from quasiflow.hull import ActiveModeSet
+from quasiflow.hull import ActiveModeSet, HullField
 
 
 def phi_longdouble(j, z):
@@ -229,14 +229,14 @@ def act12():
     return ActiveModeSet(mod, 1)
 
 
-def fresh_state(active, equation, scheme, dealias=2):
+def fresh_state(active, equation, scheme, lam=0.1):
     """A new state off the fixed point, with an empty memo."""
     if equation == "sh":
-        return sh.make_state(sh.random_ic(active, 0.3, seed=5), lam=0.1, scheme=scheme,
-                             dt=0.05, dealias=dealias)
+        return sh.make_state(sh.random_ic(active, 0.3, seed=5), lam=lam, scheme=scheme,
+                             dt=0.05)
     p = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
     u, v = br.steady_plus_critical_ic(active, p, (1.0, -0.5), 0.05)
-    return br.make_bruss_state(u, v, p, dt=0.05, dealias=dealias, scheme=scheme)
+    return br.make_bruss_state(u, v, p, dt=0.05, scheme=scheme)
 
 
 def count_nonlinear(state, monkeypatch):
@@ -282,15 +282,31 @@ class TestTermsMemo:
         assert len(traj) == n + 1
         assert len(calls) == 1 + per_step * n
 
-    @pytest.mark.parametrize("equation", ["sh", "bruss"])
-    def test_new_pad_factor_recomputes(self, act12, equation):
-        state = fresh_state(act12, equation, "etdrk2")
-        _, n2 = state.terms()
-        padded = replace(state, stepper=replace(state.stepper, dealias=3))
-        la3, n3 = padded.terms()
-        ref_la, ref_n = fresh_state(act12, equation, "etdrk2", dealias=3).terms()
-        assert n3 is not n2
-        assert np.array_equal(la3, ref_la) and np.array_equal(n3, ref_n)
+    def test_new_params_recompute(self, act12):
+        state = fresh_state(act12, "sh", "etdrk2")
+        state.tables()
+        state.terms()
+        moved = replace(state, params=sh.SHParams(0.3))
+        ref = fresh_state(act12, "sh", "etdrk2", lam=0.3)
+        assert np.array_equal(moved.tables().hp1.diag, ref.tables().hp1.diag)
+        assert all(np.array_equal(x, y) for x, y in zip(moved.terms(), ref.terms()))
+
+    def test_new_active_set_recomputes(self, act12):
+        state = fresh_state(act12, "sh", "etdrk2")
+        state.tables()
+        state.terms()
+        # the same field on the N = 2 set: another L and another grid
+        other = ActiveModeSet(act12.module, 2)
+        c2 = np.zeros((1, len(other)), dtype=complex)
+        c2[0, [other.position(m) for m in act12.indices]] = state.coeffs[0]
+        moved = replace(state, active=other, coeffs=c2)
+        ref = sh.make_state(HullField(other, c2[0]), lam=0.1, dt=0.05)
+        assert np.array_equal(moved.tables().hp1.diag, ref.tables().hp1.diag)
+        assert all(np.array_equal(x, y) for x, y in zip(moved.terms(), ref.terms()))
+        # an equal set that is another object is not taken on trust
+        twin = replace(state, active=ActiveModeSet(act12.module, act12.N))
+        assert twin.tables() is not state.tables()
+        assert all(x is not y for x, y in zip(twin.terms(), state.terms()))
 
     @pytest.mark.parametrize("equation", ["sh", "bruss"])
     def test_new_coefficients_recompute(self, act12, equation):

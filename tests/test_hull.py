@@ -1,6 +1,7 @@
 """Truncated hull fields: mode sets, norms, products, condition checks."""
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -61,13 +62,13 @@ def as_dict(field):
 
 
 def grid_product(f, g):
-    """Retained coefficients of f*g from one product on the padded grid."""
+    """Retained coefficients of f*g from one product on the product grid."""
     return HullField(f.active, f.active.coefficients_from_grid(f.values() * g.values()))
 
 
-def cube(field, dealias=2):
+def cube(field):
     """Retained coefficients of u^3, from the Swift-Hohenberg N(u) = -u^3."""
-    n = sh.SHParams(0.2).nonlinear(field.coeffs[None], field.active, dealias)
+    n = sh.SHParams(0.2).nonlinear(field.coeffs[None], field.active)
     return HullField(field.active, -n[0])
 
 
@@ -76,9 +77,9 @@ def quartic_mean(field):
     return float(np.vdot(field.coeffs, cube(field).coeffs).real)
 
 
-def sh_energy(field, lam, dealias=2):
+def sh_energy(field, lam):
     """The recorded Swift-Hohenberg energy, from the state's (L a, N(a))."""
-    st = sh.make_state(field, lam, dealias=dealias)
+    st = sh.make_state(field, lam)
     return st.params.energy(st.coeffs, *st.terms())
 
 
@@ -347,9 +348,11 @@ class TestPointwiseProduct:
             f + g
 
     def test_insufficient_padding_rejected(self, act12):
+        # dealias survives only as the value 2; the grid is not a choice
         f = HullField.zeros(act12)
-        with pytest.raises(ValueError):
-            sh.make_state(f, 0.2, dealias=1)
+        for dealias in (1, 3):
+            with pytest.raises(ValueError, match="dealias"):
+                sh.make_state(f, 0.2, dealias=dealias)
 
     def test_quartic_mean(self, mod2):
         act = ActiveModeSet(mod2, 2)
@@ -360,7 +363,7 @@ class TestPointwiseProduct:
 
 class TestInnerProduct:
     def test_self_inner_is_norm_squared(self, act12):
-        # Parseval on the padded grid
+        # Parseval on the product grid
         f = random_hermitian(act12, 41)
         vals = f.values()
         assert np.isclose(np.mean(vals * vals), f.l2_norm() ** 2)
@@ -407,20 +410,22 @@ class TestEnergy:
         assert sh_energy(u, lam) >= 0.25 * (mass ** 2 - 2 * lam * mass) - 1e-10
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10_000), st.floats(-0.5, 1.0), st.sampled_from([2, 3]))
-    def test_matches_grid_quartic(self, mod4, seed, lam, dealias):
+    @given(st.integers(0, 10_000), st.floats(-0.5, 1.0))
+    def test_matches_grid_quartic(self, mod4, seed, lam):
         # oracle: the functional term by term, the quartic as a grid mean of
-        # u^4 on the padded grid, independent of N(a)
+        # u^4 on the product grid and on a finer 3(2N+1) grid, independent of
+        # N(a): both are exact for G >= 4N+1
         act = ActiveModeSet(mod4, 2)
         u = random_hermitian(act, seed)
         a2 = np.abs(u.coeffs) ** 2
-        terms = np.array([
-            0.5 * np.sum((1.0 - act.ksq) ** 2 * a2),
-            -0.5 * lam * np.sum(a2),
-            0.25 * np.mean(act.grid_values(u.coeffs, pad_factor=dealias) ** 4),
-        ])
-        got = sh_energy(u, lam, dealias)
-        assert abs(got - terms.sum()) <= 1e-12 * np.abs(terms).sum()
+        got = sh_energy(u, lam)
+        for G in (act.product_axis_points, 3 * (2 * act.N + 1)):
+            terms = np.array([
+                0.5 * np.sum((1.0 - act.ksq) ** 2 * a2),
+                -0.5 * lam * np.sum(a2),
+                0.25 * np.mean(act.grid_values(u.coeffs, G) ** 4),
+            ])
+            assert abs(got - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
 
 class TestEvaluatePhysical:
@@ -506,36 +511,51 @@ def complex_reference_coefficients(active, vals):
     return spec[(...,) + tuple((active.indices % G).T)]
 
 
-@pytest.fixture(scope="module", params=[("dihedral:12", 2), ("vertex", 1)],
-                ids=["rank4", "rank6"])
-def transform_set(request):
-    name, N = request.param
+# rank 4 and 6 as in battery checks 12a/12b; rank 8 is the whole 3^8 box
+TRANSFORM_SETS = {"rank4": ("dihedral:12", 2), "rank6": ("vertex", 1),
+                  "rank8": ("dihedral:16", 1)}
+
+
+@cache
+def transform_active(case):
+    name, N = TRANSFORM_SETS[case]
     if name == "vertex":
         k0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
         return ActiveModeSet(generate_frequency_module(build_holohedry("icosahedral"), k0), N)
     return ActiveModeSet(generate_frequency_module(build_holohedry(name)), N)
 
 
+# axis lengths: 2N+1 (no padding), 8, the product grid (the default), and 2
+# and 3 times 2N+1 (even, and odd above the product grid)
+TRANSFORM_GRIDS = {"exact": lambda N: 2 * N + 1, "eight": lambda N: 8,
+                   "product": lambda N: None, "pad2": lambda N: 2 * (2 * N + 1),
+                   "pad3": lambda N: 3 * (2 * N + 1)}
+# rank 8 only where three stacked complex reference grids stay small: 3^8
+# and 5^8 points
+TRANSFORM_CASES = [(case, grid) for case in ("rank4", "rank6") for grid in TRANSFORM_GRIDS] \
+    + [("rank8", "exact"), ("rank8", "product")]
+
+
 class TestRealTransforms:
-    """The half-spectrum transforms against numpy's complex ones."""
+    """The pruned half-spectrum transforms against numpy's complex ones."""
 
-    # odd (2N+1, pad 3) and even (8, pad 2) axis lengths
-    GRIDS = {"exact": {"pad_factor": 1}, "eight": {"axis_points": 8},
-             "pad2": {"pad_factor": 2}, "pad3": {"pad_factor": 3}}
-
-    @pytest.mark.parametrize("grid", list(GRIDS))
+    @pytest.mark.parametrize("case,grid", TRANSFORM_CASES,
+                             ids=[f"{case}-{grid}" for case, grid in TRANSFORM_CASES])
     @settings(max_examples=6, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1))
-    def test_match_complex_reference(self, transform_set, grid, seed):
-        act = transform_set
-        kw = self.GRIDS[grid]
+    def test_match_complex_reference(self, case, grid, seed):
+        act = transform_active(case)
+        kw = {"axis_points": TRANSFORM_GRIDS[grid](act.N)}
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(3, len(act))) + 1j * rng.normal(size=(3, len(act)))
         a = 0.5 * (raw + np.conj(raw[:, act.neg_perm]))
-        scale = np.abs(a).max()
+        # a grid value sums every mode, so its round-off grows like the square
+        # root of the mode count; the bound was set on at most 729 modes
+        scale = np.abs(a).max() * max(1.0, np.sqrt(len(act) / 729))
 
         vals = act.grid_values(a, **kw)
         G = vals.shape[-1]
+        assert G == (kw["axis_points"] or act.product_axis_points)
         assert vals.shape == (3,) + (G,) * act.rank and vals.dtype == float
         ref = complex_reference_grid(act, a, G)
         assert np.abs(ref.imag).max() <= 1e-13 * scale
@@ -548,15 +568,30 @@ class TestRealTransforms:
         assert np.array_equal(vals, np.stack([act.grid_values(c, **kw) for c in a]))
         assert np.array_equal(back, np.stack([act.coefficients_from_grid(v) for v in vals]))
 
+    def test_product_grid_is_the_smallest_seven_smooth_length(self, mod4):
+        # 4N+1 would be 13 and 17 at N = 3 and 4; prime lengths are slow
+        got = [ActiveModeSet(mod4, N).product_axis_points for N in range(1, 7)]
+        assert got == [5, 9, 14, 18, 21, 25]
+
+    def test_constant_grid_transforms_exactly(self, act12):
+        # 8.4 is the Brusselator steady state's u^2 v; an FFT of G^p copies
+        # can sum it one ulp off, which a long ETD step amplifies
+        for G in (5, 9, 14):
+            back = act12.coefficients_from_grid(np.full((2,) + (G,) * 4, 8.4))
+            assert np.all(back[:, act12.position([0, 0, 0, 0])] == 8.4)
+            assert np.count_nonzero(back) == 2
+
     def test_oversized_grid_refused(self, act12):
         u = random_hermitian(act12, 3)
         side = int(round((hull.MAX_GRID_BYTES / 8) ** 0.25)) + 1
         with pytest.raises(hull.TooLarge, match="MiB"):
             u.values(axis_points=side)
-        # 64^4 (the rank-4 torus_minmax default) and icosahedral N=3 fit;
-        # rank 8 at N=2 does not
+        # rank 8 at N = 2 would run on 9^8 points (344 MB per component)
+        rank8 = transform_active("rank8")
+        with pytest.raises(hull.TooLarge, match="9\\^8"):
+            rank8.grid_values(np.zeros(len(rank8), dtype=complex), 9)
+        # 64^4 (the rank-4 torus_minmax default) and icosahedral N=3 fit
         assert 8 * 64 ** 4 <= hull.MAX_GRID_BYTES and 8 * 14 ** 6 <= hull.MAX_GRID_BYTES
-        assert 8 * 10 ** 8 > hull.MAX_GRID_BYTES
 
 
 class TestSupportAndConditions:

@@ -66,7 +66,7 @@ class TestParams:
             SHParams(lam=-3.0)
 
     @pytest.mark.parametrize(
-        "bad", [{"scheme": "euler"}, {"dt": 0.0}, {"dt": -1.0}, {"dealias": 1}]
+        "bad", [{"scheme": "euler"}, {"dt": 0.0}, {"dt": -1.0}, {"dt": float("nan")}]
     )
     def test_stepper_config_rejects(self, bad):
         with pytest.raises(ValueError):

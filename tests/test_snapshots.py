@@ -65,15 +65,6 @@ class TestSnapshotRoundTrip:
         assert back.params == bruss_state.params
         assert cfg.equation == "brusselator"
 
-    def test_dealias_preserved(self, tmp_path, act12):
-        st = sh.make_state(sh.random_ic(act12, 0.1, seed=1), 0.2,
-                           dt=0.01, dealias=3)
-        path = tmp_path / "d.qcs"
-        write_snapshot(st, path)
-        back, cfg = read_snapshot(path)
-        assert back.stepper.dealias == 3
-        assert cfg.dealias == 3
-
     def test_no_temp_file_left(self, tmp_path, sh_state):
         write_snapshot(sh_state, tmp_path / "s.qcs")
         assert os.listdir(tmp_path) == ["s.qcs"]
@@ -185,6 +176,15 @@ class TestCorruption:
         pairs[2] += 1.0  # real part of mode 1; its partner is left alone
         (tmp_path / "t.qcs").write_bytes(head + sep + pairs.tobytes())
         with pytest.raises(CorruptPayload, match="not Hermitian"):
+            read_snapshot(tmp_path / "t.qcs")
+
+    @pytest.mark.parametrize("key", ["t", "step_index", "active_count"])
+    def test_missing_manifest_key(self, tmp_path, sh_state, key):
+        head, sep, payload = _written(tmp_path, sh_state).partition(b"---\n")
+        lines = [l for l in head.decode("ascii").splitlines()
+                 if not l.startswith(f"{key} = ")]
+        (tmp_path / "t.qcs").write_bytes("\n".join(lines).encode("ascii") + b"\n" + sep + payload)
+        with pytest.raises(CorruptPayload, match=f"lacks {key}"):
             read_snapshot(tmp_path / "t.qcs")
 
     def test_wrong_mode_count(self, tmp_path, sh_state):
