@@ -7,6 +7,7 @@ echo in an output directory reparseable and the run reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields
 
 from .etd import SCHEMES
@@ -102,17 +103,27 @@ _STR_KEYS = {"symmetry", "equation", "scheme", "output_dir"}
 _KNOWN = _INT_KEYS | _FLOAT_KEYS | _STR_KEYS | {"k0", "ic"}
 
 
+def _finite(raw: str) -> float:
+    # nan, +-inf and overflowing literals such as 1e400 are refused
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ValueError
+    return value
+
+
 def _parse_scalar(key: str, raw: str, lineno: int):
     try:
         if key in _INT_KEYS:
-            as_float = float(raw)
+            as_float = _finite(raw)
             if as_float != int(as_float):
                 raise ValueError
             return int(as_float)
         if key in _FLOAT_KEYS:
-            return float(raw)
+            return _finite(raw)
     except ValueError:
-        raise BadValue(f"line {lineno}: cannot parse {key} = {raw!r}") from None
+        kind = "integer" if key in _INT_KEYS else "number"
+        raise BadValue(f"line {lineno}: cannot parse {key} = {raw!r}; "
+                       f"expected a finite {kind}") from None
     return raw
 
 
@@ -131,11 +142,12 @@ def parse_config(text: str) -> RunConfig:
         if key == "k0":
             try:
                 parts = raw.replace(",", " ").split()
-                seen["k0"] = tuple(float(p) for p in parts)
+                seen["k0"] = tuple(_finite(p) for p in parts)
                 if not seen["k0"]:
                     raise ValueError
             except ValueError:
-                raise BadValue(f"line {lineno}: cannot parse k0 = {raw!r}") from None
+                raise BadValue(f"line {lineno}: cannot parse k0 = {raw!r}; "
+                               "expected finite numbers") from None
         elif key == "ic":
             if raw.startswith("file:"):
                 seen["ic"] = "file"

@@ -7,17 +7,16 @@ exact; closure under negation lets the Hermitian constraint a_{-m} =
 conj(a_m) keep field values real.
 
 Products of fields are evaluated pseudospectrally: ``grid_values`` synthesizes
-each factor on a uniform FFT grid, the product is taken pointwise there, and
+each factor on a uniform grid, the product is taken pointwise there, and
 ``coefficients_from_grid`` keeps its retained coefficients.  A cubic product
 has modes up to 3N, which alias onto a retained mode |m| <= N only when
 G <= 4N; so on any grid of G >= 4N+1 points per axis the retained
-coefficients carry no aliasing error at all.  The default grid,
-``product_axis_points``, is the smallest such G with no prime factor above 7
-(5, 9, 14, 18, 21, 25 for N = 1..6).  The rule is made for FFTs, whose
-prime lengths such as 13 and 17 run markedly slower than 14 and 18; the
-matrix products below would not need it.  The equations' ``nonlinear``
-callbacks (``sh.SHParams``, ``brusselator.BrusselatorParams``) are the
-products the package computes.
+coefficients carry no aliasing error at all (Boyd, Chebyshev and Fourier
+Spectral Methods, 2001, ch. 11).  The default grid,
+``product_axis_points``, is the smallest of them, G = 4N+1 (5, 9, 13, 17,
+21, 25 for N = 1..6).  The equations' ``nonlinear`` callbacks
+(``sh.SHParams``, ``brusselator.BrusselatorParams``) are the products the
+package computes.
 
 Fields are real, so only the half spectrum whose last index is >= 0 is
 stored: an active mode with last index >= 0 has its own slot there, and every
@@ -32,10 +31,10 @@ wrapped entries.  Each axis step is one matrix product with a precomputed
 zero-padded FFT: at N = 2 a pocketfft ``irfft`` of the last axis took 0.12 ms
 where the product takes 0.03 ms.  Both act on the last p axes, so the
 components of a stacked ``(ncomp, nmodes)`` state go through one call, and
-both work on any G >= 2N+1.  ``coefficients_from_grid`` gives a constant grid's value back
-exactly, so a homogeneous steady state stays a fixed point on every grid.  A
-grid above ``MAX_GRID_BYTES`` per component is refused before it is
-allocated.
+both work on any G >= 2N+1, prime or not.  ``coefficients_from_grid`` gives
+a constant grid's value back exactly, so a homogeneous steady state stays a
+fixed point on every grid.  A grid above ``MAX_GRID_BYTES`` per component is
+refused before it is allocated.
 """
 
 from __future__ import annotations
@@ -50,8 +49,8 @@ from .symmetry import FrequencyModule, integer_box, module_points_in_ball
 HERMITIAN_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 EVAL_CHUNK = 4096  # physical points per block of plane waves
-# 256 MiB of float64 per component grid: 64^4 (134 MB) and icosahedral N=3
-# (14^6, 60 MB) fit; rank 8 at N=2 (9^8 points, 344 MB) does not
+# 256 MiB of float64 per component grid: 64^4 (128 MiB) and icosahedral N=3
+# (13^6, 37 MiB) fit; rank 8 at N=2 (9^8 points, 328 MiB) does not
 MAX_GRID_BYTES = 2 ** 28
 # pairwise products per stage of the brute-force convolution oracle
 MAX_PAIR_SUMS = 4_000_000
@@ -123,11 +122,8 @@ class ActiveModeSet:
         )
         self.neg_perm = self._find(-self.indices)
 
-        # the smallest 7-smooth length >= 4N+1 (see the module docstring)
-        G = 4 * self.N + 1
-        while not _seven_smooth(G):
-            G += 1
-        self.product_axis_points = G
+        # the smallest alias-free grid for cubic products (module docstring)
+        self.product_axis_points = 4 * self.N + 1
         # half-spectrum coefficient box: axes j < p-1 hold m_j mod 2N+1, the
         # last one m_{p-1} >= 0
         width = 2 * self.N + 1
@@ -253,13 +249,6 @@ class ActiveModeSet:
         out[..., self._zero] += first
         out[..., self._lower] = np.conj(out[..., self._partner])
         return out
-
-
-def _seven_smooth(n: int) -> bool:
-    for q in (2, 3, 5, 7):
-        while n % q == 0:
-            n //= q
-    return n == 1
 
 
 @dataclass

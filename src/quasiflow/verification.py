@@ -26,9 +26,11 @@ from .hull import (
     convolve_direct,
     l1_hs_bound_constant,
 )
-from .symmetry import build_holohedry, generate_frequency_module
+from .symmetry import GOLDEN, build_holohedry, generate_frequency_module
 
-GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
+# seed on an icosahedral vertex axis: its orbit is the 12-element vertex set
+# whose integer span has rank 6
+VERTEX_K0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
 DESK_N = 3
 DT = 0.01
 
@@ -39,10 +41,7 @@ def _twelvefold_active(N: int = DESK_N) -> ActiveModeSet:
 
 
 def _icosahedral_vertex_active(N: int = 1) -> ActiveModeSet:
-    # seed on a vertex axis: its orbit is the 12-element vertex set whose
-    # integer span has rank 6
-    k0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
-    module = generate_frequency_module(build_holohedry("icosahedral"), k0)
+    module = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
     return ActiveModeSet(module, N)
 
 
@@ -304,9 +303,7 @@ def run_all(progress=None) -> list:
     for name in ("dihedral:8", "dihedral:12", "icosahedral"):
         hol = build_holohedry(name)
         mod = generate_frequency_module(
-            hol, None if name != "icosahedral"
-            else np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
-        )
+            hol, VERTEX_K0 if name == "icosahedral" else None)
         reps = mod.integer_reps
         for i in range(hol.order):
             for j in range(hol.order):
@@ -320,10 +317,7 @@ def run_all(progress=None) -> list:
     for q in (8, 10, 12):
         m = generate_frequency_module(build_holohedry(f"dihedral:{q}"))
         witness_ok &= (not m.uniformly_discrete) and m.rank == 4
-    m = generate_frequency_module(
-        build_holohedry("icosahedral"),
-        np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2),
-    )
+    m = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
     witness_ok &= (not m.uniformly_discrete) and m.rank == 6
     ok16 = algebra_ok and witness_ok
     add(CheckReport("16-group-algebra", ok16, 0.0 if ok16 else 1.0, 0.0, 0.0))

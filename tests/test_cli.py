@@ -119,6 +119,16 @@ class TestSimulateSH:
         assert code == 1
         assert "dt" in capsys.readouterr().err
 
+    def test_infinite_horizon_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG + "T = inf\n")
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "T = 'inf'" in err[0]
+
     def test_blow_up_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SH_CFG + "dt = 100\nT = 1000\n")

@@ -85,12 +85,20 @@ class TestParse:
         with pytest.raises(BadValue, match="fast"):
             parse_config(MINIMAL + "dt = fast\n")
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "1e400"])
+    @pytest.mark.parametrize("key", sorted(config._INT_KEYS | config._FLOAT_KEYS))
+    def test_numeric_keys_refuse_non_finite(self, key, raw):
+        # 1e400 overflows to inf, which int() refuses with an OverflowError
+        with pytest.raises(BadValue, match=rf"line 4: .*{key} = .*finite"):
+            parse_config(MINIMAL + f"{key} = {raw}\n")
+
     @pytest.mark.parametrize("raw", ["1, 0, 0", "1 0 0", "1.0,0.0,0.0"])
     def test_k0_formats(self, raw):
         cfg = parse_config(MINIMAL + f"k0 = {raw}\n")
         assert cfg.k0 == (1.0, 0.0, 0.0)
 
-    @pytest.mark.parametrize("raw", ["", "a b", "1 two 3"])
+    @pytest.mark.parametrize("raw", ["", "a b", "1 two 3",
+                                     "nan 0", "1 inf", "-inf 0 0", "1e400 0"])
     def test_k0_garbage(self, raw):
         with pytest.raises(BadValue, match="k0"):
             parse_config(MINIMAL + f"k0 = {raw}\n")

@@ -21,7 +21,8 @@ from quasiflow.hull import (
     l1_hs_bound_constant,
     render_image,
 )
-from quasiflow.symmetry import GOLDEN, build_holohedry, generate_frequency_module, integer_box
+from quasiflow.symmetry import build_holohedry, generate_frequency_module, integer_box
+from quasiflow.verification import VERTEX_K0
 
 
 @pytest.fixture(scope="module")
@@ -102,8 +103,7 @@ ACTIVE_CASES = (
 def active_case(request):
     name, N = request.param
     if name == "vertex":
-        k0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
-        module = generate_frequency_module(build_holohedry("icosahedral"), k0)
+        module = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
     else:
         module = generate_frequency_module(build_holohedry(name))
     return ActiveModeSet(module, N)
@@ -512,16 +512,17 @@ def complex_reference_coefficients(active, vals):
 
 
 # rank 4 and 6 as in battery checks 12a/12b; rank 8 is the whole 3^8 box
-TRANSFORM_SETS = {"rank4": ("dihedral:12", 2), "rank6": ("vertex", 1),
-                  "rank8": ("dihedral:16", 1)}
+# plus twelvefold N = 3, whose product grid G = 13 is prime
+TRANSFORM_SETS = {"rank4": ("dihedral:12", 2), "rank4-N3": ("dihedral:12", 3),
+                  "rank6": ("vertex", 1), "rank8": ("dihedral:16", 1)}
 
 
 @cache
 def transform_active(case):
     name, N = TRANSFORM_SETS[case]
     if name == "vertex":
-        k0 = np.array([0.0, 1.0, GOLDEN]) / np.sqrt(1.0 + GOLDEN ** 2)
-        return ActiveModeSet(generate_frequency_module(build_holohedry("icosahedral"), k0), N)
+        module = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
+        return ActiveModeSet(module, N)
     return ActiveModeSet(generate_frequency_module(build_holohedry(name)), N)
 
 
@@ -533,7 +534,7 @@ TRANSFORM_GRIDS = {"exact": lambda N: 2 * N + 1, "eight": lambda N: 8,
 # rank 8 only where three stacked complex reference grids stay small: 3^8
 # and 5^8 points
 TRANSFORM_CASES = [(case, grid) for case in ("rank4", "rank6") for grid in TRANSFORM_GRIDS] \
-    + [("rank8", "exact"), ("rank8", "product")]
+    + [("rank4-N3", "product"), ("rank8", "exact"), ("rank8", "product")]
 
 
 class TestRealTransforms:
@@ -568,15 +569,15 @@ class TestRealTransforms:
         assert np.array_equal(vals, np.stack([act.grid_values(c, **kw) for c in a]))
         assert np.array_equal(back, np.stack([act.coefficients_from_grid(v) for v in vals]))
 
-    def test_product_grid_is_the_smallest_seven_smooth_length(self, mod4):
-        # 4N+1 would be 13 and 17 at N = 3 and 4; prime lengths are slow
-        got = [ActiveModeSet(mod4, N).product_axis_points for N in range(1, 7)]
-        assert got == [5, 9, 14, 18, 21, 25]
+    def test_product_grid_is_4n_plus_1(self, mod4):
+        # the smallest alias-free grid for cubic products, prime or not
+        got = [ActiveModeSet(mod4, N).product_axis_points for N in range(7)]
+        assert got == [1, 5, 9, 13, 17, 21, 25]
 
     def test_constant_grid_transforms_exactly(self, act12):
         # 8.4 is the Brusselator steady state's u^2 v; an FFT of G^p copies
         # can sum it one ulp off, which a long ETD step amplifies
-        for G in (5, 9, 14):
+        for G in (5, 9, 13, 14):
             back = act12.coefficients_from_grid(np.full((2,) + (G,) * 4, 8.4))
             assert np.all(back[:, act12.position([0, 0, 0, 0])] == 8.4)
             assert np.count_nonzero(back) == 2
@@ -586,12 +587,12 @@ class TestRealTransforms:
         side = int(round((hull.MAX_GRID_BYTES / 8) ** 0.25)) + 1
         with pytest.raises(hull.TooLarge, match="MiB"):
             u.values(axis_points=side)
-        # rank 8 at N = 2 would run on 9^8 points (344 MB per component)
+        # rank 8 at N = 2 would run on 9^8 points (328 MiB per component)
         rank8 = transform_active("rank8")
         with pytest.raises(hull.TooLarge, match="9\\^8"):
             rank8.grid_values(np.zeros(len(rank8), dtype=complex), 9)
         # 64^4 (the rank-4 torus_minmax default) and icosahedral N=3 fit
-        assert 8 * 64 ** 4 <= hull.MAX_GRID_BYTES and 8 * 14 ** 6 <= hull.MAX_GRID_BYTES
+        assert 8 * 64 ** 4 <= hull.MAX_GRID_BYTES and 8 * 13 ** 6 <= hull.MAX_GRID_BYTES
 
 
 class TestSupportAndConditions:
