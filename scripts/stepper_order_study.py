@@ -46,7 +46,7 @@ def main():
         ("brusselator", br.make_bruss_state(*bruss_ic, params, scheme="etdrk4")),
     ):
         errs = dt_ladder(state, args.T, args.dts)
-        print(f"{equation} {state.stepper.scheme}:")
+        print(f"{equation} {state.scheme}:")
         prev = None
         for dt, err in zip(args.dts, errs):
             order = "" if prev is None else f"  order {np.log2(prev / err):.4f}"

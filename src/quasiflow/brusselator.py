@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import diagnostics, etd
-from .etd import LowerTri, StepperConfig
+from .etd import LowerTri
 from .hull import ActiveModeSet, HullField
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
@@ -230,9 +230,9 @@ class BrusselatorState(etd.EtdState):
         return HullField(self.active, self.coeffs[1])
 
 
-def bruss_step(state: BrusselatorState, dt: float | None = None) -> BrusselatorState:
-    """One exponential step of the state's scheme (see ``etd.step``)."""
-    return etd.step(state, dt)
+def bruss_step(state: BrusselatorState) -> BrusselatorState:
+    """One exponential step of the state's scheme and dt (see ``etd.step``)."""
+    return etd.step(state)
 
 
 def bruss_integrate(
@@ -290,15 +290,14 @@ def make_bruss_state(
     v: HullField,
     params: BrusselatorParams,
     dt: float = 0.01,
-    t: float = 0.0,
     dealias: int = 2,
     scheme: str = "etdrk2",
 ) -> BrusselatorState:
-    """A state stacking the two components; ``dealias`` as in ``sh.make_state``."""
+    """A state at t = 0 stacking the two components; the rest as in ``sh.make_state``."""
     if dealias != 2:
         raise ValueError(f"dealias = {dealias} is not supported; the only value is 2")
     if v.active is not u.active:
         raise ValueError("components must share one active mode set")
     return BrusselatorState(
-        u.active, np.stack((u.coeffs, v.coeffs)), t, params, StepperConfig(scheme, dt),
+        u.active, np.stack((u.coeffs, v.coeffs)), 0.0, params, scheme, dt,
     )

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hull import HullField
+from .hull import HullField, condition_iii_check
 from .symmetry import FrequencyModule
 
 DECAY_TOL = 1e-9
@@ -79,7 +79,6 @@ class DiagnosticsRecord:
 class Trajectory:
     records: list
     dt: float
-    s: float = 3.0
 
     def __len__(self):
         return len(self.records)
@@ -309,8 +308,6 @@ def classify_quasicrystal(field: HullField, eps_grid, M: float, r: float) -> Cla
     wavevector span.  Condition (iii) runs the covering check over the eps
     grid and reports the largest eps that passes.
     """
-    from .hull import condition_iii_check
-
     eps_grid = sorted(float(e) for e in eps_grid)
     mass = field.l1_norm()
 

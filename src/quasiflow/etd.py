@@ -16,6 +16,9 @@ object, which provides
 L is integrated exactly through its exponential and phi functions; N enters
 through the ETDRK2 or ETDRK4 combination (Cox & Matthews, J. Comput. Phys.
 176, 2002; Hochbruck & Ostermann, Acta Numerica 19, 2010), for either block.
+A step is fixed by L, N, the scheme and the step h, so an ``EtdState``
+carries its ``scheme`` and ``dt`` with its coefficients and params, and
+``step`` takes the state alone; another step size is ``replace(state, dt=h)``.
 
 The combinations are written in increment form: with e^{hL} = I + hL phi_1(hL)
 each stage is the current value plus phi-weighted rates L a + N, e.g. ETDRK2's
@@ -85,17 +88,18 @@ def sinhc(z):
     return np.where(small, series, np.sinh(safe) / safe)
 
 
-def _h_series_divided(x, y, j, terms=18):
+def _h_series_divided(x, y, j):
     """Divided difference of phi_j by its joint Taylor series.
 
     phi_j[x, y] = sum_m h_m(x, y)/(m + j + 1)! with h_m the complete
     homogeneous symmetric polynomials, generated by the two-variable
-    recurrence h_m = x*h_{m-1} + y^m.
+    recurrence h_m = x*h_{m-1} + y^m.  It is called for max(|x|, |y|) < 0.5,
+    where 18 terms are far past round-off.
     """
     h = np.ones_like(x)
     ypow = np.ones_like(x)
     out = h / math.factorial(j + 1)
-    for m in range(1, terms):
+    for m in range(1, 18):
         ypow = ypow * y
         h = x * h + ypow
         out += h / math.factorial(m + j + 1)
@@ -141,20 +145,6 @@ def divided_difference(j: int, x, y):
 
 
 @dataclass(frozen=True)
-class StepperConfig:
-    """Scheme and step of a run."""
-
-    scheme: str = "etdrk2"
-    dt: float = 0.01
-
-    def __post_init__(self):
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}")
-        if not (self.dt > 0):
-            raise ValueError("dt must be positive")
-
-
-@dataclass(frozen=True)
 class LowerTri:
     """Per-mode lower-triangular matrices acting on stacked coefficients.
 
@@ -190,7 +180,7 @@ class LowerTri:
 
 
 class EtdTables:
-    """Per-run stepper coefficients for a fixed (linear block, dt, scheme).
+    """Per-run stepper coefficients for a fixed (linear block, scheme, dt).
 
     Every table is a phi function of the block h L, or a linear combination
     of them, so it is a ``LowerTri`` applied like the linear block ``L``
@@ -198,12 +188,12 @@ class EtdTables:
     and f1 + 2 f2 + f3 = h phi_1(hL), which the increment form relies on.
     """
 
-    def __init__(self, linear: LowerTri, config: StepperConfig):
-        self.dt = h = config.dt
-        self.scheme = config.scheme
+    def __init__(self, linear: LowerTri, scheme: str, dt: float):
+        self.scheme = scheme
+        self.dt = h = dt
         self.L = linear
         z = h * linear
-        if config.scheme == "etdrk2":
+        if scheme == "etdrk2":
             self.hp1 = h * z.phi(1)
             self.hp2 = h * z.phi(2)
         else:
@@ -216,16 +206,28 @@ class EtdTables:
 
 @dataclass
 class EtdState:
-    """A semilinear system at time t: coefficients stacked (ncomp, nmodes)."""
+    """A semilinear system at time t: coefficients stacked (ncomp, nmodes).
+
+    The state carries the step that advances it, ``scheme`` (one of
+    ``SCHEMES``) and ``dt`` (> 0); both are checked on construction, so a
+    ``replace`` with a bad value raises ``ValueError`` too.
+    """
 
     active: ActiveModeSet
     coeffs: np.ndarray
     t: float
     params: object
-    stepper: StepperConfig
+    scheme: str
+    dt: float
     step_index: int = 0
     _tables: tuple | None = None  # (params, active, EtdTables)
     _terms: tuple | None = None  # (params, active, coeffs, (L a, N(a)))
+
+    def __post_init__(self):
+        if self.scheme not in SCHEMES:
+            raise ValueError(f"scheme must be one of {SCHEMES}")
+        if not (self.dt > 0):
+            raise ValueError("dt must be positive")
 
     def _holds(self, memo) -> bool:
         """Whether a memo was filled for this state's params and active set."""
@@ -234,9 +236,8 @@ class EtdState:
     def tables(self) -> EtdTables:
         """The ETD tables, memoized on params, active set, dt and scheme."""
         memo = self._tables
-        if not self._holds(memo) or memo[2].dt != self.stepper.dt \
-                or memo[2].scheme != self.stepper.scheme:
-            tab = EtdTables(self.params.linear_block(self.active), self.stepper)
+        if not self._holds(memo) or memo[2].dt != self.dt or memo[2].scheme != self.scheme:
+            tab = EtdTables(self.params.linear_block(self.active), self.scheme, self.dt)
             self._tables = memo = (self.params, self.active, tab)
         return memo[2]
 
@@ -258,14 +259,12 @@ class EtdState:
         return memo[3]
 
 
-def step(state: EtdState, dt: float | None = None) -> EtdState:
-    """One exponential time differencing step.
+def step(state: EtdState) -> EtdState:
+    """One exponential time differencing step of the state's scheme and dt.
 
     The linear factor is exact; Hermitian symmetry is reprojected after the
     update so round-off cannot accumulate a complex-valued drift.
     """
-    if dt is not None and dt != state.stepper.dt:
-        state = replace(state, stepper=replace(state.stepper, dt=dt))
     tab = state.tables()
     act = state.active
     a = state.coeffs
@@ -319,8 +318,8 @@ def integrate(
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
-    dt = state.stepper.dt
-    traj = diagnostics.Trajectory([], dt=dt, s=s)
+    dt = state.dt
+    traj = diagnostics.Trajectory([], dt=dt)
     n_steps = int(np.floor(T / dt + 1e-9))
     remainder = T - n_steps * dt
 
@@ -338,8 +337,7 @@ def integrate(
             if i % diag_every == 0 and i != n_steps:
                 grab(state)
         if remainder > 1e-12 * max(1.0, T):
-            state = step(state, dt=remainder)
-            state = replace(state, stepper=replace(state.stepper, dt=dt))
+            state = replace(step(replace(state, dt=remainder)), dt=dt)
         if state.step_index != start:
             grab(state)
     except NonFiniteState as exc:

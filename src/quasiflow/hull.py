@@ -102,6 +102,13 @@ class ActiveModeSet:
         self.N = int(N)
 
         p = module.rank
+        # the int64 index box is smaller than the (4N+1)^p product grid for
+        # N >= 1, so this refuses no set whose products fit
+        if (2 * self.N + 1) ** p * p * 8 > MAX_GRID_BYTES:
+            raise TooLarge(
+                f"the (2N+1)^{p} index box at N = {self.N} exceeds "
+                f"{MAX_GRID_BYTES / 2 ** 20:.0f} MiB"
+            )
         self._radix = (2 * self.N + 1) ** np.arange(p - 1, -1, -1, dtype=np.int64)
         box = integer_box(p, self.N)
         keep = np.ones(len(box), dtype=bool)

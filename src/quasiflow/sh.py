@@ -17,7 +17,7 @@ from typing import ClassVar
 import numpy as np
 
 from . import diagnostics, etd
-from .etd import LowerTri, StepperConfig
+from .etd import LowerTri
 from .hull import ActiveModeSet, HullField, TooLarge, convolve_direct
 
 DIRECT_PAIR_LIMIT = 10_000
@@ -93,9 +93,9 @@ class SolverState(etd.EtdState):
         return HullField(self.active, self.coeffs[0])
 
 
-def step(state: SolverState, dt: float | None = None) -> SolverState:
-    """One ETDRK2/ETDRK4 step (see ``etd.step``)."""
-    return etd.step(state, dt)
+def step(state: SolverState) -> SolverState:
+    """One ETDRK2/ETDRK4 step of the state's scheme and dt (see ``etd.step``)."""
+    return etd.step(state)
 
 
 def integrate(
@@ -161,17 +161,17 @@ def make_state(
     lam: float,
     scheme: str = "etdrk2",
     dt: float = 0.01,
-    t: float = 0.0,
     dealias: int = 2,
 ) -> SolverState:
-    """A state holding its own copy of the field's coefficients.
+    """A state at t = 0 holding its own copy of the field's coefficients.
 
+    The state carries ``scheme`` and ``dt``, which ``etd.EtdState`` checks.
     ``dealias`` is accepted only as 2, the value older configs carry:
     products are always computed on the smallest alias-free grid.
     """
     if dealias != 2:
         raise ValueError(f"dealias = {dealias} is not supported; the only value is 2")
     return SolverState(
-        field.active, field.coeffs[None].copy(), t, SHParams(lam), StepperConfig(scheme, dt),
+        field.active, field.coeffs[None].copy(), 0.0, SHParams(lam), scheme, dt,
     )
 

@@ -28,7 +28,6 @@ from . import brusselator as br
 from . import config as cfgmod
 from . import sh
 from .diagnostics import Trajectory
-from .etd import StepperConfig
 from .hull import HERMITIAN_TOL, ActiveModeSet, HullField, render_image
 from .symmetry import build_holohedry, generate_frequency_module
 
@@ -86,8 +85,8 @@ def config_from_state(state) -> cfgmod.RunConfig:
         T=0.0,
         k0=tuple(float(x) for x in module.k0),
         N=active.N,
-        dt=state.stepper.dt,
-        scheme=state.stepper.scheme,
+        dt=state.dt,
+        scheme=state.scheme,
         **state.params.config_keys(),
     ).validate()
 
@@ -172,11 +171,7 @@ def read_snapshot(path):
     defect = max(HullField(active, c).hermitian_defect() for c in coeffs)
     if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(coeffs))):
         raise CorruptPayload(f"payload is not Hermitian (defect {defect:.3e})")
-    state = state_type(
-        active, coeffs, t, params,
-        StepperConfig(scheme=cfg.scheme, dt=cfg.dt),
-        step_index=step_index,
-    )
+    state = state_type(active, coeffs, t, params, cfg.scheme, cfg.dt, step_index=step_index)
     return state, cfg
 
 

@@ -117,7 +117,7 @@ def _rotation_3d(axis: np.ndarray, theta: float) -> np.ndarray:
     return c * np.eye(3) + s * cross + (1.0 - c) * np.outer(axis, axis)
 
 
-def _close_under_products(generators: list[np.ndarray], max_order: int = 200):
+def _close_under_products(generators: list[np.ndarray]):
     """Generate a finite matrix group from generators (identity included).
 
     Breadth first: each level multiplies the new elements by every generator
@@ -131,7 +131,7 @@ def _close_under_products(generators: list[np.ndarray], max_order: int = 200):
         pool = np.concatenate([group, cand])
         frontier = cand[_first_match(cand, pool) == len(group) + np.arange(len(cand))]
         group = np.concatenate([group, frontier])
-        if len(group) > max_order:
+        if len(group) > 200:  # well past the 60 icosahedral rotations
             raise ValueError("group generation did not terminate")
     return group
 

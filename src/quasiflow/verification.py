@@ -40,9 +40,9 @@ def _twelvefold_active(N: int = DESK_N) -> ActiveModeSet:
     return ActiveModeSet(module, N)
 
 
-def _icosahedral_vertex_active(N: int = 1) -> ActiveModeSet:
+def _icosahedral_vertex_active() -> ActiveModeSet:
     module = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
-    return ActiveModeSet(module, N)
+    return ActiveModeSet(module, 1)
 
 
 def _orbit_field(active: ActiveModeSet, l2_target: float) -> HullField:
@@ -54,9 +54,9 @@ def _orbit_field(active: ActiveModeSet, l2_target: float) -> HullField:
     return f
 
 
-def _pass_report(name: str, value: float, note_t: float = 0.0) -> CheckReport:
+def _pass_report(name: str, value: float) -> CheckReport:
     """A reported-but-not-asserted quantity; tolerance infinite by design."""
-    return CheckReport(name, True, float(value), note_t, np.inf)
+    return CheckReport(name, True, float(value), 0.0, np.inf)
 
 
 def dt_ladder(state: etd.EtdState, T: float, dts) -> list[float]:
@@ -67,8 +67,7 @@ def dt_ladder(state: etd.EtdState, T: float, dts) -> list[float]:
     final coefficients from the reference's.
     """
     def final(dt):
-        st = replace(state, stepper=replace(state.stepper, dt=dt))
-        fin, _ = etd.integrate(st, T, etd.step, diag_every=10 ** 9)
+        fin, _ = etd.integrate(replace(state, dt=dt), T, etd.step, diag_every=10 ** 9)
         return fin.coeffs
 
     ref = final(min(dts) / 64)
@@ -88,7 +87,7 @@ def growth_rate(state: etd.EtdState, T: float, t_fit: float) -> float:
     e0[0] = 1
     i = state.active.position(e0)
     ts, amps = [state.t], [abs(state.coeffs[0, i])]
-    for k in range(1, int(np.floor(T / state.stepper.dt + 1e-9)) + 1):
+    for k in range(1, int(np.floor(T / state.dt + 1e-9)) + 1):
         state = etd.step(state)
         if k % 10 == 0:
             ts.append(state.t)

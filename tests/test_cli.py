@@ -129,6 +129,16 @@ class TestSimulateSH:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "T = 'inf'" in err[0]
 
+    def test_huge_truncation_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG + "N = 1000000000000\n")
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "index box" in err[0]
+
     def test_blow_up_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SH_CFG + "dt = 100\nT = 1000\n")
@@ -170,7 +180,7 @@ class TestSimulateBruss:
         assert code == 0
         assert parse_config((out / "config.txt").read_text()).scheme == "etdrk4"
         state, snap_cfg = snapshots.read_snapshot(out / "final.qcs")
-        assert state.stepper.scheme == snap_cfg.scheme == "etdrk4"
+        assert state.scheme == snap_cfg.scheme == "etdrk4"
         assert state.step_index == 20
 
 

@@ -260,15 +260,15 @@ class TestTermsMemo:
     @pytest.mark.parametrize("equation,scheme", EQUATIONS)
     @pytest.mark.parametrize("T", [0.5, 0.53])
     def test_recorded_run_matches_plain_steps(self, act12, equation, scheme, T):
-        # T = 0.53 ends on a fractional step, taken through the dt override
+        # T = 0.53 ends on a fractional step, taken on a state with that dt
         fin, _ = etd.integrate(fresh_state(act12, equation, scheme), T, etd.step,
                                diag_every=1)
         state = fresh_state(act12, equation, scheme)
-        n = int(np.floor(T / state.stepper.dt + 1e-9))
+        n = int(np.floor(T / state.dt + 1e-9))
         for _ in range(n):
             state = etd.step(state)
-        if T != n * state.stepper.dt:
-            state = etd.step(state, dt=T - n * state.stepper.dt)
+        if T != n * state.dt:
+            state = etd.step(replace(state, dt=T - n * state.dt))
         assert np.array_equal(fin.coeffs, state.coeffs)
 
     @pytest.mark.parametrize("equation,scheme,per_step",
@@ -278,7 +278,7 @@ class TestTermsMemo:
         state = fresh_state(act12, equation, scheme)
         calls = count_nonlinear(state, monkeypatch)
         n = 6
-        _, traj = etd.integrate(state, n * state.stepper.dt, etd.step, diag_every=1)
+        _, traj = etd.integrate(state, n * state.dt, etd.step, diag_every=1)
         assert len(traj) == n + 1
         assert len(calls) == 1 + per_step * n
 
@@ -321,7 +321,7 @@ class TestTermsMemo:
         state = fresh_state(act12, "sh", "etdrk2")
         pair = state.terms()
         calls = count_nonlinear(state, monkeypatch)
-        shorter = replace(state, stepper=replace(state.stepper, dt=0.01, scheme="etdrk4"))
+        shorter = replace(state, dt=0.01, scheme="etdrk4")
         assert all(x is y for x, y in zip(shorter.terms(), pair))
         assert calls == []
 
@@ -329,7 +329,7 @@ class TestTermsMemo:
     def test_stepped_state_starts_empty(self, act12, equation, scheme):
         state = fresh_state(act12, equation, scheme)
         state.terms()
-        for stepped in (etd.step(state), etd.step(state, dt=0.02)):
+        for stepped in (etd.step(state), etd.step(replace(state, dt=0.02))):
             assert stepped._terms is None
             ref = replace(stepped, coeffs=stepped.coeffs.copy()).terms()
             assert all(np.array_equal(x, y) for x, y in zip(stepped.terms(), ref))

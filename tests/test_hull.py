@@ -113,6 +113,11 @@ class TestActiveModeSet:
     def test_single_mode_at_zero_truncation(self, mod12):
         assert len(ActiveModeSet(mod12, 0)) == 1
 
+    def test_oversized_index_box_refused(self, mod12):
+        # refused before the (2N+1)^4 box of int64 indices is allocated
+        with pytest.raises(hull.TooLarge, match="index box"):
+            ActiveModeSet(mod12, 10 ** 6)
+
     @pytest.mark.parametrize("N,count", [(1, 49), (2, 361), (3, 1369)])
     def test_twelvefold_counts(self, mod12, N, count):
         assert len(ActiveModeSet(mod12, N)) == count

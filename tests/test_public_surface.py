@@ -1,10 +1,13 @@
-"""No public name in the package is referenced only by the tests.
+"""No public name, and no parameter default, exists only for the tests.
 
 A public function, class, method or property that only tests reference is
 dead weight: the tests then check a helper nothing else runs.  References
 are names, attribute names, imported names and identifier-valued strings
 (the benchmark's tracer patches functions by name) in ``src/quasiflow``,
 ``scripts`` and ``perfbench``; a definition is not a reference to itself.
+
+Likewise a defaulted parameter that no call there passes is a knob with one
+value, which should be a constant.
 """
 
 import ast
@@ -12,6 +15,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "quasiflow"
+CALLERS = ("src/quasiflow", "scripts", "perfbench")
 
 # name -> why only tests may call it
 TEST_ONLY = {
@@ -54,7 +58,7 @@ def _referenced(*dirs):
 
 
 def _test_only():
-    outside = _referenced("src/quasiflow", "scripts", "perfbench")
+    outside = _referenced(*CALLERS)
     tests = _referenced("tests")
     return {
         (path, qual) for path, qual in _public_definitions()
@@ -75,3 +79,101 @@ def test_every_exception_is_still_test_only():
     # an exception that gained a caller elsewhere no longer needs its entry
     found = {qual.rpartition(".")[2] for _, qual in _test_only()}
     assert set(TEST_ONLY) <= found
+
+
+# (function, parameter) -> why only tests may pass it
+KNOB_TEST_ONLY = {
+    ("phi", "threshold"): (
+        "the tests move the series threshold to drive both branches of phi "
+        "on the same arguments"
+    ),
+}
+
+
+def _defaulted_parameters():
+    """(file, function, parameter, position) of every defaulted parameter.
+
+    The position counts the arguments a call writes before it, so a method's
+    ``self`` is not counted; a keyword-only parameter has position None.
+    ``__init__`` is called by its class's name.
+    """
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        methods = {id(f): cls.name for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for f in cls.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            args, offset = node.args, int(id(node) in methods)
+            name = methods[id(node)] if node.name == "__init__" else node.name
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield path.name, name, arg.arg, i - offset
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield path.name, name, arg.arg, None
+
+
+def _calls_and_values():
+    """Calls by callee name, and the names used otherwise: loaded as a value
+    (not called), imported under an alias, or written as a string outside
+    ``__all__``."""
+    calls, values = {}, set()
+    for d in CALLERS:
+        for path in sorted((ROOT / d).rglob("*.py")):
+            tree = ast.parse(path.read_text())
+            excluded = set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call):
+                    excluded.add(id(node.func))
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    calls.setdefault(name, []).append(node)
+                elif isinstance(node, ast.Assign) and any(
+                        getattr(t, "id", None) == "__all__" for t in node.targets):
+                    excluded.update(id(c) for c in ast.walk(node.value))
+            for node in ast.walk(tree):
+                if id(node) in excluded:
+                    continue
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    values.add(node.id)
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    values.add(node.attr)
+                elif isinstance(node, ast.alias) and node.asname:
+                    values.add(node.name.rpartition(".")[2])
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                    values.add(node.value)
+    return calls, values
+
+
+def _unpassed_knobs():
+    """(file, function, parameter) of defaults no call passes.
+
+    A function used otherwise than by a plain call, or called with ``*`` or
+    ``**`` anywhere, is skipped: its callers cannot be read off the calls.
+    """
+    calls, values = _calls_and_values()
+    found = set()
+    for path, func, param, pos in _defaulted_parameters():
+        sites = calls.get(func, [])
+        if func in values or any(
+                isinstance(a, ast.Starred) for c in sites for a in c.args) or any(
+                k.arg is None for c in sites for k in c.keywords):
+            continue
+        if not any(any(k.arg == param for k in c.keywords)
+                   or (pos is not None and len(c.args) > pos) for c in sites):
+            found.add((path, func, param))
+    return found
+
+
+def test_every_default_is_passed_by_some_caller():
+    offenders = sorted(
+        f"{path}: {func}({param})" for path, func, param in _unpassed_knobs()
+        if (func, param) not in KNOB_TEST_ONLY
+    )
+    assert offenders == []
+
+
+def test_every_knob_exception_is_still_unpassed():
+    found = {(func, param) for _, func, param in _unpassed_knobs()}
+    assert set(KNOB_TEST_ONLY) <= found

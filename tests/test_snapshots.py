@@ -50,8 +50,8 @@ class TestSnapshotRoundTrip:
         assert back.t == sh_state.t
         assert back.step_index == 3
         assert back.params.lam == 0.2
-        assert back.stepper.dt == 0.01
-        assert back.stepper.scheme == "etdrk2"
+        assert back.dt == 0.01
+        assert back.scheme == "etdrk2"
         assert cfg.symmetry == "dihedral:12"
         assert cfg.N == 1
 
