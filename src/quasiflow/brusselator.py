@@ -61,7 +61,7 @@ class BrusselatorParams:
         u, v = active.grid_values(coeffs)
         uuv = active.coefficients_from_grid(u * u * v)
         out = np.array((uuv, -uuv))
-        out[0, active.position(np.zeros(active.rank, dtype=int))] += self.A
+        out[0, active.zero_position] += self.A
         return out
 
     def energy(self, coeffs: np.ndarray, linear: np.ndarray, nonlinear: np.ndarray) -> float:

@@ -253,7 +253,9 @@ class EtdState:
         """
         memo = self._terms
         if not self._holds(memo) or memo[2] is not self.coeffs:
-            pair = (self.params.linear_block(self.active) @ self.coeffs,
+            tab = self._tables  # L is the same at every dt: any held tables serve
+            L = tab[2].L if self._holds(tab) else self.tables().L
+            pair = (L @ self.coeffs,
                     self.params.nonlinear(self.coeffs, self.active))
             self._terms = memo = (self.params, self.active, self.coeffs, pair)
         return memo[3]

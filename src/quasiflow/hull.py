@@ -22,14 +22,14 @@ Fields are real, so only the half spectrum whose last index is >= 0 is
 stored: an active mode with last index >= 0 has its own slot there, and every
 other mode is the conjugate of its partner -m.  The transforms are pruned
 (Markel, IEEE Trans. Audio Electroacoust. 19, 1971): the coefficients fill a
-box of (2N+1)^(p-1) (N+1) entries, and the inverse widens it one axis at a
+box of (N+1) (2N+1)^(p-1) entries, and the inverse widens it one axis at a
 time to G points, so no transform runs over columns that are all zero, and
-ends on the real last axis.  The forward transform narrows the grid the
-other way: the last axis to N+1 entries, then each other axis to its 2N+1
-wrapped entries.  Each axis step is one matrix product with a precomputed
-(G, 2N+1) DFT matrix.  With so few frequencies per axis this beats a
-zero-padded FFT: at N = 2 a pocketfft ``irfft`` of the last axis took 0.12 ms
-where the product takes 0.03 ms.  Both act on the last p axes, so the
+ends on the real half axis; the forward transform narrows it the other way.
+By sum factorisation (Orszag, J. Comput. Phys. 37, 1980; Deville, Fischer
+& Mund, High-Order Methods for Incompressible Fluid Flow, 2002) each axis
+step is one matrix product of the whole box, per component, with a
+precomputed (G, 2N+1) DFT matrix, which rotates the axes by one so that the
+next axis to contract takes its place.  Both act on the last p axes, so the
 components of a stacked ``(ncomp, nmodes)`` state go through one call, and
 both work on any G >= 2N+1, prime or not.  ``coefficients_from_grid`` gives
 a constant grid's value back exactly, so a homogeneous steady state stays a
@@ -131,18 +131,19 @@ class ActiveModeSet:
 
         # the smallest alias-free grid for cubic products (module docstring)
         self.product_axis_points = 4 * self.N + 1
-        # half-spectrum coefficient box: axes j < p-1 hold m_j mod 2N+1, the
-        # last one m_{p-1} >= 0
+        # flattened half-spectrum box: axis 0 holds m_{p-1} >= 0, the others
+        # m_j mod 2N+1.  A mode reads the slot of m or -m, whichever has
+        # m_{p-1} >= 0, conjugated for -m; an empty slot reads len(self)
         width = 2 * self.N + 1
-        self._box_shape = (width,) * (p - 1) + (self.N + 1,)
         last = self.indices[:, -1]
-        self._upper, self._lower = np.flatnonzero(last >= 0), np.flatnonzero(last < 0)
-        self._partner = self.neg_perm[self._lower]
-        slots = np.zeros(len(self._upper), dtype=np.int64)
+        half = np.where(last[:, None] < 0, -self.indices, self.indices)
+        self._gather = half[:, -1]
         for j in range(p - 1):
-            slots = slots * width + self.indices[self._upper, j] % width
-        self._slots = slots * (self.N + 1) + last[self._upper]
-        self._zero = self._find(np.zeros((1, p), dtype=np.int64))[0]
+            self._gather = self._gather * width + half[:, j] % width
+        self._sign = np.where(last < 0, -1.0, 1.0)
+        self._fill = np.full((self.N + 1) * width ** (p - 1), len(self))
+        self._fill[self._gather[last >= 0]] = np.flatnonzero(last >= 0)
+        self.zero_position = self._find(np.zeros((1, p), dtype=np.int64))[0]
         self._dft_cache: dict[int, tuple] = {}
 
     def _find(self, m: np.ndarray) -> np.ndarray:
@@ -178,13 +179,13 @@ class ActiveModeSet:
         """Pruned DFT matrices for a grid of G >= 2N+1 points per axis.
 
         Returns (G, inv, inv_last, fwd, fwd_last).  ``inv`` (G, 2N+1) takes
-        the frequencies m mod 2N+1 of one axis to its G grid points, and
-        ``fwd`` (2N+1, G) takes them back, unscaled.  The last axis holds
-        only m >= 0: ``inv_last`` (2(N+1), G) maps its interleaved real and
-        imaginary parts to real values, with the Hermitian partners folded
-        in, and ``fwd_last`` (G, 2(N+1)) maps real values to interleaved
-        coefficients, scaled by 1/G^p.  A grid above MAX_GRID_BYTES per
-        component is refused.
+        the frequencies m mod 2N+1 of one axis to its G grid points from the
+        left, and ``fwd`` (G, 2N+1) takes them back from the right, unscaled.
+        The last grid axis holds only m >= 0: ``inv_last`` (2(N+1), G) maps
+        its interleaved real and imaginary parts to real values, with the
+        Hermitian partners folded in, and ``fwd_last`` (G, 2(N+1)) maps real
+        values to interleaved coefficients, scaled by 1/G^p.  A grid above
+        MAX_GRID_BYTES per component is refused.
         """
         if axis_points is None:
             axis_points = self.product_axis_points
@@ -208,7 +209,7 @@ class ActiveModeSet:
             inv_last = np.stack((fold.real, -fold.imag), axis=1).reshape(2 * N + 2, G)
             fwd_last = np.stack((wave.real, -wave.imag), axis=2).reshape(G, 2 * N + 2) \
                 / G ** self.rank
-            hit = (G, inv, inv_last, inv.conj().T, fwd_last)
+            hit = (G, inv, inv_last, inv.conj(), fwd_last)
             self._dft_cache[G] = hit
         return hit
 
@@ -219,17 +220,17 @@ class ActiveModeSet:
         last index >= 0 are read, and the rest are taken to be their
         partners' conjugates.  Coefficients stacked ``(..., nmodes)`` give
         grids stacked ``(..., G, ..., G)``, all from one call.  The default
-        grid is ``product_axis_points`` per axis.
+        grid is ``product_axis_points`` per axis.  Each axis step is one
+        product that widens the box's last axis and rotates it to the front.
         """
         G, inv, inv_last, _, _ = self._transforms(axis_points)
         lead, p = coeffs.shape[:-1], self.rank
-        spec = np.zeros(lead + self._box_shape, dtype=complex)
-        spec.reshape(lead + (-1,))[..., self._slots] = coeffs[..., self._upper]
-        # widen one axis at a time, so no product runs over zero columns
-        for j in range(p - 1):
-            spec = inv @ spec.reshape(lead + (G ** j, 2 * self.N + 1, -1))
-        spec = spec.reshape(lead + (G,) * (p - 1) + (self.N + 1,))
-        return spec.view(float) @ inv_last
+        spec = np.concatenate((coeffs, np.zeros(lead + (1,), dtype=complex)), axis=-1)
+        spec = spec.take(self._fill, axis=-1)
+        for _ in range(p - 1):
+            spec = inv @ spec.reshape(lead + (-1, 2 * self.N + 1)).swapaxes(-1, -2)
+        vals = spec.reshape(-1, self.N + 1).view(float) @ inv_last  # all rows at once
+        return vals.reshape(lead + (G,) * p)
 
     def coefficients_from_grid(self, vals: np.ndarray) -> np.ndarray:
         """Retained coefficients of the trigonometric interpolant of vals.
@@ -247,14 +248,13 @@ class ActiveModeSet:
         # zero mode: a constant's transform is then exactly zero, where a sum
         # of G^p equal values can land one ulp off
         first = vals[(...,) + (0,) * p]
-        spec = ((vals - first[(...,) + (None,) * p]) @ fwd_last).view(complex)
-        # narrow one axis at a time, last grid axis first
-        for j in range(p - 2, -1, -1):
-            spec = fwd @ spec.reshape(lead + (G ** j, G, -1))
-        out = np.empty(lead + (len(self),), dtype=complex)
-        out[..., self._upper] = spec.reshape(lead + (-1,))[..., self._slots]
-        out[..., self._zero] += first
-        out[..., self._lower] = np.conj(out[..., self._partner])
+        spec = ((vals - first[(...,) + (None,) * p]).reshape(-1, G) @ fwd_last).view(complex)
+        # narrow the first grid axis and rotate it to the back, p-1 times
+        for _ in range(p - 1):
+            spec = spec.reshape(lead + (G, -1)).swapaxes(-1, -2) @ fwd
+        out = spec.reshape(lead + (-1,)).take(self._gather, axis=-1)
+        out.imag *= self._sign
+        out[..., self.zero_position] += first
         return out
 
 
@@ -347,12 +347,9 @@ class HullField:
 
     def symmetry_drift(self) -> float:
         """max over group elements and modes of |a_{gamma m} - a_m|."""
-        drift = 0.0
-        for perm in self.active.perms:
-            d = np.max(np.abs(self.coeffs[perm] - self.coeffs))
-            if d > drift:
-                drift = float(d)
-        return drift
+        diff = self.coeffs.take(self.active.perms)
+        diff -= self.coeffs
+        return float(np.abs(diff).max())
 
     def support_set(self, eps: float) -> np.ndarray:
         """Active indices with |a_m| > eps (rows)."""

@@ -282,6 +282,19 @@ class TestTermsMemo:
         assert len(traj) == n + 1
         assert len(calls) == 1 + per_step * n
 
+    @pytest.mark.parametrize("equation", ["sh", "bruss"])
+    def test_one_linear_block_per_dt(self, act12, monkeypatch, equation):
+        # a recorded run ending on a fractional step builds L for its dt and
+        # the remainder's tables, and every record reuses one of them
+        state = fresh_state(act12, equation, "etdrk2")
+        cls, calls = type(state.params), []
+        original = cls.linear_block
+        monkeypatch.setattr(cls, "linear_block",
+                            lambda self, active: calls.append(1) or original(self, active))
+        _, traj = etd.integrate(state, 0.53, etd.step, diag_every=1)
+        assert len(traj) == 11
+        assert len(calls) == 2
+
     def test_new_params_recompute(self, act12):
         state = fresh_state(act12, "sh", "etdrk2")
         state.tables()

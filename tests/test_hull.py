@@ -282,6 +282,12 @@ class TestSymmetrize:
         assert f.symmetry_drift() == pytest.approx(1.0)
         assert f.symmetrize().symmetry_drift() < 1e-15
 
+    def test_drift_equals_loop_over_group(self, act12):
+        # the max over group elements of the max over modes, one by one
+        f = random_hermitian(act12, 14).symmetrize() + 1e-13 * random_hermitian(act12, 15)
+        loop = max(np.abs(f.coeffs[perm] - f.coeffs).max() for perm in act12.perms)
+        assert f.symmetry_drift() == loop
+
 
 class TestPointwiseProduct:
     def test_cosine_square(self, mod2):
@@ -532,14 +538,16 @@ def transform_active(case):
 
 
 # axis lengths: 2N+1 (no padding), 8, the product grid (the default), and 2
-# and 3 times 2N+1 (even, and odd above the product grid)
+# and 3 times 2N+1 (even, and odd above the product grid); 4 is the even
+# grid of rank 8 at N = 1
 TRANSFORM_GRIDS = {"exact": lambda N: 2 * N + 1, "eight": lambda N: 8,
                    "product": lambda N: None, "pad2": lambda N: 2 * (2 * N + 1),
-                   "pad3": lambda N: 3 * (2 * N + 1)}
-# rank 8 only where three stacked complex reference grids stay small: 3^8
-# and 5^8 points
-TRANSFORM_CASES = [(case, grid) for case in ("rank4", "rank6") for grid in TRANSFORM_GRIDS] \
-    + [("rank4-N3", "product"), ("rank8", "exact"), ("rank8", "product")]
+                   "pad3": lambda N: 3 * (2 * N + 1), "four": lambda N: 4}
+# rank 8 only where three stacked complex reference grids stay small: 3^8,
+# 4^8 and 5^8 points
+TRANSFORM_CASES = [(case, grid) for case in ("rank4", "rank6")
+                   for grid in TRANSFORM_GRIDS if grid != "four"] \
+    + [("rank4-N3", "product")] + [("rank8", grid) for grid in ("exact", "four", "product")]
 
 
 class TestRealTransforms:
@@ -573,6 +581,30 @@ class TestRealTransforms:
 
         assert np.array_equal(vals, np.stack([act.grid_values(c, **kw) for c in a]))
         assert np.array_equal(back, np.stack([act.coefficients_from_grid(v) for v in vals]))
+
+    @pytest.mark.parametrize("case", ["rank4", "rank6", "rank8"])
+    def test_any_lead_shape_matches_single_calls(self, case):
+        # the axis rotation must keep every lead axis in place: a (2, 3)
+        # stack is bit-equal slice by slice, and an unstacked field matches
+        # the complex reference
+        act = transform_active(case)
+        rng = np.random.default_rng(7)
+        raw = rng.normal(size=(2, 3, len(act))) + 1j * rng.normal(size=(2, 3, len(act)))
+        a = 0.5 * (raw + np.conj(raw[..., act.neg_perm]))
+        vals = act.grid_values(a)
+        G = act.product_axis_points
+        assert vals.shape == (2, 3) + (G,) * act.rank and vals.dtype == float
+        back = act.coefficients_from_grid(vals)
+        assert back.shape == a.shape and back.dtype == complex
+        for i, j in np.ndindex(2, 3):
+            single = act.grid_values(a[i, j])
+            assert single.shape == (G,) * act.rank
+            assert np.array_equal(vals[i, j], single)
+            assert np.array_equal(back[i, j], act.coefficients_from_grid(single))
+        scale = np.abs(a[0, 0]).max() * max(1.0, np.sqrt(len(act) / 729))
+        ref = complex_reference_grid(act, a[0, 0], G)
+        assert np.abs(vals[0, 0] - ref.real).max() <= 1e-13 * scale
+        assert np.abs(back[0, 0] - a[0, 0]).max() <= 1e-13 * scale
 
     def test_product_grid_is_4n_plus_1(self, mod4):
         # the smallest alias-free grid for cubic products, prime or not
