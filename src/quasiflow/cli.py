@@ -29,19 +29,13 @@ def _build_active(cfg: cfgmod.RunConfig) -> ActiveModeSet:
 def _restart_coeffs(cfg: cfgmod.RunConfig, active: ActiveModeSet, equation: str):
     """The snapshot's stacked coefficients, refused unless it was run on ``active``.
 
-    The built sets are compared, not the config text: a snapshot written
-    without a config names its k0 explicitly where a run config may not.
+    ``read_snapshot`` compares the snapshot's module and N with the run's
+    set, not the config text: a snapshot written without a config names its
+    k0 explicitly where a run config may not.
     """
-    state, snap_cfg = snapshots.read_snapshot(cfg.ic_file)
+    state, snap_cfg = snapshots.read_snapshot(cfg.ic_file, active)
     if snap_cfg.equation != equation:
         raise cfgmod.BadValue(f"snapshot holds a {snap_cfg.equation} state, not {equation}")
-    snap = state.active
-    if not (np.array_equal(snap.module.generators, active.module.generators)
-            and np.array_equal(snap.indices, active.indices)):
-        raise cfgmod.BadValue(
-            f"snapshot's active set ({len(snap)} modes, N = {snap.N}) is not "
-            f"the run's ({len(active)} modes, N = {active.N})"
-        )
     return state.coeffs
 
 

@@ -54,6 +54,9 @@ EVAL_CHUNK = 4096  # physical points per block of plane waves
 MAX_GRID_BYTES = 2 ** 28
 # pairwise products per stage of the brute-force convolution oracle
 MAX_PAIR_SUMS = 4_000_000
+# float64 entries per block of the active-set build's products: 512 KiB stays
+# in cache, where 16 MiB blocks took twice as long
+BUILD_BLOCK = 2 ** 16
 
 
 class InactiveMode(KeyError):
@@ -93,6 +96,15 @@ class ActiveModeSet:
     index is kept when every integer representation maps it back into the
     box.  Indices are stored in key order; all derived arrays (wavevectors,
     group permutations, negation permutation) are aligned with that order.
+
+    A table of length (2N+1)^p holds each key's position in the set, or
+    len(self) for a box index that is not active; every lookup reads it.
+    Since key(g m) = m . (rep_g^T radix) + N sum(radix), the keys of all
+    images of all modes are one product of the (order, p) stack of
+    rep_g^T radix with the indices, and ``perms`` is that product read
+    through the table.  The keep mask is likewise one product of the box
+    with every representation side by side.  Both multiply small integers
+    in float64, which is exact, and run in blocks of BUILD_BLOCK entries.
     """
 
     def __init__(self, module: FrequencyModule, N: int):
@@ -111,22 +123,37 @@ class ActiveModeSet:
             )
         self._radix = (2 * self.N + 1) ** np.arange(p - 1, -1, -1, dtype=np.int64)
         box = integer_box(p, self.N)
-        keep = np.ones(len(box), dtype=bool)
-        for rep in module.integer_reps:
-            keep &= np.all(np.abs(box @ rep.T) <= self.N, axis=1)
+        reps = module.integer_reps
+        # column g p + i holds row i of rep g, so a box row times it is the
+        # row's image under every group element, side by side
+        side_by_side = reps.reshape(-1, p).T.astype(float)
+        keep = np.empty(len(box), dtype=bool)
+        rows = max(1, BUILD_BLOCK // side_by_side.shape[1])
+        # one buffer for every block: fresh blocks would each fault in anew
+        buf = np.empty((min(rows, len(box)), side_by_side.shape[1]))
+        for lo in range(0, len(box), rows):
+            part = box[lo:lo + rows].astype(float)
+            images = np.matmul(part, side_by_side, out=buf[:len(part)])
+            keep[lo:lo + rows] = np.abs(images, out=images).max(axis=1) <= self.N
         # one pass suffices: integer_reps is closed under products (check 16)
 
-        self.indices, self._keys = box[keep], np.flatnonzero(keep)
+        self.indices = box[keep]
         if self.N > 0 and len(self.indices) <= 1:
             raise EmptyActiveSet("symmetry reduction left only the zero mode; raise N")
+        self._table = np.full(len(box), len(self.indices), dtype=np.int64)
+        self._table[keep] = np.arange(len(self.indices))
         self.wavevectors = self.indices @ module.generators
         self.ksq = np.einsum("ij,ij->i", self.wavevectors, self.wavevectors)
         self.msq = np.einsum("ij,ij->i", self.indices, self.indices).astype(float)
 
-        self.perms = np.array(
-            [self._find(self.indices @ rep.T) for rep in module.integer_reps],
-            dtype=np.int64,
-        )
+        key_rows = (reps.transpose(0, 2, 1) @ self._radix).astype(float)
+        columns = self.indices.T.astype(float)
+        self.perms = np.empty((len(reps), len(self)), dtype=np.int64)
+        rows = max(1, BUILD_BLOCK // len(self))
+        for lo in range(0, len(reps), rows):
+            keys = key_rows[lo:lo + rows] @ columns
+            keys += self.N * self._radix.sum()
+            self.perms[lo:lo + rows] = self._table[keys.astype(np.int64)]
         self.neg_perm = self._find(-self.indices)
 
         # the smallest alias-free grid for cubic products (module docstring)
@@ -148,7 +175,7 @@ class ActiveModeSet:
 
     def _find(self, m: np.ndarray) -> np.ndarray:
         """Positions of indices known to be active."""
-        return np.searchsorted(self._keys, (m + self.N) @ self._radix)
+        return self._table[(m + self.N) @ self._radix]
 
     @property
     def rank(self) -> int:
@@ -161,13 +188,12 @@ class ActiveModeSet:
         return f"ActiveModeSet(N={self.N}, modes={len(self)}, p={self.rank})"
 
     def position(self, m) -> int:
-        # an index off the box has no key, so it cannot be active
+        # an index off the box, or with a fractional entry, has no key
         m = np.asarray(m)
-        if m.shape == (self.rank,) and np.abs(m).max() <= self.N:
-            key = (m + self.N) @ self._radix
-            i = int(self._keys.searchsorted(key))
-            if i < len(self) and self._keys[i] == key:
-                return i
+        if m.shape == (self.rank,) and np.abs(m).max() <= self.N and np.all(m % 1 == 0):
+            i = self._table[int((m + self.N) @ self._radix)]
+            if i < len(self):
+                return int(i)
         raise InactiveMode(f"mode {m.tolist()} is not in the active set")
 
     def orbit_positions(self, m) -> np.ndarray:

@@ -12,9 +12,11 @@ A snapshot is a text manifest followed by a raw binary payload:
     <little-endian float64 pairs, real then imaginary, one pair per active
      mode in lexicographic index order; two such blocks for two components>
 
-Coefficients survive the round trip bit-exactly because they never pass
-through decimal.  The module is rebuilt from the symmetry descriptor and
-seed wavevector, then cross-checked against the stored generator decimals.
+Coefficients survive the round trip bit-exactly, the sign of a zero
+included, because they never pass through decimal.  A reader without a set
+rebuilds the module from the symmetry descriptor and seed wavevector and
+cross-checks it against the stored generator decimals; a restart compares
+the manifest with the set its run has built instead.
 """
 
 from __future__ import annotations
@@ -126,8 +128,16 @@ def _parse_manifest(text: str):
     return cfg, gen, int(meta["active_count"]), float(meta["t"]), int(meta["step_index"])
 
 
-def read_snapshot(path):
-    """Rebuild the solver state; raises on version or consistency mismatch."""
+def read_snapshot(path, active: ActiveModeSet | None = None):
+    """Rebuild the solver state; raises on version or consistency mismatch.
+
+    Without ``active`` the frequency module and the active set are rebuilt
+    from the manifest.  A run that has built its set already passes it as
+    ``active``: the snapshot's holohedry, its stored generators (exactly)
+    and its N must then be the set's, or a ValueError says that the
+    snapshot's set is not the run's, and nothing is rebuilt.  Either way the
+    manifest's mode count and the payload are checked against the set.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     sep = data.find(_SEPARATOR)
@@ -138,20 +148,31 @@ def read_snapshot(path):
     )
     payload = data[sep + len(_SEPARATOR):]
 
-    module = generate_frequency_module(
-        build_holohedry(cfg.symmetry),
-        None if cfg.k0 is None else np.array(cfg.k0, dtype=float),
-    )
-    if gen.shape != module.generators.shape or not np.allclose(
-        gen, module.generators, atol=1e-12, rtol=0.0
-    ):
-        raise CorruptPayload(
-            "stored generators disagree with the rebuilt frequency module"
+    if active is None:
+        module = generate_frequency_module(
+            build_holohedry(cfg.symmetry),
+            None if cfg.k0 is None else np.array(cfg.k0, dtype=float),
         )
-    active = ActiveModeSet(module, cfg.N)
+        if gen.shape != module.generators.shape or not np.allclose(
+            gen, module.generators, atol=1e-12, rtol=0.0
+        ):
+            raise CorruptPayload(
+                "stored generators disagree with the rebuilt frequency module"
+            )
+        active = ActiveModeSet(module, cfg.N)
+    elif not (
+        np.array_equal(build_holohedry(cfg.symmetry).matrices,
+                       active.module.holohedry.matrices)
+        and np.array_equal(gen, active.module.generators)
+        and cfg.N == active.N
+    ):
+        raise ValueError(
+            f"snapshot's active set ({count} modes, N = {cfg.N}) is not "
+            f"the run's ({len(active)} modes, N = {active.N})"
+        )
     if len(active) != count:
         raise CorruptPayload(
-            f"manifest says {count} active modes, reconstruction has {len(active)}"
+            f"manifest says {count} active modes, the set has {len(active)}"
         )
     if cfg.equation == "brusselator":
         params = br.BrusselatorParams(A=cfg.A, B=cfg.B, d1=cfg.d1, d2=cfg.d2)
@@ -164,9 +185,9 @@ def read_snapshot(path):
         raise CorruptPayload(
             f"payload is {len(payload)} bytes, expected {expected}"
         )
-    pairs = np.frombuffer(payload, dtype="<f8").reshape(params.ncomp, count, 2)
-    coeffs = pairs[..., 0] + 1j * pairs[..., 1]
-    if not np.all(np.isfinite(pairs)):
+    # complex128 read straight from the pairs keeps the sign of a zero
+    coeffs = np.frombuffer(payload, dtype="<c16").reshape(params.ncomp, count).astype(complex)
+    if not np.all(np.isfinite(coeffs)):
         raise CorruptPayload("payload holds a non-finite coefficient")
     defect = max(HullField(active, c).hermitian_defect() for c in coeffs)
     if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(coeffs))):

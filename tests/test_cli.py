@@ -7,6 +7,7 @@ from quasiflow import brusselator as br
 from quasiflow import cli, sh, snapshots
 from quasiflow.hull import ActiveModeSet
 from quasiflow.symmetry import build_holohedry, generate_frequency_module
+from quasiflow.verification import VERTEX_K0
 
 SH_CFG = """\
 symmetry = dihedral:12
@@ -236,6 +237,54 @@ class TestRestart:
                          "--output", str(tmp_path / "run")])
         assert code == 1
         assert "361 modes" in capsys.readouterr().err
+
+    def test_one_active_set_per_restart(self, tmp_path, monkeypatch):
+        snap, _ = self._sh_snapshot(tmp_path)
+        cfg = self._restart_cfg(tmp_path, SH_CFG, "ic = quasicrystal", snap, 1)
+        builds = []
+        init = ActiveModeSet.__init__
+
+        def counted(self, *args):
+            builds.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(ActiveModeSet, "__init__", counted)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+        assert len(builds) == 1
+
+    @pytest.mark.parametrize("old,new", [
+        ("symmetry = dihedral:12", "symmetry = cyclic:12"),
+        ("symmetry = dihedral:12", f"symmetry = dihedral:12\nk0 = {np.cos(0.1):.17g} "
+                                   f"{np.sin(0.1):.17g}"),
+    ], ids=["holohedry", "k0"])
+    def test_other_module_refused(self, tmp_path, capsys, old, new):
+        snap, _ = self._sh_snapshot(tmp_path)
+        cfg = self._restart_cfg(tmp_path, SH_CFG.replace(old, new), "ic = quasicrystal",
+                                snap, 1)
+        out = tmp_path / "run"
+        code = cli.main(["simulate", "--config", str(cfg), "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: snapshot's active set (49 modes, N = 1) is not the run's")
+        assert err.count("\n") == 1
+        assert not (out / "final.qcs").exists()
+
+    def test_rank6_restart_continues(self, tmp_path):
+        module = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
+        state = sh.make_state(sh.random_ic(ActiveModeSet(module, 1), 0.1, seed=1), 0.2)
+        snap = tmp_path / "v1.qcs"
+        snapshots.write_snapshot(state, snap)
+        vertex = SH_CFG.replace(
+            "symmetry = dihedral:12",
+            "symmetry = icosahedral\nk0 = " + " ".join(f"{x:.17g}" for x in VERTEX_K0),
+        )
+        cfg = self._restart_cfg(tmp_path, vertex, "ic = quasicrystal", snap, 1)
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+        back, _ = snapshots.read_snapshot(out / "final.qcs")
+        want, _ = sh.integrate(state, 0.3)
+        assert back.coeffs.tobytes() == want.coeffs.tobytes()
 
 
 class TestTuring:

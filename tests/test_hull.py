@@ -91,11 +91,12 @@ def random_hermitian(active, seed, scale=0.5):
 
 
 # (holohedry, N); "vertex" is the icosahedral module seeded on a vertex
-# axis, the rank-6 module of battery check 12b
+# axis, the rank-6 module of battery check 12b; dihedral:16 has rank 8.
+# The dict oracles below take 7-9 s each at vertex N = 2, so it is left out
 ACTIVE_CASES = (
     [("dihedral:4", 2)]
     + [(f"dihedral:{n}", N) for n in (8, 10, 12) for N in (1, 2, 3)]
-    + [("vertex", 1)]
+    + [("vertex", 1), ("dihedral:16", 1)]
 )
 
 
@@ -174,6 +175,16 @@ class TestActiveModeSet:
             act12.position([1, 0, 0])
         with pytest.raises(InactiveMode):
             act12.position([[1, 0], [0, 0]])
+        with pytest.raises(InactiveMode):
+            act12.position([0.5, 0, 0, 0])
+        members = {tuple(m) for m in act12.indices}
+        outside = [m for m in integer_box(4, 1) if tuple(m) not in members]
+        assert outside
+        for m in outside:
+            with pytest.raises(InactiveMode):
+                act12.position(m)
+        act = ActiveModeSet(act12.module, 2)
+        assert act.position([1.0, 0, 0, 0]) == act.position([1, 0, 0, 0]) == 268
 
 
 class TestCoefficientAccess:

@@ -65,6 +65,24 @@ class TestSnapshotRoundTrip:
         assert back.params == bruss_state.params
         assert cfg.equation == "brusselator"
 
+    def test_signed_zeros_survive(self, tmp_path, act12):
+        # set_coefficient stores conj of the real steady values, so the zero
+        # mode's imaginary parts are -0.0; array_equal alone would miss them
+        p = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+        state = br.make_bruss_state(*br.steady_ic(act12, p), p)
+        assert np.signbit(state.coeffs.imag).any()
+        write_snapshot(state, tmp_path / "b.qcs")
+        back, _ = read_snapshot(tmp_path / "b.qcs")
+        assert back.coeffs.tobytes() == state.coeffs.tobytes()
+        assert back.coeffs.flags.writeable
+
+    def test_runs_set_is_reused(self, tmp_path, sh_state, act12):
+        write_snapshot(sh_state, tmp_path / "s.qcs")
+        rebuilt, _ = read_snapshot(tmp_path / "s.qcs")
+        reused, _ = read_snapshot(tmp_path / "s.qcs", act12)
+        assert reused.active is act12
+        assert reused.coeffs.tobytes() == rebuilt.coeffs.tobytes()
+
     def test_no_temp_file_left(self, tmp_path, sh_state):
         write_snapshot(sh_state, tmp_path / "s.qcs")
         assert os.listdir(tmp_path) == ["s.qcs"]
@@ -194,6 +212,44 @@ class TestCorruption:
         )
         with pytest.raises(CorruptPayload, match="active modes"):
             read_snapshot(tmp_path / "t.qcs")
+
+
+class TestReadWithTheRunsSet:
+    """``read_snapshot(path, active)`` checks the manifest against ``active``."""
+
+    @pytest.mark.parametrize("symmetry,k0,N", [
+        ("dihedral:12", None, 2), ("cyclic:12", None, 1), ("dihedral:8", None, 1),
+        ("dihedral:12", (np.cos(0.1), np.sin(0.1)), 1),
+    ], ids=["N", "holohedry", "order", "k0"])
+    def test_another_set_refused(self, tmp_path, sh_state, symmetry, k0, N):
+        write_snapshot(sh_state, tmp_path / "s.qcs")
+        module = generate_frequency_module(build_holohedry(symmetry),
+                                           None if k0 is None else np.array(k0))
+        with pytest.raises(ValueError, match=r"snapshot's active set \(49 modes, N = 1\) "
+                                             r"is not the run's"):
+            read_snapshot(tmp_path / "s.qcs", ActiveModeSet(module, N))
+
+    def test_tampered_mode_count(self, tmp_path, sh_state, act12):
+        data = _written(tmp_path, sh_state)
+        (tmp_path / "t.qcs").write_bytes(
+            data.replace(b"active_count = 49\n", b"active_count = 48\n", 1)
+        )
+        with pytest.raises(CorruptPayload, match="48 active modes"):
+            read_snapshot(tmp_path / "t.qcs", act12)
+
+    def test_payload_checks_still_run(self, tmp_path, sh_state, act12):
+        head, sep, payload = _written(tmp_path, sh_state).partition(b"---\n")
+        pairs = np.frombuffer(payload, dtype="<f8").copy()
+        (tmp_path / "short.qcs").write_bytes(head + sep + payload[:-8])
+        pairs[5] = np.nan
+        (tmp_path / "nan.qcs").write_bytes(head + sep + pairs.tobytes())
+        pairs[5] = 0.0
+        pairs[2] += 1.0
+        (tmp_path / "skew.qcs").write_bytes(head + sep + pairs.tobytes())
+        for name, match in [("short", "bytes, expected"), ("nan", "non-finite"),
+                            ("skew", "not Hermitian")]:
+            with pytest.raises(CorruptPayload, match=match):
+                read_snapshot(tmp_path / f"{name}.qcs", act12)
 
 
 class TestCSV:
