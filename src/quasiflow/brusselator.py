@@ -57,8 +57,8 @@ class BrusselatorParams:
             np.full_like(ksq, self.B),
         )
 
-    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet) -> np.ndarray:
-        u, v = active.grid_values(coeffs)
+    def nonlinear(self, grids: np.ndarray, active: ActiveModeSet) -> np.ndarray:
+        u, v = grids
         uuv = active.coefficients_from_grid(u * u * v)
         out = np.array((uuv, -uuv))
         out[0, active.zero_position] += self.A
@@ -165,6 +165,8 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     B_c = (1 + A*eta)^2 and k_c^2 = A/sqrt(d1 d2) are cross-checked against
     it to 1e-8 relative and returned.
     """
+    if not np.all(np.isfinite((A, d1, d2))):
+        raise ValueError("parameters must be finite")
     if min(A, d1, d2) <= 0:
         raise ValueError("parameters must be positive")
     eta = float(np.sqrt(d1 / d2))
@@ -278,11 +280,17 @@ def steady_plus_critical_ic(
 
 
 def positivity_check(state: BrusselatorState, grid_resolution: int | None = None) -> tuple[float, float]:
-    """(min u, min v) over the torus sample grid."""
-    return (
-        state.u_field.torus_minmax(grid_resolution)[0],
-        state.v_field.torus_minmax(grid_resolution)[0],
-    )
+    """Certified lower bounds on min u and min v over the whole torus.
+
+    A component's bound is its minimum on a G^p grid (the product grid by
+    default) less (pi/G) sum_m |a_m| |m|_1: every torus point lies within
+    pi/G of a node in each coordinate, and |dU/dtheta_j| <= sum_m |a_m| |m_j|.
+    """
+    grids = state.active.grid_values(state.coeffs, grid_resolution)
+    G = grids.shape[-1]
+    slope = np.abs(state.coeffs) @ np.abs(state.active.indices).sum(axis=1)
+    low = grids.reshape(len(grids), -1).min(axis=1) - np.pi / G * slope
+    return float(low[0]), float(low[1])
 
 
 def make_bruss_state(

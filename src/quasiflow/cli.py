@@ -17,7 +17,7 @@ from . import config as cfgmod
 from . import sh, snapshots
 from .diagnostics import NonFiniteState
 from .hull import ActiveModeSet, HullField
-from .symmetry import build_holohedry, generate_frequency_module
+from .symmetry import RelationSearchExhausted, build_holohedry, generate_frequency_module
 
 
 def _build_active(cfg: cfgmod.RunConfig) -> ActiveModeSet:
@@ -179,7 +179,8 @@ def main(argv=None) -> int:
             return _cmd_verify(args)
     except (cfgmod.BadValue, cfgmod.UnknownKey, OSError,
             snapshots.FormatVersionMismatch, snapshots.CorruptPayload,
-            ValueError, NonFiniteState) as exc:
+            ValueError, NonFiniteState, OverflowError, br.NoBracket,
+            RelationSearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     raise AssertionError("unreachable")

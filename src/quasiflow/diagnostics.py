@@ -94,19 +94,13 @@ class Trajectory:
         return self.column("t")
 
 
-def _monitor_axis_points(rank: int) -> int:
-    # In-loop extrema are monitors, recorded possibly every step; a coarse
-    # sample keeps the cost linear in the mode count.  Checks that need the
-    # full-resolution sup norm call torus_minmax on the final state directly.
-    return 64 if rank <= 2 else 8
-
-
 def record(state, s: float = 3.0) -> DiagnosticsRecord:
     """Snapshot a solver state; safe to call repeatedly.
 
     The record may fill the state's (L a, N(a)) memo (``EtdState.terms``),
     which the next step then reuses; filling it changes neither the
-    coefficients nor any result.
+    coefficients nor any result.  The extrema columns come from the same
+    memo (``EtdState.extrema``): samples on N(a)'s grid, not torus bounds.
 
     Norms combine the components of the stacked coefficients: l2-type norms
     in quadrature, l1 and the squared gradient by sum.  The energy column is
@@ -119,10 +113,7 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
     with np.errstate(over="ignore", invalid="ignore"):
         linear, nonlinear = state.terms()
         rates = [HullField(state.active, c) for c in linear + nonlinear]
-        grids = state.active.grid_values(
-            state.coeffs, _monitor_axis_points(state.active.rank))
-        extrema = [(float(g.min()), float(g.max())) for g in grids]
-        (min_u, max_u), (min_v, max_v) = (extrema + [(None, None)])[:2]
+        (min_u, max_u), (min_v, max_v) = (state.extrema() + [(None, None)])[:2]
         values = dict(
             l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),
             l1=sum(f.l1_norm() for f in fields),

@@ -6,9 +6,10 @@ object, which provides
 - ``ncomp``, the number of components;
 - ``linear_block(active)``, the per-mode linear operator L as a ``LowerTri``:
   diagonal for one component, lower-triangular 2x2 for two;
-- ``nonlinear(coeffs, active)``, the coefficients of N(u), stacked as
-  ``(ncomp, nmodes)`` like the state's, computed on the active set's
-  smallest alias-free grid;
+- ``nonlinear(grids, active)``, the coefficients of N(u), stacked as
+  ``(ncomp, nmodes)`` like the state's, from the components' values
+  ``grids`` on the active set's product grid, stacked ``(ncomp, G, ..., G)``,
+  which the engine synthesizes;
 - ``energy(coeffs, linear, nonlinear)``, the descent functional recorded in
   diagnostics, given the coefficients and the pair ``(L a, N(a))`` that
   ``EtdState.terms`` returns, so it needs no grid synthesis of its own.
@@ -29,7 +30,9 @@ that cancel only to round-off.
 Every ETDRK stage starts from the rates at a_n, so a state memoizes its pair
 (L a, N(a)) (``EtdState.terms``): a diagnostics record and the step that
 follows it share one nonlinear evaluation, and a recorded ETDRK2 step pays
-two instead of three.  The memo is keyed on the coefficient array, params
+two instead of three.  The memo also keeps each component's (min, max)
+over N(a)'s grid (``EtdState.extrema``), but not the grid itself, so the
+record synthesizes none.  The memo is keyed on the coefficient array, params
 and active set objects, and a state's coefficients are never mutated in
 place; a stepped state starts with an empty memo.  The ETD tables are
 memoized the same way, keyed on params, active set, dt and scheme.
@@ -221,7 +224,8 @@ class EtdState:
     dt: float
     step_index: int = 0
     _tables: tuple | None = None  # (params, active, EtdTables)
-    _terms: tuple | None = None  # (params, active, coeffs, (L a, N(a)))
+    # (params, active, coeffs, (L a, N(a)), per-component (min, max))
+    _terms: tuple | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -244,21 +248,29 @@ class EtdState:
     def terms(self) -> tuple[np.ndarray, np.ndarray]:
         """(L a, N(a)); their sum is the time derivative of the coefficients.
 
-        The pair is memoized on the state, keyed on the coefficient array,
-        params and active set objects themselves (not their ids, which a
-        freed object can pass on), so a ``replace`` with any of them new
-        recomputes it, while a new dt or scheme keeps it.  The key holds only
-        if coefficients are never mutated in place: every update builds a
-        new array.
+        N(a) is computed from the product grid synthesized here.  The pair
+        is memoized on the state, keyed on the coefficient array, params and
+        active set objects themselves (not their ids, which a freed object
+        can pass on), so a ``replace`` with any of them new recomputes it,
+        while a new dt or scheme keeps it.  The key holds only if
+        coefficients are never mutated in place: every update builds a new
+        array.
         """
         memo = self._terms
         if not self._holds(memo) or memo[2] is not self.coeffs:
             tab = self._tables  # L is the same at every dt: any held tables serve
             L = tab[2].L if self._holds(tab) else self.tables().L
-            pair = (L @ self.coeffs,
-                    self.params.nonlinear(self.coeffs, self.active))
-            self._terms = memo = (self.params, self.active, self.coeffs, pair)
+            grids = self.active.grid_values(self.coeffs)
+            flat = grids.reshape(len(grids), -1)
+            extrema = list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+            pair = (L @ self.coeffs, self.params.nonlinear(grids, self.active))
+            self._terms = memo = (self.params, self.active, self.coeffs, pair, extrema)
         return memo[3]
+
+    def extrema(self) -> list[tuple[float, float]]:
+        """Each component's (min, max) over the grid of ``terms``, from its memo."""
+        self.terms()
+        return self._terms[4]
 
 
 def step(state: EtdState) -> EtdState:
@@ -272,7 +284,7 @@ def step(state: EtdState) -> EtdState:
     a = state.coeffs
 
     def nonlinear(coeffs):
-        return state.params.nonlinear(coeffs, act)
+        return state.params.nonlinear(act.grid_values(coeffs), act)
 
     # overflow surfaces as the explicit NonFiniteState below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):

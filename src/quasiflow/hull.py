@@ -16,7 +16,8 @@ Spectral Methods, 2001, ch. 11).  The default grid,
 ``product_axis_points``, is the smallest of them, G = 4N+1 (5, 9, 13, 17,
 21, 25 for N = 1..6).  The equations' ``nonlinear`` callbacks
 (``sh.SHParams``, ``brusselator.BrusselatorParams``) are the products the
-package computes.
+package computes; records read their extrema off the same grid, and
+``brusselator.positivity_check`` samples on it by default.
 
 Fields are real, so only the half spectrum whose last index is >= 0 is
 stored: an active mode with last index >= 0 has its own slot there, and every
@@ -49,8 +50,8 @@ from .symmetry import FrequencyModule, integer_box, module_points_in_ball
 HERMITIAN_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 EVAL_CHUNK = 4096  # physical points per block of plane waves
-# 256 MiB of float64 per component grid: 64^4 (128 MiB) and icosahedral N=3
-# (13^6, 37 MiB) fit; rank 8 at N=2 (9^8 points, 328 MiB) does not
+# 256 MiB of float64 per component grid: icosahedral N=3 (13^6, 37 MiB)
+# fits; rank 8 at N=2 (9^8 points, 328 MiB) does not
 MAX_GRID_BYTES = 2 ** 28
 # pairwise products per stage of the brute-force convolution oracle
 MAX_PAIR_SUMS = 4_000_000
@@ -77,14 +78,6 @@ class DimensionUnsupported(ValueError):
 
 class TooLarge(ValueError):
     """A grid or brute-force path refused as too big to allocate or run."""
-
-
-def default_grid_axis_points(p: int) -> int:
-    # sup-norm estimates sample 64^p points for planar-size problems and
-    # back off for high-rank modules where that grid would not fit
-    if p <= 4:
-        return 64
-    return 16
 
 
 class ActiveModeSet:
@@ -385,9 +378,6 @@ class HullField:
 
     # -- sampling -----------------------------------------------------------
 
-    def values(self, axis_points: int | None = None) -> np.ndarray:
-        return self.active.grid_values(self.coeffs, axis_points)
-
     def evaluate_physical(self, points: np.ndarray) -> np.ndarray:
         """Field values u(x) = U(A x) at physical points (rows).
 
@@ -410,13 +400,6 @@ class HullField:
                 )
             out[lo:lo + EVAL_CHUNK] = vals.real
         return out
-
-    def torus_minmax(self, axis_points: int | None = None) -> tuple[float, float]:
-        """(min, max) of the hull function over a uniform torus grid."""
-        if axis_points is None:
-            axis_points = default_grid_axis_points(self.active.rank)
-        vals = self.values(axis_points=axis_points)
-        return float(vals.min()), float(vals.max())
 
 
 def convolve_direct(*fields: HullField) -> dict:

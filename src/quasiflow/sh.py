@@ -41,9 +41,8 @@ class SHParams:
     def linear_block(self, active: ActiveModeSet) -> LowerTri:
         return LowerTri(sigma_array(active, self.lam)[None])
 
-    def nonlinear(self, coeffs: np.ndarray, active: ActiveModeSet) -> np.ndarray:
-        u = active.grid_values(coeffs)
-        return -active.coefficients_from_grid(u * u * u)
+    def nonlinear(self, grids: np.ndarray, active: ActiveModeSet) -> np.ndarray:
+        return -active.coefficients_from_grid(grids * grids * grids)
 
     def energy(self, coeffs: np.ndarray, linear: np.ndarray, nonlinear: np.ndarray) -> float:
         """0.5|(lap+1)u|^2 - 0.5*lam*|u|^2 + 0.25*mean(u^4), from L a and N(a).

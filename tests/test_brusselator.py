@@ -1,16 +1,19 @@
 """Two-component dynamics: onset analysis, exponential stepping, positivity."""
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiflow import diagnostics, hull, symmetry
 from quasiflow import brusselator as br
 from quasiflow.brusselator import BrusselatorParams, TuringReport
 from quasiflow.diagnostics import NonFiniteState
 from quasiflow.hull import ActiveModeSet, HullField
-from quasiflow.verification import growth_rate
+from quasiflow.verification import VERTEX_K0, growth_rate
 
 
 @pytest.fixture(scope="module")
@@ -135,7 +138,8 @@ class TestQuadraticCubic:
         n = len(act4)
         fu = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
         fv = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
-        grid = -uuv_params().nonlinear(np.stack((fu.coeffs, fv.coeffs)), act4)[1]
+        grids = act4.grid_values(np.stack((fu.coeffs, fv.coeffs)))
+        grid = -uuv_params().nonlinear(grids, act4)[1]
         direct = hull.convolve_direct(fu, fu, fv)
         dvals = np.array([direct.get(tuple(m), 0.0) for m in act4.indices])
         assert np.max(np.abs(grid - dvals)) < 1e-12
@@ -146,8 +150,8 @@ class TestQuadraticCubic:
         a = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
         b = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
         p = uuv_params()
-        one = -p.nonlinear(np.stack((a.coeffs, b.coeffs)), act4)[1]
-        three = -p.nonlinear(np.stack((a.coeffs, 3.0 * b.coeffs)), act4)[1]
+        one = -p.nonlinear(act4.grid_values(np.stack((a.coeffs, b.coeffs))), act4)[1]
+        three = -p.nonlinear(act4.grid_values(np.stack((a.coeffs, 3.0 * b.coeffs))), act4)[1]
         assert np.allclose(three, 3.0 * one, atol=1e-12)
 
 
@@ -333,6 +337,54 @@ class TestPositivity:
             pytest.approx(2.0),
             pytest.approx(2.1),
         )
+
+
+@cache
+def bound_case(name, N):
+    if name == "vertex":
+        module = symmetry.generate_frequency_module(
+            symmetry.build_holohedry("icosahedral"), VERTEX_K0)
+    else:
+        module = symmetry.generate_frequency_module(symmetry.build_holohedry(name))
+    return ActiveModeSet(module, N)
+
+
+BOUND_CASES = [("dihedral:12", N) for N in (1, 2, 3)] + [("vertex", 1)]
+
+
+class TestCertifiedBound:
+    """positivity_check bounds each component below over the whole torus."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(BOUND_CASES), st.integers(0, 10_000), st.floats(-2.0, 2.0))
+    def test_bound_is_below_every_sample(self, case, seed, offset):
+        act = bound_case(*case)
+        rng = np.random.default_rng(seed)
+        u, v = (HullField(act, 0.3 * (rng.normal(size=len(act))
+                                      + 1j * rng.normal(size=len(act)))).hermitianized()
+                for _ in range(2))
+        u.coeffs[act.zero_position] += offset
+        p = BrusselatorParams(B=4.2, **RUN_PARAMS)
+        state = br.make_bruss_state(u, v, p)
+        bound = br.positivity_check(state)
+        G = act.product_axis_points
+        # denser grids, one of which the product grid's G does not divide
+        for side in (2 * G + 1, 3 * G) if act.rank == 4 else (G + 2,):
+            grids = act.grid_values(state.coeffs, side)
+            assert np.all(np.array(bound) <= grids.reshape(2, -1).min(axis=1))
+        # and physical points of the pattern itself
+        x = rng.uniform(-50.0, 50.0, size=(200, act.module.dimension))
+        for low, field in zip(bound, (u, v)):
+            assert low <= field.evaluate_physical(x).min()
+
+    @pytest.mark.parametrize("case", BOUND_CASES, ids=lambda c: f"{c[0]}-N{c[1]}")
+    def test_constant_field_bound_is_the_constant(self, case):
+        act = bound_case(*case)
+        p = BrusselatorParams(B=4.2, **RUN_PARAMS)
+        u, v = br.steady_ic(act, p)
+        assert br.positivity_check(br.make_bruss_state(u, v, p)) == (2.0, 2.1)
+        u.set_coefficient(np.zeros(act.rank, dtype=int), -0.37)
+        assert br.positivity_check(br.make_bruss_state(u, v, p), 16) == (-0.37, 2.1)
 
 
 class TestICs:

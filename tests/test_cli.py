@@ -153,6 +153,17 @@ class TestSimulateSH:
         csv = snapshots.read_diagnostics_csv(tmp_path / "x" / "diagnostics.csv")
         assert list(csv["t"]) == [0.0]
 
+    def test_exhausted_relation_search_is_one_error_line(self, tmp_path, capsys):
+        # the dihedral:22 module has rank 10: its relation search is refused
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG + "symmetry = dihedral:22\n")
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "relation search" in err[0]
+
 
 class TestSimulateBruss:
     def test_produces_two_component_csv(self, tmp_path, bruss_cfg):
@@ -302,6 +313,16 @@ class TestTuring:
         code = cli.main(["turing", "--A", "-2", "--d1", "1", "--d2", "1"])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--A", "nan"), ("--A", "inf"), ("--A", "1e200"), ("--d1", "nan"), ("--d1", "1e300"),
+    ])
+    def test_unusable_parameters_are_one_error_line(self, capsys, flag, value):
+        args = {"--A": "2", "--d1": "1", "--d2": "4", flag: value}
+        code = cli.main(["turing"] + [x for kv in args.items() for x in kv])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
 
 
 class TestRender:

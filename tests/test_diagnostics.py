@@ -95,7 +95,8 @@ class TestRecord:
 
     @pytest.mark.parametrize("equation", ["sh", "brusselator"])
     def test_one_padded_synthesis_per_component(self, act12, monkeypatch, equation):
-        # rhs_l2 and the energy share one N(a); the energy synthesizes nothing
+        # rhs_l2 and the energy share one N(a); the energy synthesizes nothing,
+        # and the extrema are read off N(a)'s grid, with no transform of their own
         if equation == "sh":
             st = sh.make_state(sh.random_ic(act12, 0.2, seed=1), lam=0.1, dt=0.01)
         else:
@@ -113,8 +114,12 @@ class TestRecord:
         diagnostics.record(st)
         product = (act12.product_axis_points,) * act12.rank
         # the components are stacked: one product-grid call synthesizes all of them
-        product_leads = [s[0] for s in shapes if s[1:] == product]
-        assert product_leads == [st.params.ncomp]
+        assert shapes == [(st.params.ncomp,) + product]
+        grid = original(act12, st.coeffs).reshape(st.params.ncomp, -1)
+        rec = diagnostics.record(st)
+        assert (rec.min_u, rec.max_u) == (grid[0].min(), grid[0].max())
+        if equation == "brusselator":
+            assert (rec.min_v, rec.max_v) == (grid[1].min(), grid[1].max())
 
     def test_validation_rejects_nan(self):
         with pytest.raises(ValueError):

@@ -64,13 +64,22 @@ def as_dict(field):
 
 def grid_product(f, g):
     """Retained coefficients of f*g from one product on the product grid."""
-    return HullField(f.active, f.active.coefficients_from_grid(f.values() * g.values()))
+    act = f.active
+    return HullField(act, act.coefficients_from_grid(
+        act.grid_values(f.coeffs) * act.grid_values(g.coeffs)))
 
 
 def cube(field):
     """Retained coefficients of u^3, from the Swift-Hohenberg N(u) = -u^3."""
-    n = sh.SHParams(0.2).nonlinear(field.coeffs[None], field.active)
+    grids = field.active.grid_values(field.coeffs[None])
+    n = sh.SHParams(0.2).nonlinear(grids, field.active)
     return HullField(field.active, -n[0])
+
+
+def minmax(field, axis_points):
+    """(min, max) of the field over a uniform torus grid."""
+    vals = field.active.grid_values(field.coeffs, axis_points)
+    return vals.min(), vals.max()
 
 
 def quartic_mean(field):
@@ -348,7 +357,8 @@ class TestPointwiseProduct:
         act = ActiveModeSet(mod4, 2)
         u, v = (random_hermitian(act, s) for s in (31, 33))
         params = BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
-        t = HullField(act, -params.nonlinear(np.stack((u.coeffs, v.coeffs)), act)[1])
+        grids = act.grid_values(np.stack((u.coeffs, v.coeffs)))
+        t = HullField(act, -params.nonlinear(grids, act)[1])
         ref = dict_convolve(as_dict(u), as_dict(u), as_dict(v))
         for m, c in as_dict(t).items():
             assert abs(c - ref.get(m, 0.0)) < 1e-12
@@ -387,7 +397,7 @@ class TestInnerProduct:
     def test_self_inner_is_norm_squared(self, act12):
         # Parseval on the product grid
         f = random_hermitian(act12, 41)
-        vals = f.values()
+        vals = act12.grid_values(f.coeffs)
         assert np.isclose(np.mean(vals * vals), f.l2_norm() ** 2)
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
@@ -495,26 +505,26 @@ class TestEvaluatePhysical:
 class TestGridAndParseval:
     def test_parseval_on_exact_grid(self, act12):
         u = random_hermitian(act12, 61)
-        vals = u.values(axis_points=2 * act12.N + 1)
+        vals = act12.grid_values(u.coeffs, 2 * act12.N + 1)
         assert np.isclose(np.mean(vals ** 2), u.l2_norm() ** 2, rtol=1e-10)
 
     def test_norm_ordering(self, act12):
         for seed in range(5):
             u = random_hermitian(act12, 70 + seed)
-            sup = np.abs(u.values(axis_points=9)).max()
+            sup = np.abs(act12.grid_values(u.coeffs, 9)).max()
             assert u.l2_norm() <= sup + 1e-12
             assert sup <= u.l1_norm() + 1e-12
 
     def test_roundtrip_preserves_coefficients(self, act12):
         u = random_hermitian(act12, 62)
-        back = act12.coefficients_from_grid(u.values())
+        back = act12.coefficients_from_grid(act12.grid_values(u.coeffs))
         assert np.allclose(back, u.coeffs, atol=1e-13)
 
     def test_minmax_of_cosine(self, mod4):
         act = ActiveModeSet(mod4, 1)
         u = HullField.zeros(act)
         u.set_coefficient([1, 0], 1.0)
-        lo, hi = u.torus_minmax(axis_points=64)
+        lo, hi = minmax(u, 64)
         assert np.isclose(lo, -2.0, atol=1e-9) and np.isclose(hi, 2.0, atol=1e-9)
 
 
@@ -634,13 +644,13 @@ class TestRealTransforms:
         u = random_hermitian(act12, 3)
         side = int(round((hull.MAX_GRID_BYTES / 8) ** 0.25)) + 1
         with pytest.raises(hull.TooLarge, match="MiB"):
-            u.values(axis_points=side)
+            act12.grid_values(u.coeffs, side)
         # rank 8 at N = 2 would run on 9^8 points (328 MiB per component)
         rank8 = transform_active("rank8")
         with pytest.raises(hull.TooLarge, match="9\\^8"):
             rank8.grid_values(np.zeros(len(rank8), dtype=complex), 9)
-        # 64^4 (the rank-4 torus_minmax default) and icosahedral N=3 fit
-        assert 8 * 64 ** 4 <= hull.MAX_GRID_BYTES and 8 * 13 ** 6 <= hull.MAX_GRID_BYTES
+        # icosahedral N=3 and twelvefold N=15 product grids fit
+        assert 8 * 13 ** 6 <= hull.MAX_GRID_BYTES and 8 * 61 ** 4 <= hull.MAX_GRID_BYTES
 
 
 class TestSupportAndConditions:
@@ -689,26 +699,26 @@ class TestSupportAndConditions:
 
 
 class TestSeparation:
-    # the half-range of a field over a torus sample grid, from torus_minmax
+    # the half-range of a field over a torus sample grid
 
     def test_constant_field(self, act12):
         f = HullField.zeros(act12)
         f.set_coefficient([0, 0, 0, 0], 0.7)
-        lo, hi = f.torus_minmax(8)
+        lo, hi = minmax(f, 8)
         assert hi - lo == 0.0
 
     def test_cosine_half_range(self, mod4):
         act = ActiveModeSet(mod4, 1)
         f = HullField.zeros(act)
         f.set_coefficient([1, 0], 1.0)
-        lo, hi = f.torus_minmax(64)
+        lo, hi = minmax(f, 64)
         assert np.isclose(0.5 * (hi - lo), 2.0, atol=1e-9)
 
     def test_monotone_under_refinement(self, act12):
         # the 8-point grid is a subset of the 16-point one
         f = random_hermitian(act12, 91)
-        lo8, hi8 = f.torus_minmax(8)
-        lo16, hi16 = f.torus_minmax(16)
+        lo8, hi8 = minmax(f, 8)
+        lo16, hi16 = minmax(f, 16)
         assert lo16 <= lo8 + 1e-12 and hi16 >= hi8 - 1e-12
 
 

@@ -156,7 +156,7 @@ class TestStep:
         for _ in range(5):
             st = sh.step(st)
         assert st.field.hermitian_defect() == 0.0
-        vals = st.field.values()
+        vals = act12.grid_values(st.coeffs)
         assert np.isrealobj(vals)
 
     def test_time_and_counter_advance(self, act12):
