@@ -19,13 +19,13 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import diagnostics, etd
 from .etd import LowerTri
 from .hull import ActiveModeSet, HullField
 
 GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
+BRENT_MAX_ITER = 100
 
 
 class NoBracket(RuntimeError):
@@ -135,6 +135,55 @@ def _interior_min_ksq(params: BrusselatorParams) -> tuple[float, float]:
     return vertex, float(_det_dispersion(params, vertex))
 
 
+def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f between xa and xb by Brent's method (Brent 1973, ch. 4).
+
+    Each iteration swaps the bracket so that the current point has the
+    smaller |f|, tries a secant or inverse quadratic step, and bisects when
+    that step is not short enough.  The steps and their floating-point
+    operations are those of scipy's ``brentq``, so both return the same root
+    bit for bit.  It stops when half the bracket is below
+    (xtol + rtol |x|)/2; f must take opposite signs at the ends.
+    """
+    xpre, xcur = xa, xb
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f must have different signs at the bracket's ends")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(BRENT_MAX_ITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise RuntimeError(f"root solve did not converge in {BRENT_MAX_ITER} iterations")
+
+
 @dataclass(frozen=True)
 class TuringReport:
     eta: float
@@ -161,9 +210,10 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     """Find the finite-wavelength onset of the homogeneous state.
 
     The scan minimizes the dispersion determinant over squared wavenumber
-    inside a root solve on the feed parameter; the closed forms
-    B_c = (1 + A*eta)^2 and k_c^2 = A/sqrt(d1 d2) are cross-checked against
-    it to 1e-8 relative and returned.
+    inside a root solve on the feed parameter, by Brent's method
+    (``_brent_root``); the closed forms B_c = (1 + A*eta)^2 and
+    k_c^2 = A/sqrt(d1 d2) are cross-checked against it to 1e-8 relative and
+    returned.  Parameters whose determinant overflows raise ``ValueError``.
     """
     if not np.all(np.isfinite((A, d1, d2))):
         raise ValueError("parameters must be finite")
@@ -176,15 +226,19 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     def min_det(B: float) -> float:
         return _interior_min_ksq(BrusselatorParams(A, B, d1, d2))[1]
 
-    B_hi = 2.0
-    for _ in range(200):
-        if min_det(B_hi) < 0:
-            break
-        B_hi *= 2.0
-    else:
-        raise NoBracket("dispersion determinant never turns negative")
-    B_scan = float(brentq(min_det, 1.0 + 1e-12, B_hi, xtol=1e-13, rtol=1e-15))
-    ksq_scan, _ = _interior_min_ksq(BrusselatorParams(A, B_scan, d1, d2))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            B_hi = 2.0
+            for _ in range(200):
+                if min_det(B_hi) < 0:
+                    break
+                B_hi *= 2.0
+            else:
+                raise NoBracket("dispersion determinant never turns negative")
+            B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13, 1e-15)
+            ksq_scan, _ = _interior_min_ksq(BrusselatorParams(A, B_scan, d1, d2))
+    except FloatingPointError as exc:
+        raise ValueError(f"dispersion determinant out of range: {exc}") from None
     k_scan = float(np.sqrt(ksq_scan))
 
     rel_B = abs(B_scan - B_closed) / B_closed

@@ -111,9 +111,10 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
     fields = [HullField(state.active, c) for c in state.coeffs]
     # an overflow surfaces as the explicit NonFiniteState below
     with np.errstate(over="ignore", invalid="ignore"):
+        # extrema first: they and the terms then share one grid synthesis
+        (min_u, max_u), (min_v, max_v) = (state.extrema() + [(None, None)])[:2]
         linear, nonlinear = state.terms()
         rates = [HullField(state.active, c) for c in linear + nonlinear]
-        (min_u, max_u), (min_v, max_v) = (state.extrema() + [(None, None)])[:2]
         values = dict(
             l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),
             l1=sum(f.l1_norm() for f in fields),

@@ -30,12 +30,14 @@ that cancel only to round-off.
 Every ETDRK stage starts from the rates at a_n, so a state memoizes its pair
 (L a, N(a)) (``EtdState.terms``): a diagnostics record and the step that
 follows it share one nonlinear evaluation, and a recorded ETDRK2 step pays
-two instead of three.  The memo also keeps each component's (min, max)
-over N(a)'s grid (``EtdState.extrema``), but not the grid itself, so the
-record synthesizes none.  The memo is keyed on the coefficient array, params
-and active set objects, and a state's coefficients are never mutated in
-place; a stepped state starts with an empty memo.  The ETD tables are
-memoized the same way, keyed on params, active set, dt and scheme.
+two instead of three.  A record also reads each component's (min, max)
+over N(a)'s grid (``EtdState.extrema``); the memo keeps them once asked
+for, but not the grid itself, so the record synthesizes no second grid and
+an unrecorded step pays no reduction.  The memo is keyed on the coefficient
+array, params and active set objects, and a state's coefficients are never
+mutated in place; a stepped state starts with an empty memo.  The ETD
+tables are memoized the same way, keyed on params, active set, dt and
+scheme.
 
 One family phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j, with phi_0 = exp, drives
 the steppers.  Away from zero the closed forms built on expm1 are stable;
@@ -224,7 +226,7 @@ class EtdState:
     dt: float
     step_index: int = 0
     _tables: tuple | None = None  # (params, active, EtdTables)
-    # (params, active, coeffs, (L a, N(a)), per-component (min, max))
+    # (params, active, coeffs, (L a, N(a)), per-component (min, max) or None)
     _terms: tuple | None = None
 
     def __post_init__(self):
@@ -256,21 +258,36 @@ class EtdState:
         coefficients are never mutated in place: every update builds a new
         array.
         """
-        memo = self._terms
-        if not self._holds(memo) or memo[2] is not self.coeffs:
-            tab = self._tables  # L is the same at every dt: any held tables serve
-            L = tab[2].L if self._holds(tab) else self.tables().L
-            grids = self.active.grid_values(self.coeffs)
-            flat = grids.reshape(len(grids), -1)
-            extrema = list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
-            pair = (L @ self.coeffs, self.params.nonlinear(grids, self.active))
-            self._terms = memo = (self.params, self.active, self.coeffs, pair, extrema)
-        return memo[3]
+        return self._memo(False)[3]
 
     def extrema(self) -> list[tuple[float, float]]:
-        """Each component's (min, max) over the grid of ``terms``, from its memo."""
-        self.terms()
-        return self._terms[4]
+        """Each component's (min, max) over the grid of ``terms``.
+
+        They are memoized with the pair, but only once asked for: a state
+        whose extrema are asked before its terms synthesizes one grid for
+        both, and an unrecorded step pays no reduction.
+        """
+        return self._memo(True)[4]
+
+    def _memo(self, with_extrema: bool) -> tuple:
+        """The ``_terms`` memo for this state, filled with extrema if asked."""
+        memo = self._terms
+        current = self._holds(memo) and memo[2] is self.coeffs
+        if current and (memo[4] is not None or not with_extrema):
+            return memo
+        grids = self.active.grid_values(self.coeffs)
+        if current:
+            pair = memo[3]
+        else:
+            tab = self._tables  # L is the same at every dt: any held tables serve
+            L = tab[2].L if self._holds(tab) else self.tables().L
+            pair = (L @ self.coeffs, self.params.nonlinear(grids, self.active))
+        found = None
+        if with_extrema:
+            flat = grids.reshape(len(grids), -1)
+            found = list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+        self._terms = memo = (self.params, self.active, self.coeffs, pair, found)
+        return memo
 
 
 def step(state: EtdState) -> EtdState:

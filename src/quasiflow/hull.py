@@ -191,8 +191,10 @@ class ActiveModeSet:
 
     def orbit_positions(self, m) -> np.ndarray:
         """Positions of the group orbit of an active index (sorted, unique)."""
-        i = self.position(m)
-        return np.unique(self.perms[:, i])
+        # a membership mask, not np.unique, which imports numpy.ma on first use
+        member = np.zeros(len(self), dtype=bool)
+        member[self.perms[:, self.position(m)]] = True
+        return np.flatnonzero(member)
 
     def _transforms(self, axis_points: int | None):
         """Pruned DFT matrices for a grid of G >= 2N+1 points per axis.

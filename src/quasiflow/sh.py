@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
+# imported with the package, not on a run's first draw, so that no module
+# loads inside a run's set-up
+from numpy.random import default_rng
 
 from . import diagnostics, etd
 from .etd import LowerTri
@@ -137,7 +140,7 @@ def quasicrystal_ic(
     field.coeffs[orbit] = target / np.sqrt(len(orbit))
     if perturbation > 0:
         q = perturbation * np.sqrt(lam) / np.sqrt(2.0)
-        rng = np.random.default_rng(seed)
+        rng = default_rng(seed)
         noise = rng.uniform(-q, q, len(active)) + 1j * rng.uniform(-q, q, len(active))
         field = HullField(active, field.coeffs + noise).hermitianized().symmetrize()
         field = (target / field.l2_norm()) * field
@@ -146,7 +149,7 @@ def quasicrystal_ic(
 
 def random_ic(active: ActiveModeSet, amplitude: float, seed: int = 0) -> HullField:
     """Hermitian Gaussian noise across all active modes, rescaled to amplitude."""
-    rng = np.random.default_rng(seed)
+    rng = default_rng(seed)
     raw = rng.normal(size=len(active)) + 1j * rng.normal(size=len(active))
     field = HullField(active, raw).hermitianized()
     norm = field.l2_norm()

@@ -127,6 +127,64 @@ class TestTuringAnalysis:
             br.turing_analysis(-1.0, 0.25, 1.0)
 
 
+@pytest.fixture(scope="module")
+def brentq():
+    """scipy's brentq, called like ``_brent_root``."""
+    solve = pytest.importorskip("scipy.optimize").brentq
+    return lambda f, xa, xb, xtol, rtol: solve(f, xa, xb, xtol=xtol, rtol=rtol)
+
+
+def outcome(solve, *args):
+    """The root's bits, or the type of the error raised instead."""
+    try:
+        return np.float64(solve(*args)).tobytes()
+    except (ValueError, RuntimeError) as exc:
+        return type(exc)
+
+
+class TestBrentRoot:
+    """``_brent_root`` against its oracle, scipy's brentq, bit for bit."""
+
+    TOL = (1e-13, 1e-15)  # xtol, rtol: the onset scan's
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        roots=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
+        scale=st.floats(1e-3, 1e3),
+        ends=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
+        # the scan's xtol, and coarser ones that reach the step-length tests
+        xtol=st.sampled_from([TOL[0], 1e-4, 1e-1]),
+    )
+    def test_polynomials(self, brentq, roots, scale, ends, xtol):
+        def f(x):
+            out = scale
+            for r in roots:
+                out *= x - r
+            return out
+
+        # a multiple root can stall both past the iteration cap alike
+        tol = (xtol, self.TOL[1])
+        assert outcome(br._brent_root, f, *ends, *tol) == outcome(brentq, f, *ends, *tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(A=st.floats(0.2, 5.0), d1=st.floats(0.05, 5.0), d2=st.floats(0.05, 20.0))
+    def test_the_onset_scan(self, brentq, A, d1, d2):
+        # the scan's own function and bracket, as turing_analysis builds them
+        def min_det(B):
+            return br._interior_min_ksq(BrusselatorParams(A, B, d1, d2))[1]
+
+        B_hi = 2.0
+        while min_det(B_hi) >= 0:
+            B_hi *= 2.0
+        want = outcome(brentq, min_det, 1.0 + 1e-12, B_hi, *self.TOL)
+        assert outcome(br._brent_root, min_det, 1.0 + 1e-12, B_hi, *self.TOL) == want
+        assert outcome(lambda: br.turing_analysis(A, d1, d2).B_c_scan) == want
+
+    def test_unbracketed_interval_is_refused(self):
+        with pytest.raises(ValueError):
+            br._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 1e-15)
+
+
 def uuv_params():
     # -N_v = u^2 v for any parameters: the feed A enters N_u only
     return BrusselatorParams(B=4.2, **RUN_PARAMS)

@@ -1,5 +1,11 @@
 """Command-line entry points: exit codes, outputs, determinism."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -314,15 +320,47 @@ class TestTuring:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag,value", [
-        ("--A", "nan"), ("--A", "inf"), ("--A", "1e200"), ("--d1", "nan"), ("--d1", "1e300"),
-    ])
-    def test_unusable_parameters_are_one_error_line(self, capsys, flag, value):
-        args = {"--A": "2", "--d1": "1", "--d2": "4", flag: value}
+    # a warning is an error here: the error line must be the only output
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("changed", [
+        {"--A": "nan"}, {"--A": "inf"}, {"--A": "1e200"}, {"--d1": "nan"}, {"--d1": "1e300"},
+        # finite, but the determinant overflows on the way to its minimum
+        {"--d1": "1e-300", "--d2": "1e300"},
+    ], ids=lambda changed: "-".join(x for kv in changed.items() for x in kv))
+    def test_unusable_parameters_are_one_error_line(self, capsys, changed):
+        args = {"--A": "2", "--d1": "1", "--d2": "4", **changed}
         code = cli.main(["turing"] + [x for kv in args.items() for x in kv])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
+
+
+NO_SCIPY = """\
+import json, sys
+sys.modules["scipy"] = None  # every scipy import now fails
+from quasiflow import cli
+out, configs = sys.argv[1], sys.argv[2:]
+before = set(sys.modules)
+codes = [cli.main(["turing", "--A", "2", "--d1", "1", "--d2", "4"])]
+for i, config in enumerate(configs):
+    codes.append(cli.main(["simulate", "--config", config, "--output", f"{out}/{i}"]))
+loaded = sorted(m for m in set(sys.modules) - before if m.startswith(("scipy", "numpy.")))
+print(json.dumps({"codes": codes, "loaded": loaded}))
+"""
+
+
+def test_runtime_needs_no_scipy(tmp_path, sh_cfg, bruss_cfg):
+    # the SH config is perturbed, which draws random numbers; and a run
+    # imports no numpy module either, so its set-up time holds no import
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", NO_SCIPY, str(tmp_path / "runs"), str(sh_cfg), str(bruss_cfg)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "loaded": []}
 
 
 class TestRender:

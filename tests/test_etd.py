@@ -339,6 +339,19 @@ class TestTermsMemo:
         assert calls == []
 
     @pytest.mark.parametrize("equation,scheme", EQUATIONS)
+    def test_unrecorded_step_reduces_no_extrema(self, act12, equation, scheme, monkeypatch):
+        state = fresh_state(act12, equation, scheme)
+        stepped = etd.step(state)
+        etd.step(stepped)  # fills the stepped state's terms memo, not its extrema
+        assert stepped._terms[4] is None
+        # asked for later, they come off a fresh grid and leave the pair alone
+        pair = stepped.terms()
+        calls = count_nonlinear(stepped, monkeypatch)
+        ext = stepped.extrema()
+        assert calls == [] and all(x is y for x, y in zip(stepped.terms(), pair))
+        assert ext == replace(stepped, coeffs=stepped.coeffs.copy()).extrema()
+
+    @pytest.mark.parametrize("equation,scheme", EQUATIONS)
     def test_stepped_state_starts_empty(self, act12, equation, scheme):
         state = fresh_state(act12, equation, scheme)
         state.terms()
