@@ -100,8 +100,8 @@ def _interior_min_ksq(params: BrusselatorParams) -> tuple[float, float]:
     """Locate min_k det by golden-section plus exact parabolic refinement.
 
     The determinant is quadratic in the squared wavenumber, so after the
-    golden-section narrows the bracket, one three-point parabola fit lands
-    on the vertex to round-off.
+    golden-section narrows the bracket, one symmetric three-point parabola
+    fit, kept inside k^2 >= 0, lands on the vertex to round-off.
     """
     hi = 1.0
     for _ in range(200):
@@ -125,10 +125,10 @@ def _interior_min_ksq(params: BrusselatorParams) -> tuple[float, float]:
             d = a + GOLDEN_RATIO * (b - a)
             fd = _det_dispersion(params, d)
     mid = 0.5 * (a + b)
-    s = 1e-3 * (1.0 + abs(mid))
+    s = min(1e-3 * (1.0 + mid), 0.5 * mid)
     f0 = _det_dispersion(params, mid)
     fp = _det_dispersion(params, mid + s)
-    fm = _det_dispersion(params, max(mid - s, 0.0))
+    fm = _det_dispersion(params, mid - s)
     denom = fp - 2.0 * f0 + fm
     vertex = mid if denom <= 0 else mid - 0.5 * s * (fp - fm) / denom
     vertex = max(float(vertex), 0.0)
@@ -211,9 +211,10 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
 
     The scan minimizes the dispersion determinant over squared wavenumber
     inside a root solve on the feed parameter, by Brent's method
-    (``_brent_root``); the closed forms B_c = (1 + A*eta)^2 and
-    k_c^2 = A/sqrt(d1 d2) are cross-checked against it to 1e-8 relative and
-    returned.  Parameters whose determinant overflows raise ``ValueError``.
+    (``_brent_root``), to a tolerance relative to B - 1 near B = 1; the
+    closed forms B_c = (1 + A*eta)^2 and k_c^2 = A/sqrt(d1 d2) are
+    cross-checked against it to 1e-8 relative and returned.  Parameters
+    whose determinant overflows raise ``ValueError``.
     """
     if not np.all(np.isfinite((A, d1, d2))):
         raise ValueError("parameters must be finite")
@@ -236,6 +237,8 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
             else:
                 raise NoBracket("dispersion determinant never turns negative")
             B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13, 1e-15)
+            if B_scan - 1.0 < 1e-3:  # k_c^2 ~ (B - 1)/(2 d1): resolve B - 1, not B
+                B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13 * (B_scan - 1.0), 1e-15)
             ksq_scan, _ = _interior_min_ksq(BrusselatorParams(A, B_scan, d1, d2))
     except FloatingPointError as exc:
         raise ValueError(f"dispersion determinant out of range: {exc}") from None

@@ -15,12 +15,11 @@ the mass inequality 10*dt^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hull import HullField, condition_iii_check
-from .symmetry import FrequencyModule
 
 DECAY_TOL = 1e-9
 L1_CONTROL_TOL = 1e-12

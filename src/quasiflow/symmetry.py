@@ -12,7 +12,7 @@ are exact instead of approximate.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class OddOrderNoMinusI(ValueError):
 
 
 class RelationSearchExhausted(RuntimeError):
-    """Some orbit vector has no integer expression with bounded coefficients."""
+    """The orbit has no basis of bounded integer coefficients within the search."""
 
 
 class Holohedry:
@@ -212,8 +212,6 @@ class FrequencyModule:
     integer_reps: np.ndarray
     uniformly_discrete: bool
     orbit: np.ndarray
-    _box_ms: np.ndarray = field(repr=False, default=None)
-    _box_ks: np.ndarray = field(repr=False, default=None)
 
     @property
     def rank(self) -> int:
@@ -239,13 +237,16 @@ MAX_SEARCH_CANDIDATES = 4_000_000
 def generate_frequency_module(
     holohedry: Holohedry, k0: np.ndarray | None = None
 ) -> FrequencyModule:
-    """Select module generators greedily from the orbit of k0.
+    """Select module generators greedily from the orbit of k0, in one walk.
 
-    Walks the orbit in group-element order and keeps every vector that is not
-    an integer combination (coefficients bounded by RELATION_BOUND) of the
-    vectors kept so far.  Afterwards every orbit vector, and hence the action
-    of every group element, must be expressible within the same bound, or
-    RelationSearchExhausted is raised.
+    The walk visits the orbit in group-element order beside the box of
+    integer combinations (coefficients bounded by RELATION_BOUND) of the
+    vectors kept so far.  A vector on the box takes the coordinates of its
+    nearest box point, and the integer representations are read off those;
+    any other is kept as the next generator.  RelationSearchExhausted is
+    raised when the box would exceed MAX_SEARCH_CANDIDATES, or when a kept v
+    has c v on the box for some c = 2..RELATION_BOUND: a bounded relation's
+    last nonzero coefficient is never +-1, or its generator was not kept.
     """
     if k0 is None:
         k0 = default_k0(holohedry.dimension)
@@ -268,45 +269,40 @@ def generate_frequency_module(
     # nearness is transitive: keep the first image of each class
     orbit = images[np.argmax(near, axis=1) == np.arange(len(images))]
 
-    # the box spans the generators kept so far and grows with them
-    gens = [orbit[0]]
-    box_ms = integer_box(1, RELATION_BOUND)
-    box_ks = box_ms @ orbit[:1]
-    for v in orbit[1:]:
-        if np.min(np.linalg.norm(box_ks - v, axis=1)) >= RELATION_TOL:
-            gens.append(v)
-            if (2 * RELATION_BOUND + 1) ** len(gens) > MAX_SEARCH_CANDIDATES:
+    # column i of box is the wavevector whose coordinates are the base-(2R+1)
+    # digits of i, as in integer_box; each new generator adds the last digit.
+    # Row o of coords: orbit point o's coordinates, zero-padded to len(orbit)
+    steps = np.arange(-RELATION_BOUND, RELATION_BOUND + 1)
+    gens, coords = [], np.zeros((len(orbit), len(orbit)), dtype=np.int64)
+    box = np.zeros((k0.size, 1))
+    for o, v in enumerate(orbit):
+        sq_dist = np.sum((box - v[:, None]) ** 2, axis=0)
+        i = int(np.argmin(sq_dist))
+        if sq_dist[i] < RELATION_TOL ** 2:
+            digits = np.unravel_index(i, (len(steps),) * len(gens))
+            coords[o, :len(gens)] = steps[np.array(digits)]
+            continue
+        coords[o, len(gens)] = 1
+        gens.append(v)
+        if len(steps) ** len(gens) > MAX_SEARCH_CANDIDATES:
+            raise RelationSearchExhausted(
+                f"integer relation search space (2*{RELATION_BOUND}+1)^{len(gens)} "
+                "is too large; the orbit may not admit a bounded-coefficient basis"
+            )
+        for c in range(2, RELATION_BOUND + 1):
+            if np.min(np.sum((box - c * v[:, None]) ** 2, axis=0)) < RELATION_TOL ** 2:
                 raise RelationSearchExhausted(
-                    f"integer relation search space (2*{RELATION_BOUND}+1)^{len(gens)} "
-                    "is too large; the orbit may not admit a bounded-coefficient basis"
+                    "chosen generators satisfy a bounded integer relation"
                 )
-            box_ms = integer_box(len(gens), RELATION_BOUND)
-            box_ks = box_ms @ np.array(gens)
+        box = (box[:, :, None] + v[:, None, None] * steps).reshape(k0.size, -1)
     A = np.array(gens)
     p = len(gens)
 
-    # generators must be independent over the integers within the bound
-    dist = np.linalg.norm(box_ks, axis=1)
-    nonzero = np.any(box_ms != 0, axis=1)
-    if np.any(dist[nonzero] < RELATION_TOL):
-        raise RelationSearchExhausted(
-            "chosen generators satisfy a bounded integer relation"
-        )
-
-    # every image g A[j] is an orbit point: search the box once per orbit
-    # point, then read each representation's columns off by matching
-    coords = np.empty((len(orbit), p), dtype=np.int64)
-    for o, v in enumerate(orbit):
-        d = np.linalg.norm(box_ks - v, axis=1)
-        i = int(np.argmin(d))
-        if d[i] >= RELATION_TOL:
-            raise RelationSearchExhausted(
-                "orbit vector has no bounded integer expression"
-            )
-        coords[o] = box_ms[i]
+    # every image g A[j] is an orbit point: read each representation's
+    # columns off the orbit points' coordinates
     moved = np.einsum("gab,jb->gja", holohedry.matrices, A)
     slot = np.argmin(np.linalg.norm(moved[:, :, None] - orbit, axis=-1), axis=-1)
-    reps = np.swapaxes(coords[slot], 1, 2).copy()
+    reps = np.swapaxes(coords[slot, :p], 1, 2).copy()
     reps.setflags(write=False)
 
     rank_real = np.linalg.matrix_rank(A, tol=RANK_TOL)
@@ -317,8 +313,6 @@ def generate_frequency_module(
         integer_reps=reps,
         uniformly_discrete=bool(p == rank_real),
         orbit=orbit,
-        _box_ms=box_ms,
-        _box_ks=box_ks,
     )
 
 
@@ -329,7 +323,8 @@ def module_points_in_ball(module: FrequencyModule, radius: float):
     the enumeration is deterministic.  The enumeration is complete only up to
     the coefficient bound.
     """
-    ms, ks = module._box_ms, module._box_ks
+    ms = integer_box(module.rank, RELATION_BOUND)
+    ks = ms @ module.generators
     lens = np.linalg.norm(ks, axis=1)
     keep = lens <= radius + 1e-12
     ms, ks, lens = ms[keep], ks[keep], lens[keep]

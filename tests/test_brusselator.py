@@ -109,6 +109,18 @@ class TestTuringAnalysis:
             assert abs(rep.B_c_scan - (1 + A * eta) ** 2) / rep.B_c < 1e-8
             assert abs(rep.k_c_scan ** 2 - A / np.sqrt(d1 * d2)) / rep.k_c ** 2 < 1e-8
 
+    # k_c^2 from 5e-8 to 3e-3, below the golden section's absolute width;
+    # a warning is an error here, since the scan warns when it disagrees
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("A", [1e-3, 1e-4, 1e-5, 1e-7])
+    @pytest.mark.parametrize("d1,d2", [(1.0, 4.0), (0.05, 2.0)])
+    def test_small_wavenumber_matches_closed_form(self, A, d1, d2):
+        rep = br.turing_analysis(A, d1, d2)
+        B_c = (1 + A * np.sqrt(d1 / d2)) ** 2
+        k_c = np.sqrt(A / np.sqrt(d1 * d2))
+        assert abs(rep.B_c_scan - B_c) / B_c < 1e-8
+        assert abs(rep.k_c_scan - k_c) / k_c < 1e-8
+
     def test_scan_is_ground_truth_when_d2_not_one(self, onset):
         # sqrt(A/eta) would give 2 here; the dispersion minimum sits at 1
         assert onset.k_c_scan == pytest.approx(1.0, rel=1e-10)

@@ -334,6 +334,13 @@ class TestTuring:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
+    @pytest.mark.filterwarnings("error")
+    def test_small_onset_wavenumber_is_quiet(self, capsys):
+        # k_c^2 = 5e-6: the scan agrees with the closed forms, so no warning
+        code = cli.main(["turing", "--A", "1e-5", "--d1", "1", "--d2", "4"])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+
 
 NO_SCIPY = """\
 import json, sys

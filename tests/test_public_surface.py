@@ -7,7 +7,8 @@ are names, attribute names, imported names and identifier-valued strings
 ``scripts`` and ``perfbench``; a definition is not a reference to itself.
 
 Likewise a defaulted parameter that no call there passes is a knob with one
-value, which should be a constant.
+value, which should be a constant, and a name a package module imports but
+never uses is an import to delete.
 """
 
 import ast
@@ -177,3 +178,46 @@ def test_every_default_is_passed_by_some_caller():
 def test_every_knob_exception_is_still_unpassed():
     found = {(func, param) for _, func, param in _unpassed_knobs()}
     assert set(KNOB_TEST_ONLY) <= found
+
+
+def _used_names(node, shadowed=frozenset()):
+    """Names read or written in ``node``, leaving out a name inside the body
+    of a function that takes a parameter of that name."""
+    if isinstance(node, ast.Name):
+        return set() if node.id in shadowed else {node.id}
+    inner = shadowed
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+        inner = shadowed | {a.arg for a in ast.walk(node.args) if isinstance(a, ast.arg)}
+    names = set()
+    for name, value in ast.iter_fields(node):
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                names |= _used_names(child, inner if name == "body" else shadowed)
+    return names
+
+
+def _unused_imports():
+    """(file, name) of names a package module imports and never uses.
+
+    ``__init__.py`` imports to re-export, and ``from __future__ import
+    annotations`` is a compiler directive, so neither counts.
+    """
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = _used_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.partition(".")[0]
+                    if name not in used:
+                        found.add((path.name, name))
+    return found
+
+
+def test_every_imported_name_is_used():
+    assert sorted(f"{path}: {name}" for path, name in _unused_imports()) == []

@@ -1,5 +1,7 @@
 """Group construction, frequency modules, and integer representations."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,6 +11,7 @@ from quasiflow.symmetry import (
     CLOSURE_TOL,
     GOLDEN,
     ORBIT_SEPARATION_TOL,
+    RELATION_BOUND,
     RELATION_TOL,
     FrequencyModule,
     Holohedry,
@@ -113,11 +116,26 @@ def mod():
     return generate_frequency_module(build_holohedry("dihedral:12"))
 
 
+# every module a built-in spec gives, by name: the even planar orders up to
+# 30 except the rank-10 ones (22, 26 and 28), which are refused, and the
+# icosahedral group seeded on its two-fold and on its five-fold axis
+PLANAR_ORDERS = [q for q in range(2, 31, 2) if q not in (22, 26, 28)]
+BUILT = [f"{family}:{q}" for family in ("cyclic", "dihedral") for q in PLANAR_ORDERS]
+BUILT += ["icosahedral", "icosahedral-vertex"]
+
+
+@functools.lru_cache(maxsize=None)
+def built_module(name):
+    if name == "icosahedral-vertex":
+        k0 = np.array([0.0, 1.0, GOLDEN])
+        return generate_frequency_module(build_holohedry("icosahedral"),
+                                         k0=k0 / np.linalg.norm(k0))
+    return generate_frequency_module(build_holohedry(name))
+
+
 @pytest.fixture(scope="module")
 def vertex_mod():
-    H = build_holohedry("icosahedral")
-    k0 = np.array([0.0, 1.0, GOLDEN])
-    return generate_frequency_module(H, k0=k0 / np.linalg.norm(k0))
+    return built_module("icosahedral-vertex")
 
 
 class TestTwelvefoldModule:
@@ -178,12 +196,10 @@ class TestTwelvefoldModule:
 
 
 class TestRepresentationHomomorphism:
-    @pytest.mark.parametrize(
-        "spec", ["dihedral:8", "dihedral:12", "dihedral:16", "icosahedral"]
-    )
+    @pytest.mark.parametrize("spec", BUILT)
     def test_exact_over_whole_group(self, spec):
-        H = build_holohedry(spec)
-        mod = generate_frequency_module(H)
+        mod = built_module(spec)
+        H = mod.holohedry
         reps = mod.integer_reps
         n = len(H.matrices)
         for a in range(n):
@@ -213,6 +229,47 @@ class TestRepresentationHomomorphism:
         assert H.index_of(mat + 0.5 * CLOSURE_TOL) == 5
         with pytest.raises(KeyError):
             H.index_of(mat + 10 * CLOSURE_TOL)
+
+
+class TestEveryBuiltModule:
+    @pytest.mark.parametrize("name", BUILT)
+    def test_equivariance(self, name):
+        # column j of integer_reps[g] holds the coordinates of g A[j]
+        mod = built_module(name)
+        moved = mod.generators.T @ mod.integer_reps
+        assert np.max(np.abs(moved - mod.holohedry.matrices @ mod.generators.T)) < 1e-9
+
+    @pytest.mark.parametrize("name", BUILT)
+    def test_box_coordinates_are_unique(self, name):
+        # distinct indices of the coefficient-bounded box have wavevectors
+        # more than RELATION_TOL apart.  Sorted by their projection on a unit
+        # direction, two wavevectors that close are at most `shift` places
+        # apart, for the first shift with every projection gap above it
+        mod = built_module(name)
+        ks = integer_box(mod.rank, RELATION_BOUND) @ mod.generators
+        u = np.random.default_rng(0).normal(size=mod.dimension)
+        proj = ks @ (u / np.linalg.norm(u))
+        order = np.argsort(proj)
+        ks, proj = ks[order], proj[order]
+        shift = 1
+        while shift < len(ks) and np.any(proj[shift:] - proj[:-shift] <= RELATION_TOL):
+            assert np.min(np.linalg.norm(ks[shift:] - ks[:-shift], axis=1)) > RELATION_TOL
+            shift += 1
+
+    def test_rank_ten_refused(self):
+        with pytest.raises(RelationSearchExhausted, match="relation search"):
+            generate_frequency_module(build_holohedry("dihedral:22"))
+
+    def test_bounded_relation_refused(self):
+        # k0 along (9, sqrt 3) is a point of the hexagonal lattice, so its
+        # orbit spans a rank-2 lattice.  Expressing it needs coefficients
+        # above RELATION_BOUND, so the walk keeps a third and a fourth
+        # generator, and twice the fourth is a bounded combination of the
+        # first three
+        k0 = np.array([9.0, np.sqrt(3.0)])
+        with pytest.raises(RelationSearchExhausted, match="bounded integer relation"):
+            generate_frequency_module(build_holohedry("dihedral:6"),
+                                      k0=k0 / np.linalg.norm(k0))
 
 
 class TestCrystallographicRestriction:
