@@ -14,6 +14,7 @@ even where h L reaches thousands.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -24,7 +25,7 @@ from . import diagnostics, etd
 from .etd import LowerTri
 from .hull import ActiveModeSet, HullField
 
-GOLDEN_RATIO = (np.sqrt(5.0) - 1.0) / 2.0
+GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
 BRENT_MAX_ITER = 100
 
 
@@ -89,23 +90,28 @@ def dispersion_matrix(params: BrusselatorParams, ksq: float) -> np.ndarray:
     ])
 
 
-def _det_dispersion(params: BrusselatorParams, ksq) -> np.ndarray:
-    A, B = params.A, params.B
-    d1, d2 = params.d1, params.d2
-    ksq = np.asarray(ksq, dtype=float)
-    return d1 * d2 * ksq ** 2 + (d1 * A * A - d2 * (B - 1.0)) * ksq + A * A
-
-
 def _interior_min_ksq(params: BrusselatorParams) -> tuple[float, float]:
     """Locate min_k det by golden-section plus exact parabolic refinement.
 
     The determinant is quadratic in the squared wavenumber, so after the
     golden-section narrows the bracket, one symmetric three-point parabola
-    fit, kept inside k^2 >= 0, lands on the vertex to round-off.
+    fit, kept inside k^2 >= 0, lands on the vertex to round-off.  It is
+    evaluated on Python floats from coefficients formed once per call; they
+    do not trap overflow, so a non-finite value (or parabola step) raises
+    FloatingPointError.
     """
+    A, B, d1, d2 = float(params.A), float(params.B), float(params.d1), float(params.d2)
+    c2, c1, c0 = d1 * d2, d1 * A * A - d2 * (B - 1.0), A * A
+
+    def det(ksq: float) -> float:
+        f = c2 * (ksq * ksq) + c1 * ksq + c0
+        if not math.isfinite(f):
+            raise FloatingPointError(f"determinant {f} at k^2 = {ksq:.6g}")
+        return f
+
     hi = 1.0
     for _ in range(200):
-        if _det_dispersion(params, hi) > _det_dispersion(params, 0.5 * hi):
+        if det(hi) > det(0.5 * hi):
             break
         hi *= 2.0
     else:
@@ -114,25 +120,27 @@ def _interior_min_ksq(params: BrusselatorParams) -> tuple[float, float]:
     a, b = lo, hi
     c = b - GOLDEN_RATIO * (b - a)
     d = a + GOLDEN_RATIO * (b - a)
-    fc, fd = _det_dispersion(params, c), _det_dispersion(params, d)
+    fc, fd = det(c), det(d)
     while b - a > 1e-6 * (1.0 + b):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - GOLDEN_RATIO * (b - a)
-            fc = _det_dispersion(params, c)
+            fc = det(c)
         else:
             a, c, fc = c, d, fd
             d = a + GOLDEN_RATIO * (b - a)
-            fd = _det_dispersion(params, d)
+            fd = det(d)
     mid = 0.5 * (a + b)
     s = min(1e-3 * (1.0 + mid), 0.5 * mid)
-    f0 = _det_dispersion(params, mid)
-    fp = _det_dispersion(params, mid + s)
-    fm = _det_dispersion(params, mid - s)
+    f0 = det(mid)
+    fp = det(mid + s)
+    fm = det(mid - s)
     denom = fp - 2.0 * f0 + fm
     vertex = mid if denom <= 0 else mid - 0.5 * s * (fp - fm) / denom
-    vertex = max(float(vertex), 0.0)
-    return vertex, float(_det_dispersion(params, vertex))
+    if not (math.isfinite(denom) and math.isfinite(vertex)):
+        raise FloatingPointError(f"parabola fit out of range at k^2 = {mid:.6g}")
+    vertex = max(vertex, 0.0)
+    return vertex, det(vertex)
 
 
 def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
@@ -213,8 +221,9 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     inside a root solve on the feed parameter, by Brent's method
     (``_brent_root``), to a tolerance relative to B - 1 near B = 1; the
     closed forms B_c = (1 + A*eta)^2 and k_c^2 = A/sqrt(d1 d2) are
-    cross-checked against it to 1e-8 relative and returned.  Parameters
-    whose determinant overflows raise ``ValueError``.
+    cross-checked against it to 1e-8 relative and returned.  The scan runs
+    on Python floats (``_interior_min_ksq``); parameters whose determinant
+    overflows anywhere on its way raise ``ValueError``.
     """
     if not np.all(np.isfinite((A, d1, d2))):
         raise ValueError("parameters must be finite")
@@ -228,18 +237,17 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
         return _interior_min_ksq(BrusselatorParams(A, B, d1, d2))[1]
 
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            B_hi = 2.0
-            for _ in range(200):
-                if min_det(B_hi) < 0:
-                    break
-                B_hi *= 2.0
-            else:
-                raise NoBracket("dispersion determinant never turns negative")
-            B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13, 1e-15)
-            if B_scan - 1.0 < 1e-3:  # k_c^2 ~ (B - 1)/(2 d1): resolve B - 1, not B
-                B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13 * (B_scan - 1.0), 1e-15)
-            ksq_scan, _ = _interior_min_ksq(BrusselatorParams(A, B_scan, d1, d2))
+        B_hi = 2.0
+        for _ in range(200):
+            if min_det(B_hi) < 0:
+                break
+            B_hi *= 2.0
+        else:
+            raise NoBracket("dispersion determinant never turns negative")
+        B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13, 1e-15)
+        if B_scan - 1.0 < 1e-3:  # k_c^2 ~ (B - 1)/(2 d1): resolve B - 1, not B
+            B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13 * (B_scan - 1.0), 1e-15)
+        ksq_scan, _ = _interior_min_ksq(BrusselatorParams(A, B_scan, d1, d2))
     except FloatingPointError as exc:
         raise ValueError(f"dispersion determinant out of range: {exc}") from None
     k_scan = float(np.sqrt(ksq_scan))

@@ -96,8 +96,9 @@ class ActiveModeSet:
     images of all modes are one product of the (order, p) stack of
     rep_g^T radix with the indices, and ``perms`` is that product read
     through the table.  The keep mask is likewise one product of the box
-    with every representation side by side.  Both multiply small integers
-    in float64, which is exact, and run in blocks of BUILD_BLOCK entries.
+    with every distinct representation row (up to sign) side by side.  Both
+    multiply small integers in float64, which is exact, and run in blocks of
+    BUILD_BLOCK entries.
     """
 
     def __init__(self, module: FrequencyModule, N: int):
@@ -117,9 +118,15 @@ class ActiveModeSet:
         self._radix = (2 * self.N + 1) ** np.arange(p - 1, -1, -1, dtype=np.int64)
         box = integer_box(p, self.N)
         reps = module.integer_reps
-        # column g p + i holds row i of rep g, so a box row times it is the
-        # row's image under every group element, side by side
-        side_by_side = reps.reshape(-1, p).T.astype(float)
+        # the rows r of every rep, side by side as columns, so that a box row
+        # m times them holds every r . m; r and -r give the same |r . m|, so
+        # each row enters once up to sign, with its first nonzero entry > 0
+        signed = reps.reshape(-1, p)
+        lead = signed[np.arange(len(signed)), np.argmax(signed != 0, axis=1)]
+        signed = signed * np.sign(lead)[:, None]
+        signed = signed[np.lexsort(signed.T)]
+        distinct = np.r_[True, np.any(signed[1:] != signed[:-1], axis=1)]
+        side_by_side = signed[distinct].T.astype(float)
         keep = np.empty(len(box), dtype=bool)
         rows = max(1, BUILD_BLOCK // side_by_side.shape[1])
         # one buffer for every block: fresh blocks would each fault in anew
@@ -227,7 +234,9 @@ class ActiveModeSet:
             inv = roots[np.outer(np.arange(G), np.r_[0:N + 1, -N:0]) % G]
             wave = inv[:, :N + 1]  # e^{2 pi i k x / G}, k = 0..N
             fold = wave.T * np.where(np.arange(N + 1) == 0, 1.0, 2.0)[:, None]
-            inv_last = np.stack((fold.real, -fold.imag), axis=1).reshape(2 * N + 2, G)
+            # C order: the F-ordered stack took the product at half speed
+            inv_last = np.ascontiguousarray(
+                np.stack((fold.real, -fold.imag), axis=1).reshape(2 * N + 2, G))
             fwd_last = np.stack((wave.real, -wave.imag), axis=2).reshape(G, 2 * N + 2) \
                 / G ** self.rank
             hit = (G, inv, inv_last, inv.conj(), fwd_last)

@@ -241,12 +241,15 @@ def generate_frequency_module(
 
     The walk visits the orbit in group-element order beside the box of
     integer combinations (coefficients bounded by RELATION_BOUND) of the
-    vectors kept so far.  A vector on the box takes the coordinates of its
-    nearest box point, and the integer representations are read off those;
-    any other is kept as the next generator.  RelationSearchExhausted is
-    raised when the box would exceed MAX_SEARCH_CANDIDATES, or when a kept v
-    has c v on the box for some c = 2..RELATION_BOUND: a bounded relation's
-    last nonzero coefficient is never +-1, or its generator was not kept.
+    vectors kept so far.  A vector on the box (within RELATION_TOL) takes the
+    coordinates of that box point, and the integer representations are read
+    off those; any other is kept as the next generator.
+    RelationSearchExhausted is raised when the box would exceed
+    MAX_SEARCH_CANDIDATES; when a vector lies on two box points, whose
+    difference is a relation with coefficients up to 2 RELATION_BOUND; or
+    when a kept v has c v on the box for some c = 2..RELATION_BOUND: a
+    bounded relation's last nonzero coefficient is never +-1, or its
+    generator was not kept.
     """
     if k0 is None:
         k0 = default_k0(holohedry.dimension)
@@ -277,9 +280,15 @@ def generate_frequency_module(
     box = np.zeros((k0.size, 1))
     for o, v in enumerate(orbit):
         sq_dist = np.sum((box - v[:, None]) ** 2, axis=0)
-        i = int(np.argmin(sq_dist))
-        if sq_dist[i] < RELATION_TOL ** 2:
-            digits = np.unravel_index(i, (len(steps),) * len(gens))
+        hits = np.flatnonzero(sq_dist < RELATION_TOL ** 2)
+        if len(hits) > 1:
+            raise RelationSearchExhausted(
+                f"orbit point {o} lies on {len(hits)} box points, so its coordinates "
+                f"are not unique: the generators satisfy an integer relation "
+                f"with coefficients up to {2 * RELATION_BOUND}"
+            )
+        if len(hits):
+            digits = np.unravel_index(hits[0], (len(steps),) * len(gens))
             coords[o, :len(gens)] = steps[np.array(digits)]
             continue
         coords[o, len(gens)] = 1
@@ -305,13 +314,14 @@ def generate_frequency_module(
     reps = np.swapaxes(coords[slot, :p], 1, 2).copy()
     reps.setflags(write=False)
 
-    rank_real = np.linalg.matrix_rank(A, tol=RANK_TOL)
+    # p > d vectors in R^d are never independent: no rank decomposition then
+    discrete = p <= k0.size and p == np.linalg.matrix_rank(A, tol=RANK_TOL)
     return FrequencyModule(
         holohedry=holohedry,
         k0=k0,
         generators=A,
         integer_reps=reps,
-        uniformly_discrete=bool(p == rank_real),
+        uniformly_discrete=bool(discrete),
         orbit=orbit,
     )
 

@@ -1,5 +1,6 @@
 """Two-component dynamics: onset analysis, exponential stepping, positivity."""
 
+import warnings
 from dataclasses import replace
 from functools import cache
 
@@ -138,6 +139,11 @@ class TestTuringAnalysis:
         with pytest.raises(ValueError):
             br.turing_analysis(-1.0, 0.25, 1.0)
 
+    def test_overflowing_coefficient_is_out_of_range(self):
+        # d1 A^2 = 1e310: a determinant that is inf everywhere has no minimum
+        with pytest.raises(ValueError, match="determinant out of range"):
+            br.turing_analysis(1e150, 1e10, 1e10)
+
 
 @pytest.fixture(scope="module")
 def brentq():
@@ -147,10 +153,10 @@ def brentq():
 
 
 def outcome(solve, *args):
-    """The root's bits, or the type of the error raised instead."""
+    """The result's bits, or the type of the error raised instead."""
     try:
-        return np.float64(solve(*args)).tobytes()
-    except (ValueError, RuntimeError) as exc:
+        return np.asarray(solve(*args), dtype=float).tobytes()
+    except (ValueError, RuntimeError, FloatingPointError) as exc:
         return type(exc)
 
 
@@ -195,6 +201,111 @@ class TestBrentRoot:
     def test_unbracketed_interval_is_refused(self):
         with pytest.raises(ValueError):
             br._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 1e-15)
+
+
+def numpy_scan(params):
+    """The onset scan on numpy scalars, overflow trapped by errstate: the
+    oracle of ``_interior_min_ksq``, which runs the same steps on floats."""
+    A, B, d1, d2 = params.A, params.B, params.d1, params.d2
+
+    def det(ksq):
+        ksq = np.asarray(ksq, dtype=float)
+        return d1 * d2 * ksq ** 2 + (d1 * A * A - d2 * (B - 1.0)) * ksq + A * A
+
+    gr = br.GOLDEN_RATIO
+    with np.errstate(over="raise", invalid="raise"):
+        hi = 1.0
+        for _ in range(200):
+            if det(hi) > det(0.5 * hi):
+                break
+            hi *= 2.0
+        else:
+            raise br.NoBracket("determinant keeps decreasing; no interior minimum")
+        a, b = 0.0, hi
+        c, d = b - gr * (b - a), a + gr * (b - a)
+        fc, fd = det(c), det(d)
+        while b - a > 1e-6 * (1.0 + b):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - gr * (b - a)
+                fc = det(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + gr * (b - a)
+                fd = det(d)
+        mid = 0.5 * (a + b)
+        s = min(1e-3 * (1.0 + mid), 0.5 * mid)
+        f0, fp, fm = det(mid), det(mid + s), det(mid - s)
+        denom = fp - 2.0 * f0 + fm
+        vertex = mid if denom <= 0 else mid - 0.5 * s * (fp - fm) / denom
+        vertex = max(float(vertex), 0.0)
+        return vertex, float(det(vertex))
+
+
+def log_uniform_triples(seed, count, low_A):
+    rng = np.random.default_rng(seed)
+    return [tuple(map(float, 10.0 ** rng.uniform((low_A, -2.0, -2.0), (1.0, 1.0, 1.0))))
+            for _ in range(count)]
+
+
+def battery_triples():
+    # battery rows 14a, 14c and the onset run's (2, 1, 4)
+    rng = np.random.default_rng(11)
+    return [(2.0, 1.0, 4.0), (2.0, 0.25, 1.0)] + [
+        (rng.uniform(0.5, 3.0), rng.uniform(0.05, 2.0), rng.uniform(0.05, 2.0))
+        for _ in range(20)
+    ]
+
+
+ORACLE_TRIPLES = {
+    "battery": battery_triples(),
+    # k_c^2 down to 5e-10, where B_c - 1 is below the scan's resolution
+    "small-k": [(A, d1, d2) for A in (1e-3, 1e-5, 1e-7, 1e-9)
+                for d1, d2 in ((1.0, 4.0), (0.05, 2.0))],
+    "log-uniform": log_uniform_triples(20, 300, -9.0),
+    # the CLI's cases that overflow
+    "overflow": [(2.0, 1e-300, 1e300), (1e200, 1.0, 4.0), (2.0, 1e300, 4.0)],
+}
+
+
+class TestScanOracle:
+    """The float scan gives the numpy-scalar scan's results bit for bit."""
+
+    @staticmethod
+    def report(A, d1, d2):
+        """Result bits, report lines and warnings, or the error raised."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                rep = br.turing_analysis(A, d1, d2)
+            except (ValueError, OverflowError, br.NoBracket) as exc:
+                return type(exc), str(exc).partition(":")[0]
+        bits = [x.hex() for x in (rep.B_c_scan, rep.k_c_scan, *rep.critical_eigenvector)]
+        return bits, rep.lines(), [str(w.message) for w in caught]
+
+    @pytest.mark.parametrize("group", list(ORACLE_TRIPLES))
+    def test_turing_analysis(self, monkeypatch, group):
+        got = [self.report(*t) for t in ORACLE_TRIPLES[group]]
+        monkeypatch.setattr(br, "_interior_min_ksq", numpy_scan)
+        assert got == [self.report(*t) for t in ORACLE_TRIPLES[group]]
+
+    def test_near_overflow(self):
+        # determinants near the float range; coefficients that overflow
+        # while they are formed are left out: the oracle carries them as inf
+        # without a trap.  The first case overflows only in the parabola fit
+        rng = np.random.default_rng(21)
+        cases = [(9.850284361715119e153, 2.9167479031567476e268,
+                  9.985782917717798e-08, 3.044085695308807e-09)]
+        while len(cases) < 300:
+            A, B, d1, d2 = map(float, 10.0 ** rng.uniform((140, 0, -30, -30),
+                                                          (154.1, 308, 10, 10)))
+            if np.isfinite(d1 * A * A - d2 * (B - 1.0)):
+                cases.append((A, B, d1, d2))
+        for case in cases:
+            want = outcome(numpy_scan, BrusselatorParams(*case))
+            assert outcome(br._interior_min_ksq, BrusselatorParams(*case)) == want
+        with pytest.raises(FloatingPointError, match="parabola"):
+            br._interior_min_ksq(BrusselatorParams(*cases[0]))
 
 
 def uuv_params():

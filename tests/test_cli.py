@@ -326,6 +326,8 @@ class TestTuring:
         {"--A": "nan"}, {"--A": "inf"}, {"--A": "1e200"}, {"--d1": "nan"}, {"--d1": "1e300"},
         # finite, but the determinant overflows on the way to its minimum
         {"--d1": "1e-300", "--d2": "1e300"},
+        # finite, but the determinant's coefficient d1 A^2 overflows
+        {"--A": "1e150", "--d1": "1e10", "--d2": "1e10"},
     ], ids=lambda changed: "-".join(x for kv in changed.items() for x in kv))
     def test_unusable_parameters_are_one_error_line(self, capsys, changed):
         args = {"--A": "2", "--d1": "1", "--d2": "4", **changed}

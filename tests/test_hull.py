@@ -119,6 +119,23 @@ def active_case(request):
     return ActiveModeSet(module, N)
 
 
+# every module a built-in spec gives (as in test_symmetry.py), each at the
+# largest N whose index box stays near 10^4 rows: 7^p up to p = 4, 5^6, 3^8
+PLANAR_ORDERS = [q for q in range(2, 31, 2) if q not in (22, 26, 28)]
+BUILT = [f"{family}:{q}" for family in ("cyclic", "dihedral") for q in PLANAR_ORDERS]
+BUILT += ["icosahedral", "icosahedral-vertex"]
+BUILT_N = {1: 3, 2: 3, 4: 3, 6: 2, 8: 1}
+
+
+@cache
+def built_active(name):
+    if name == "icosahedral-vertex":
+        module = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
+    else:
+        module = generate_frequency_module(build_holohedry(name))
+    return ActiveModeSet(module, BUILT_N[module.rank])
+
+
 class TestActiveModeSet:
     def test_single_mode_at_zero_truncation(self, mod12):
         assert len(ActiveModeSet(mod12, 0)) == 1
@@ -159,6 +176,16 @@ class TestActiveModeSet:
         for g, rep in enumerate(act.module.integer_reps):
             assert [pos[tuple(rep @ m)] for m in act.indices] == list(act.perms[g])
         assert [pos[tuple(-m)] for m in act.indices] == list(act.neg_perm)
+
+    @pytest.mark.parametrize("name", BUILT)
+    def test_keep_mask_over_every_row(self, name):
+        # the build tests one row of each +- pair of rep rows; the full mask
+        # here tests every row of every rep
+        act = built_active(name)
+        box = integer_box(act.rank, act.N)
+        rows = act.module.integer_reps.reshape(-1, act.rank)
+        keep = np.abs(box @ rows.T).max(axis=1) <= act.N
+        assert np.array_equal(act.indices, box[keep])
 
     def test_lexicographic_order(self, act12):
         rows = [tuple(m) for m in act12.indices]
@@ -626,6 +653,13 @@ class TestRealTransforms:
         ref = complex_reference_grid(act, a[0, 0], G)
         assert np.abs(vals[0, 0] - ref.real).max() <= 1e-13 * scale
         assert np.abs(back[0, 0] - a[0, 0]).max() <= 1e-13 * scale
+
+    def test_tables_are_c_contiguous(self):
+        # an F-ordered last-axis table took the inverse product at half speed
+        for case, grid in TRANSFORM_CASES:
+            act = transform_active(case)
+            _, *tables = act._transforms(TRANSFORM_GRIDS[grid](act.N))
+            assert all(t.flags.c_contiguous for t in tables), (case, grid)
 
     def test_product_grid_is_4n_plus_1(self, mod4):
         # the smallest alias-free grid for cubic products, prime or not

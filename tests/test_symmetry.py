@@ -11,6 +11,7 @@ from quasiflow.symmetry import (
     CLOSURE_TOL,
     GOLDEN,
     ORBIT_SEPARATION_TOL,
+    RANK_TOL,
     RELATION_BOUND,
     RELATION_TOL,
     FrequencyModule,
@@ -256,6 +257,13 @@ class TestEveryBuiltModule:
             assert np.min(np.linalg.norm(ks[shift:] - ks[:-shift], axis=1)) > RELATION_TOL
             shift += 1
 
+    @pytest.mark.parametrize("name", BUILT)
+    def test_discrete_exactly_when_generators_independent(self, name):
+        # p > d generators are never independent, so their rank goes unasked
+        mod = built_module(name)
+        independent = mod.rank == np.linalg.matrix_rank(mod.generators, tol=RANK_TOL)
+        assert mod.uniformly_discrete is bool(independent)
+
     def test_rank_ten_refused(self):
         with pytest.raises(RelationSearchExhausted, match="relation search"):
             generate_frequency_module(build_holohedry("dihedral:22"))
@@ -270,6 +278,20 @@ class TestEveryBuiltModule:
         with pytest.raises(RelationSearchExhausted, match="bounded integer relation"):
             generate_frequency_module(build_holohedry("dihedral:6"),
                                       k0=k0 / np.linalg.norm(k0))
+
+    # lattice directions whose orbits need coefficients above RELATION_BOUND:
+    # built, their representations broke the group law (88 of 144 products
+    # for dihedral:6 along (5, sqrt 3), 376 and 496 of 576 for dihedral:12)
+    @pytest.mark.parametrize("spec,direction", [
+        ("dihedral:6", (5.0, np.sqrt(3.0))),
+        ("dihedral:12", (2.0, np.sqrt(3.0))),
+        ("dihedral:12", (5.0, np.sqrt(3.0))),
+    ])
+    def test_ambiguous_coordinates_refused(self, spec, direction):
+        # an orbit point on two box points has no unique coordinates
+        k0 = np.array(direction)
+        with pytest.raises(RelationSearchExhausted, match="not unique"):
+            generate_frequency_module(build_holohedry(spec), k0=k0 / np.linalg.norm(k0))
 
 
 class TestCrystallographicRestriction:
