@@ -222,21 +222,21 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     (``_brent_root``), to a tolerance relative to B - 1 near B = 1; the
     closed forms B_c = (1 + A*eta)^2 and k_c^2 = A/sqrt(d1 d2) are
     cross-checked against it to 1e-8 relative and returned.  The scan runs
-    on Python floats (``_interior_min_ksq``); parameters whose determinant
-    overflows anywhere on its way raise ``ValueError``.
+    on Python floats (``_interior_min_ksq``); parameters whose B_c, or
+    determinant anywhere on its way, overflows raise ``ValueError``.
     """
     if not np.all(np.isfinite((A, d1, d2))):
         raise ValueError("parameters must be finite")
     if min(A, d1, d2) <= 0:
         raise ValueError("parameters must be positive")
     eta = float(np.sqrt(d1 / d2))
-    B_closed = (1.0 + A * eta) ** 2
     ksq_closed = A / np.sqrt(d1 * d2)
 
     def min_det(B: float) -> float:
         return _interior_min_ksq(BrusselatorParams(A, B, d1, d2))[1]
 
     try:
+        B_closed = (1.0 + A * eta) ** 2  # a float's ** raises OverflowError
         B_hi = 2.0
         for _ in range(200):
             if min_det(B_hi) < 0:
@@ -248,6 +248,8 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
         if B_scan - 1.0 < 1e-3:  # k_c^2 ~ (B - 1)/(2 d1): resolve B - 1, not B
             B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13 * (B_scan - 1.0), 1e-15)
         ksq_scan, _ = _interior_min_ksq(BrusselatorParams(A, B_scan, d1, d2))
+    except OverflowError:
+        raise ValueError(f"B_c = (1 + A eta)^2 out of range at A eta = {A * eta:g}") from None
     except FloatingPointError as exc:
         raise ValueError(f"dispersion determinant out of range: {exc}") from None
     k_scan = float(np.sqrt(ksq_scan))
@@ -336,9 +338,7 @@ def steady_plus_critical_ic(
     module so that orbit sits at the critical wavenumber.
     """
     u, v = steady_ic(active, params)
-    e0 = np.zeros(active.rank, dtype=int)
-    e0[0] = 1
-    orbit = active.orbit_positions(e0)
+    orbit = active.k0_orbit()
     u.coeffs[orbit] += amplitude * eigenvector[0]
     v.coeffs[orbit] += amplitude * eigenvector[1]
     return u, v

@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -88,17 +89,19 @@ class ActiveModeSet:
     order of indices, and the i-th row of ``integer_box`` has key i.  An
     index is kept when every integer representation maps it back into the
     box.  Indices are stored in key order; all derived arrays (wavevectors,
-    group permutations, negation permutation) are aligned with that order.
+    orbit ids, negation permutation) are aligned with that order.
 
     A table of length (2N+1)^p holds each key's position in the set, or
     len(self) for a box index that is not active; every lookup reads it.
     Since key(g m) = m . (rep_g^T radix) + N sum(radix), the keys of all
     images of all modes are one product of the (order, p) stack of
-    rep_g^T radix with the indices, and ``perms`` is that product read
-    through the table.  The keep mask is likewise one product of the box
-    with every distinct representation row (up to sign) side by side.  Both
-    multiply small integers in float64, which is exact, and run in blocks of
-    BUILD_BLOCK entries.
+    rep_g^T radix with the indices.  Positions ascend with keys, so a
+    mode's smallest image key, read through the table, is its ``orbit`` id:
+    the smallest position in its orbit.  ``orbit_blocks`` holds one
+    ``(orbits, size)`` block of positions per orbit size.  The keep mask
+    is likewise one product of the box with every distinct representation
+    row (up to sign) side by side.  Both multiply small integers in float64,
+    which is exact, and run in blocks of BUILD_BLOCK entries.
     """
 
     def __init__(self, module: FrequencyModule, N: int):
@@ -129,11 +132,8 @@ class ActiveModeSet:
         side_by_side = signed[distinct].T.astype(float)
         keep = np.empty(len(box), dtype=bool)
         rows = max(1, BUILD_BLOCK // side_by_side.shape[1])
-        # one buffer for every block: fresh blocks would each fault in anew
-        buf = np.empty((min(rows, len(box)), side_by_side.shape[1]))
         for lo in range(0, len(box), rows):
-            part = box[lo:lo + rows].astype(float)
-            images = np.matmul(part, side_by_side, out=buf[:len(part)])
+            images = box[lo:lo + rows].astype(float) @ side_by_side
             keep[lo:lo + rows] = np.abs(images, out=images).max(axis=1) <= self.N
         # one pass suffices: integer_reps is closed under products (check 16)
 
@@ -148,12 +148,18 @@ class ActiveModeSet:
 
         key_rows = (reps.transpose(0, 2, 1) @ self._radix).astype(float)
         columns = self.indices.T.astype(float)
-        self.perms = np.empty((len(reps), len(self)), dtype=np.int64)
+        low = np.full(len(self), np.inf)
         rows = max(1, BUILD_BLOCK // len(self))
         for lo in range(0, len(reps), rows):
             keys = key_rows[lo:lo + rows] @ columns
-            keys += self.N * self._radix.sum()
-            self.perms[lo:lo + rows] = self._table[keys.astype(np.int64)]
+            np.minimum(low, keys.min(axis=0), out=low)
+        low += self.N * self._radix.sum()
+        self.orbit = self._table[low.astype(np.int64)].astype(np.int32)
+        # not np.unique, which imports numpy.ma on first use
+        order = np.argsort(self.orbit, kind="stable")
+        size = np.bincount(self.orbit)[self.orbit[order]]
+        self.orbit_blocks = [order[size == s].reshape(-1, s)
+                             for s in np.flatnonzero(np.bincount(size))]
         self.neg_perm = self._find(-self.indices)
 
         # the smallest alias-free grid for cubic products (module docstring)
@@ -196,12 +202,10 @@ class ActiveModeSet:
                 return int(i)
         raise InactiveMode(f"mode {m.tolist()} is not in the active set")
 
-    def orbit_positions(self, m) -> np.ndarray:
-        """Positions of the group orbit of an active index (sorted, unique)."""
-        # a membership mask, not np.unique, which imports numpy.ma on first use
-        member = np.zeros(len(self), dtype=bool)
-        member[self.perms[:, self.position(m)]] = True
-        return np.flatnonzero(member)
+    def k0_orbit(self) -> np.ndarray:
+        """Positions of the orbit of the first generator, (1, 0, ..., 0), ascending."""
+        e0 = self.position(np.eye(self.rank, dtype=int)[0])
+        return np.flatnonzero(self.orbit == self.orbit[e0])
 
     def _transforms(self, axis_points: int | None):
         """Pruned DFT matrices for a grid of G >= 2N+1 points per axis.
@@ -241,6 +245,11 @@ class ActiveModeSet:
                 / G ** self.rank
             hit = (G, inv, inv_last, inv.conj(), fwd_last)
             self._dft_cache[G] = hit
+            # freeing a mapped block raises glibc's mmap threshold to its size
+            # (up to 32 MiB) and the trim threshold to twice that; after this
+            # untouched one, every grid temporary comes from the heap, not
+            # from fresh, faulting pages, whatever ran before
+            np.empty(4 * G ** self.rank)
         return hit
 
     def grid_values(self, coeffs: np.ndarray, axis_points: int | None = None) -> np.ndarray:
@@ -369,17 +378,25 @@ class HullField:
     def symmetrize(self) -> "HullField":
         """Orthogonal projection onto the group-invariant subspace.
 
-        Averages coefficients over the group action; idempotent, and exact
-        because the active set is closed under every integer representation.
+        The mean over each orbit, which is the mean over the group action
+        since an orbit's modes have stabilisers of one size; idempotent.
         """
-        sym = np.mean(self.coeffs[self.active.perms], axis=0)
+        sym = np.empty_like(self.coeffs)
+        for block in self.active.orbit_blocks:
+            sym[block] = self.coeffs[block].mean(axis=1, keepdims=True)
         return HullField(self.active, sym)
 
     def symmetry_drift(self) -> float:
-        """max over group elements and modes of |a_{gamma m} - a_m|."""
-        diff = self.coeffs.take(self.active.perms)
-        diff -= self.coeffs
-        return float(np.abs(diff).max())
+        """max of |a_i - a_j| over pairs of one orbit, i.e. of |a_{gamma m} - a_m|."""
+        drift = np.float64(0.0)
+        for block in self.active.orbit_blocks:
+            i, j = _pairs(block.shape[1])
+            rows = max(1, BUILD_BLOCK // max(1, len(i)))
+            for lo in range(0, len(block), rows):
+                vals = self.coeffs[block[lo:lo + rows]]
+                diff = vals.take(i, axis=1) - vals.take(j, axis=1)
+                drift = np.maximum(drift, np.abs(diff).max(initial=0.0))
+        return float(drift)
 
     def support_set(self, eps: float) -> np.ndarray:
         """Active indices with |a_m| > eps (rows)."""
@@ -411,6 +428,12 @@ class HullField:
                 )
             out[lo:lo + EVAL_CHUNK] = vals.real
         return out
+
+
+@cache
+def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
+    # cached: building them took as long as a small class's differences
+    return np.triu_indices(size, 1)
 
 
 def convolve_direct(*fields: HullField) -> dict:

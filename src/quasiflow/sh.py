@@ -134,15 +134,14 @@ def quasicrystal_ic(
         raise ValueError("pattern amplitude scale needs a positive parameter")
     target = relative_amplitude * np.sqrt(lam)
     field = HullField.zeros(active)
-    e0 = np.zeros(active.rank, dtype=int)
-    e0[0] = 1
-    orbit = active.orbit_positions(e0)
+    orbit = active.k0_orbit()
     field.coeffs[orbit] = target / np.sqrt(len(orbit))
     if perturbation > 0:
         q = perturbation * np.sqrt(lam) / np.sqrt(2.0)
         rng = default_rng(seed)
         noise = rng.uniform(-q, q, len(active)) + 1j * rng.uniform(-q, q, len(active))
-        field = HullField(active, field.coeffs + noise).hermitianized().symmetrize()
+        # hermitianized again: the orbit mean can leave a_{-m} a rounding off conj(a_m)
+        field = HullField(active, field.coeffs + noise).hermitianized().symmetrize().hermitianized()
         field = (target / field.l2_norm()) * field
     return field
 

@@ -45,15 +45,6 @@ def _icosahedral_vertex_active() -> ActiveModeSet:
     return ActiveModeSet(module, 1)
 
 
-def _orbit_field(active: ActiveModeSet, l2_target: float) -> HullField:
-    f = HullField.zeros(active)
-    e0 = np.zeros(active.rank, dtype=int)
-    e0[0] = 1
-    orbit = active.orbit_positions(e0)
-    f.coeffs[orbit] = l2_target / np.sqrt(len(orbit))
-    return f
-
-
 def _pass_report(name: str, value: float) -> CheckReport:
     """A reported-but-not-asserted quantity; tolerance infinite by design."""
     return CheckReport(name, True, float(value), 0.0, np.inf)
@@ -124,7 +115,7 @@ def run_all(progress=None) -> list:
     add(replace(rep, name="01-exponential-decay"))
 
     # 2. polynomial decay at lam = 0
-    zero_state = sh.make_state(_orbit_field(act, 0.3), 0.0, dt=DT)
+    zero_state = sh.make_state(sh.quasicrystal_ic(act, 0.09, 1.0), 0.0, dt=DT)
     _, traj_zero = sh.integrate(zero_state, 100.0, diag_every=10)
     rep = diagnostics.check_decay_zero_lambda(traj_zero)
     add(replace(rep, name="02-polynomial-decay"))

@@ -322,19 +322,26 @@ class TestTuring:
 
     # a warning is an error here: the error line must be the only output
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("changed", [
-        {"--A": "nan"}, {"--A": "inf"}, {"--A": "1e200"}, {"--d1": "nan"}, {"--d1": "1e300"},
-        # finite, but the determinant overflows on the way to its minimum
-        {"--d1": "1e-300", "--d2": "1e300"},
-        # finite, but the determinant's coefficient d1 A^2 overflows
-        {"--A": "1e150", "--d1": "1e10", "--d2": "1e10"},
-    ], ids=lambda changed: "-".join(x for kv in changed.items() for x in kv))
-    def test_unusable_parameters_are_one_error_line(self, capsys, changed):
+    @pytest.mark.parametrize("changed,named", [
+        pytest.param(changed, named, id="-".join(x for kv in changed.items() for x in kv))
+        for changed, named in [
+            ({"--A": "nan"}, "must be finite"), ({"--A": "inf"}, "must be finite"),
+            ({"--d1": "nan"}, "must be finite"), ({"--d1": "1e300"}, "never turns negative"),
+            # finite, but B_c = (1 + A eta)^2 overflows
+            ({"--A": "1e200"}, "B_c = (1 + A eta)^2 out of range"),
+            # finite, but the determinant overflows on the way to its minimum
+            ({"--d1": "1e-300", "--d2": "1e300"}, "determinant out of range"),
+            # finite, but the determinant's coefficient d1 A^2 overflows
+            ({"--A": "1e150", "--d1": "1e10", "--d2": "1e10"}, "determinant out of range"),
+        ]
+    ])
+    def test_unusable_parameters_are_one_error_line(self, capsys, changed, named):
         args = {"--A": "2", "--d1": "1", "--d2": "4", **changed}
         code = cli.main(["turing"] + [x for kv in args.items() for x in kv])
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ")
+        # one line, naming what is unusable
+        assert len(err) == 1 and err[0].startswith("error: ") and named in err[0]
 
     @pytest.mark.filterwarnings("error")
     def test_small_onset_wavenumber_is_quiet(self, capsys):

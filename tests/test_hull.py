@@ -1,7 +1,12 @@
 """Truncated hull fields: mode sets, norms, products, condition checks."""
 
+import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from functools import cache
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +104,27 @@ def random_hermitian(active, seed, scale=0.5):
     return HullField(active, scale * raw).hermitianized()
 
 
+def images(act):
+    """The (order, nmodes) table of the positions of every g m, in Python."""
+    pos = {tuple(m): i for i, m in enumerate(act.indices.tolist())}
+    return np.array([[pos[tuple(m)] for m in (act.indices @ rep.T).tolist()]
+                     for rep in act.module.integer_reps])
+
+
+def assert_orbits_match_images(act):
+    """``orbit`` and ``orbit_blocks`` hold the orbits the image table implies."""
+    table = images(act)
+    assert act.orbit.dtype == np.int32
+    assert np.array_equal(act.orbit, table.min(axis=0))
+    orbits = {}
+    for i in range(len(act)):
+        orbits.setdefault(table[:, i].min(), sorted(set(table[:, i].tolist())))
+    expected = sorted(orbits.values(), key=lambda o: (len(o), o[0]))
+    assert [row for block in act.orbit_blocks for row in block.tolist()] == expected
+    sizes = [block.shape[1] for block in act.orbit_blocks]
+    assert sizes == sorted(set(sizes))
+
+
 # (holohedry, N); "vertex" is the icosahedral module seeded on a vertex
 # axis, the rank-6 module of battery check 12b; dihedral:16 has rank 8.
 # The dict oracles below take 7-9 s each at vertex N = 2, so it is left out
@@ -172,10 +198,17 @@ class TestActiveModeSet:
 
     def test_permutation_tables(self, active_case):
         act = active_case
+        assert_orbits_match_images(act)
         pos = {tuple(m): i for i, m in enumerate(act.indices)}
-        for g, rep in enumerate(act.module.integer_reps):
-            assert [pos[tuple(rep @ m)] for m in act.indices] == list(act.perms[g])
         assert [pos[tuple(-m)] for m in act.indices] == list(act.neg_perm)
+
+    @pytest.mark.parametrize("name,N", [(name, None) for name in BUILT]
+                             + [("icosahedral", 1), ("icosahedral-vertex", 1)])
+    def test_orbits_on_every_built_module(self, name, N):
+        # every built module while its box is small; both icosahedral seeds
+        # at N = 2 (BUILT_N) and N = 1
+        act = built_active(name)
+        assert_orbits_match_images(act if N is None else ActiveModeSet(act.module, N))
 
     @pytest.mark.parametrize("name", BUILT)
     def test_keep_mask_over_every_row(self, name):
@@ -300,7 +333,7 @@ class TestSymmetrize:
         f = HullField.zeros(act12)
         f.set_coefficient([1, 0, 0, 0], 1.0)
         s = f.symmetrize()
-        orbit = act12.orbit_positions([1, 0, 0, 0])
+        orbit = act12.k0_orbit()
         assert len(orbit) == 12
         assert np.allclose(s.coeffs[orbit], 1.0 / 6.0)
         mask = np.ones(len(act12), dtype=bool)
@@ -332,8 +365,33 @@ class TestSymmetrize:
     def test_drift_equals_loop_over_group(self, act12):
         # the max over group elements of the max over modes, one by one
         f = random_hermitian(act12, 14).symmetrize() + 1e-13 * random_hermitian(act12, 15)
-        loop = max(np.abs(f.coeffs[perm] - f.coeffs).max() for perm in act12.perms)
+        loop = max(np.abs(f.coeffs[perm] - f.coeffs).max() for perm in images(act12))
         assert f.symmetry_drift() == loop
+
+    def test_drift_over_chunks(self):
+        # the 120-mode orbits of icosahedral-vertex N = 2 go 9 to a chunk
+        act = built_active("icosahedral-vertex")
+        f = random_hermitian(act, 17).symmetrize() + 1e-13 * random_hermitian(act, 18)
+        loop = max(np.abs(f.coeffs[perm] - f.coeffs).max() for perm in images(act))
+        assert f.symmetry_drift() == loop
+        # one mode off, in each orbit in turn
+        for block in act.orbit_blocks:
+            for row in block:
+                g = HullField.zeros(act)
+                g.coeffs[row[-1]] = 1.0
+                assert g.symmetry_drift() == (1.0 if len(row) > 1 else 0.0)
+
+    @pytest.mark.parametrize("name", ["dihedral:12", "cyclic:10", "icosahedral-vertex"])
+    def test_orbit_mean_is_group_mean(self, name):
+        # the group mean correctly rounded: a running sum over 120 elements
+        # alone strays 1.8e-15 on icosahedral-vertex
+        act = built_active(name)
+        f = random_hermitian(act, 16)
+        group_mean = [complex(math.fsum(a.real), math.fsum(a.imag)) / len(a)
+                      for a in f.coeffs[images(act)].T]
+        s = f.symmetrize()
+        assert np.abs(s.coeffs - group_mean).max() <= 1e-15
+        assert s.symmetry_drift() == 0.0
 
 
 class TestPointwiseProduct:
@@ -818,3 +876,60 @@ def test_symmetrize_is_contraction_in_every_norm(mod4, seed):
     assert s.l2_norm() <= u.l2_norm() + 1e-12
     assert s.l1_norm() <= u.l1_norm() + 1e-12
     assert s.hs_norm(3.0) <= u.hs_norm(3.0) + 1e-12
+
+
+# one BLAS thread, as the benchmark runs: a thread pool's stacks would count
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+
+RECORDED_STEPS = """\
+import resource
+from quasiflow import sh
+from quasiflow.hull import ActiveModeSet
+from quasiflow.symmetry import build_holohedry, generate_frequency_module
+act = ActiveModeSet(generate_frequency_module(build_holohedry("dihedral:12")), 3)
+state = sh.step(sh.make_state(sh.quasicrystal_ic(act, 0.2, 0.5), 0.2, dt=0.125))
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+_, traj = sh.integrate(state, 30 * 0.125, diag_every=1)
+print(len(traj.records), resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+VERTEX_BUILD = """\
+import re
+from quasiflow.hull import ActiveModeSet
+from quasiflow.symmetry import build_holohedry, generate_frequency_module
+from quasiflow.verification import VERTEX_K0
+def hwm_kib():
+    with open("/proc/self/status") as f:
+        return int(re.search(r"VmHWM:\\s+(\\d+) kB", f.read()).group(1))
+module = generate_frequency_module(build_holohedry("icosahedral"), VERTEX_K0)
+before = hwm_kib()
+ActiveModeSet(module, 3)
+print(hwm_kib() - before)
+"""
+
+
+def run_fresh(code):
+    """The last line a fresh interpreter prints running ``code``, as integers."""
+    src = str(Path(hull.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path, **{v: "1" for v in THREAD_VARS}}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return [int(x) for x in proc.stdout.split()]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="glibc malloc and /proc/self/status")
+class TestAllocation:
+    def test_recorded_steps_do_not_fault(self):
+        # the grid temporaries come from the heap whatever ran before them:
+        # 12 faults per step when only a record's free set glibc's mmap
+        # threshold, 150-200 when nothing did
+        records, faults = run_fresh(RECORDED_STEPS)
+        assert records == 31
+        assert faults / 30 < 5
+
+    def test_vertex_build_memory(self):
+        # 117649 modes of 120 images each: 144 MB with a full int64 image table
+        assert run_fresh(VERTEX_BUILD)[0] < 60 * 1024

@@ -44,7 +44,7 @@ def symbol(module, m, lam):
 def critical_orbit_seed(active, l2):
     """A field of l2 norm ``l2`` spread evenly over the first generator's orbit."""
     f = HullField.zeros(active)
-    orbit = active.orbit_positions(e_first(active.rank))
+    orbit = active.k0_orbit()
     f.coeffs[orbit] = l2 / np.sqrt(len(orbit))
     return f
 
