@@ -101,27 +101,28 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
     coefficients nor any result.  The extrema columns come from the same
     memo (``EtdState.extrema``): samples on N(a)'s grid, not torus bounds.
 
-    Norms combine the components of the stacked coefficients: l2-type norms
-    in quadrature, l1 and the squared gradient by sum.  The energy column is
-    the equation's descent functional, and the extrema of the second
-    component, if any, fill min_v/max_v.  A diagnostic that overflows raises
-    NonFiniteState naming the time and step index.
+    Norms are reduced from the rows of ``state.coeffs``, one per component:
+    l2-type norms in quadrature, l1 and the squared gradient by sum.  The
+    energy column is the equation's descent functional, and the extrema of
+    the second component, if any, fill min_v/max_v.  A diagnostic that
+    overflows raises NonFiniteState naming the time and step index.
     """
-    fields = [HullField(state.active, c) for c in state.coeffs]
+    act, coeffs = state.active, state.coeffs
     # an overflow surfaces as the explicit NonFiniteState below
     with np.errstate(over="ignore", invalid="ignore"):
         # extrema first: they and the terms then share one grid synthesis
         (min_u, max_u), (min_v, max_v) = (state.extrema() + [(None, None)])[:2]
         linear, nonlinear = state.terms()
-        rates = [HullField(state.active, c) for c in linear + nonlinear]
+        mag = np.abs(coeffs)
+        sq = mag ** 2  # np.abs(c) ** 2 of each row, bit for bit
         values = dict(
-            l2=float(np.hypot.reduce([f.l2_norm() for f in fields])),
-            l1=sum(f.l1_norm() for f in fields),
-            hs=float(np.hypot.reduce([f.hs_norm(s) for f in fields])),
-            energy=state.params.energy(state.coeffs, linear, nonlinear),
-            rhs_l2=float(np.hypot.reduce([f.l2_norm() for f in rates])),
-            grad_hull_sq=sum(f.grad_sq() for f in fields),
-            sym_drift=max(f.symmetry_drift() for f in fields),
+            l2=float(np.hypot.reduce([np.linalg.norm(c) for c in coeffs])),
+            l1=float(sum(mag.sum(axis=-1))),
+            hs=float(np.hypot.reduce(np.sqrt(((act.msq + 1.0) ** s * sq).sum(axis=-1)))),
+            energy=state.params.energy(coeffs, linear, nonlinear),
+            rhs_l2=float(np.hypot.reduce([np.linalg.norm(r) for r in linear + nonlinear])),
+            grad_hull_sq=float(sum((act.msq * sq).sum(axis=-1))),
+            sym_drift=act.symmetry_drift(coeffs),
             min_u=min_u, max_u=max_u, min_v=min_v, max_v=max_v,
         )
     if not np.all(np.isfinite([v for v in values.values() if v is not None])):

@@ -319,7 +319,7 @@ def step(state: EtdState) -> EtdState:
             out = (a + tab.f1 @ (La + Na) + tab.f2 @ (2.0 * La + Nb + Nc)
                    + tab.f3 @ (La + Nd))
 
-        out = 0.5 * (out + np.conj(out[:, act.neg_perm]))
+        out = act.hermitian(out)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteState(
             f"non-finite coefficient after step at t = {state.t:.6g}"

@@ -101,7 +101,8 @@ class ActiveModeSet:
     ``(orbits, size)`` block of positions per orbit size.  The keep mask
     is likewise one product of the box with every distinct representation
     row (up to sign) side by side.  Both multiply small integers in float64,
-    which is exact, and run in blocks of BUILD_BLOCK entries.
+    which is exact, and run in blocks of BUILD_BLOCK entries.  Row
+    operations act on the last axis of coefficients stacked (..., nmodes).
     """
 
     def __init__(self, module: FrequencyModule, N: int):
@@ -204,8 +205,33 @@ class ActiveModeSet:
 
     def k0_orbit(self) -> np.ndarray:
         """Positions of the orbit of the first generator, (1, 0, ..., 0), ascending."""
+        if self.N == 0:
+            raise EmptyActiveSet("N = 0 keeps only the zero mode, which seeds no orbit; raise N")
         e0 = self.position(np.eye(self.rank, dtype=int)[0])
         return np.flatnonzero(self.orbit == self.orbit[e0])
+
+    def _conj_partners(self, coeffs: np.ndarray) -> np.ndarray:
+        return np.conj(coeffs[..., self.neg_perm])  # conj(a_{-m}) at every m
+
+    def hermitian(self, coeffs: np.ndarray) -> np.ndarray:
+        """Every row's projection onto a_{-m} = conj(a_m), 0.5 (a_m + conj(a_{-m}))."""
+        return 0.5 * (coeffs + self._conj_partners(coeffs))
+
+    def hermitian_defect(self, coeffs: np.ndarray) -> float:
+        """max of |a_m - conj(a_{-m})| over all rows."""
+        return float(np.abs(coeffs - self._conj_partners(coeffs)).max())
+
+    def symmetry_drift(self, coeffs: np.ndarray) -> float:
+        """max of |a_i - a_j| over pairs of one orbit, i.e. of |a_{gamma m} - a_m|, all rows."""
+        drift = np.float64(0.0)
+        for block in self.orbit_blocks:
+            i, j = _pairs(block.shape[1])
+            rows = max(1, BUILD_BLOCK // max(1, len(i)))  # ~BUILD_BLOCK differences a row
+            for lo in range(0, len(block), rows):
+                vals = coeffs[..., block[lo:lo + rows]]
+                diff = vals.take(i, axis=-1) - vals.take(j, axis=-1)
+                drift = np.maximum(drift, np.abs(diff).max(initial=0.0))
+        return float(drift)
 
     def _transforms(self, axis_points: int | None):
         """Pruned DFT matrices for a grid of G >= 2N+1 points per axis.
@@ -303,8 +329,8 @@ class HullField:
 
     The Hermitian constraint is enforced at write time through
     ``set_coefficient``; bulk constructors should call ``hermitianized`` when
-    the raw coefficients are not already symmetric.  ``symmetry_drift``
-    measures how far a field is from group-invariant.
+    the raw coefficients are not already symmetric.  Row operations on a
+    state's stacked coefficients live on ``ActiveModeSet``.
     """
 
     active: ActiveModeSet
@@ -330,13 +356,7 @@ class HullField:
         return complex(self.coeffs[self.active.position(m)])
 
     def hermitianized(self) -> "HullField":
-        c = 0.5 * (self.coeffs + np.conj(self.coeffs[self.active.neg_perm]))
-        return HullField(self.active, c)
-
-    def hermitian_defect(self) -> float:
-        return float(
-            np.max(np.abs(self.coeffs - np.conj(self.coeffs[self.active.neg_perm])))
-        ) if len(self.coeffs) else 0.0
+        return HullField(self.active, self.active.hermitian(self.coeffs))
 
     # -- algebra --------------------------------------------------------
 
@@ -365,14 +385,6 @@ class HullField:
     def l1_norm(self) -> float:
         return float(np.sum(np.abs(self.coeffs)))
 
-    def hs_norm(self, s: float) -> float:
-        w = (self.active.msq + 1.0) ** s
-        return float(np.sqrt(np.sum(w * np.abs(self.coeffs) ** 2)))
-
-    def grad_sq(self) -> float:
-        """Sum over torus directions of the squared l2 norm of dU/dphi_i."""
-        return float(np.sum(self.active.msq * np.abs(self.coeffs) ** 2))
-
     # -- symmetry ---------------------------------------------------------
 
     def symmetrize(self) -> "HullField":
@@ -385,18 +397,6 @@ class HullField:
         for block in self.active.orbit_blocks:
             sym[block] = self.coeffs[block].mean(axis=1, keepdims=True)
         return HullField(self.active, sym)
-
-    def symmetry_drift(self) -> float:
-        """max of |a_i - a_j| over pairs of one orbit, i.e. of |a_{gamma m} - a_m|."""
-        drift = np.float64(0.0)
-        for block in self.active.orbit_blocks:
-            i, j = _pairs(block.shape[1])
-            rows = max(1, BUILD_BLOCK // max(1, len(i)))
-            for lo in range(0, len(block), rows):
-                vals = self.coeffs[block[lo:lo + rows]]
-                diff = vals.take(i, axis=1) - vals.take(j, axis=1)
-                drift = np.maximum(drift, np.abs(diff).max(initial=0.0))
-        return float(drift)
 
     def support_set(self, eps: float) -> np.ndarray:
         """Active indices with |a_m| > eps (rows)."""

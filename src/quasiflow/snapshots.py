@@ -189,7 +189,7 @@ def read_snapshot(path, active: ActiveModeSet | None = None):
     coeffs = np.frombuffer(payload, dtype="<c16").reshape(params.ncomp, count).astype(complex)
     if not np.all(np.isfinite(coeffs)):
         raise CorruptPayload("payload holds a non-finite coefficient")
-    defect = max(HullField(active, c).hermitian_defect() for c in coeffs)
+    defect = active.hermitian_defect(coeffs)
     if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(coeffs))):
         raise CorruptPayload(f"payload is not Hermitian (defect {defect:.3e})")
     state = state_type(active, coeffs, t, params, cfg.scheme, cfg.dt, step_index=step_index)

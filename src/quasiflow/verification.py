@@ -214,7 +214,7 @@ def run_all(progress=None) -> list:
     )
     for _ in range(1000):
         ico_state = sh.step(ico_state)
-    drift_ico = ico_state.field.symmetry_drift()
+    drift_ico = act_ico.symmetry_drift(ico_state.coeffs)
     add(CheckReport("12b-symmetry-drift-icosahedral", drift_ico <= 1e-10,
                     drift_ico, ico_state.t, 1e-10))
 
@@ -263,8 +263,7 @@ def run_all(progress=None) -> list:
     steady_err = max(
         abs(fin.u_field.get_coefficient(zero) - 2.0),
         abs(fin.v_field.get_coefficient(zero) - 2.1),
-        float(np.sort(np.abs(fin.u_field.coeffs))[-2]),
-        float(np.sort(np.abs(fin.v_field.coeffs))[-2]),
+        *np.sort(np.abs(fin.coeffs), axis=-1)[:, -2].tolist(),
     )
     add(CheckReport("15a-steady-state-fixed", steady_err <= 1e-12,
                     steady_err, 10.0, 1e-12))
@@ -331,7 +330,7 @@ def _io_checks():
         path = os.path.join(tmp, "a.qcs")
         snapshots.write_snapshot(st, path)
         back, _ = snapshots.read_snapshot(path)
-        if not np.array_equal(back.field.coeffs, st.field.coeffs):
+        if not np.array_equal(back.coeffs, st.coeffs):
             return False, "sh-roundtrip"
         if back.t != st.t or back.step_index != 2:
             return False, "sh-metadata"
@@ -343,8 +342,7 @@ def _io_checks():
         bpath = os.path.join(tmp, "b.qcs")
         snapshots.write_snapshot(bst, bpath)
         bback, _ = snapshots.read_snapshot(bpath)
-        if not (np.array_equal(bback.u_field.coeffs, bst.u_field.coeffs)
-                and np.array_equal(bback.v_field.coeffs, bst.v_field.coeffs)):
+        if not np.array_equal(bback.coeffs, bst.coeffs):
             return False, "bruss-roundtrip"
 
         # CSV header and numeric round trip

@@ -1,16 +1,22 @@
 """Command-line entry points: exit codes, outputs, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quasiflow import brusselator as br
-from quasiflow import cli, sh, snapshots
+from quasiflow import cli, config, sh, snapshots
+from quasiflow.etd import SCHEMES
 from quasiflow.hull import ActiveModeSet
 from quasiflow.symmetry import build_holohedry, generate_frequency_module
 from quasiflow.verification import VERTEX_K0
@@ -169,6 +175,72 @@ class TestSimulateSH:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "relation search" in err[0]
+
+
+@st.composite
+def small_runs(draw):
+    """Run configs of a few steps at N <= 2 (icosahedral N <= 1), keeping
+    draws that cannot run: cyclic:5 (odd order), a k0 of any length."""
+    eq = draw(st.sampled_from(config.EQUATIONS))
+    symmetry = draw(st.sampled_from(["dihedral:8", "dihedral:12", "cyclic:5", "icosahedral"]))
+    dt = draw(st.floats(0.01, 0.2))
+    kw = dict(
+        symmetry=symmetry,
+        equation=eq,
+        N=draw(st.integers(0, 1 if symmetry == "icosahedral" else 2)),
+        dt=dt,
+        T=dt * draw(st.integers(0, 3)),
+        scheme=draw(st.sampled_from(SCHEMES)),
+        diag_every=draw(st.integers(1, 3)),
+        perturbation=draw(st.floats(0.0, 1.0)),
+        seed=draw(st.integers(0, 2 ** 31)),
+        s=draw(st.floats(0.5, 9.0)),
+    )
+    kw["snapshot_every"] = kw["diag_every"] * draw(st.integers(0, 2))
+    if eq == "sh":
+        kw["lam"] = draw(st.floats(-2.0, 2.0))
+        kw["ic"] = draw(st.sampled_from(["quasicrystal", "random"]))
+        kw["ic_amplitude"] = draw(st.floats(0.01, 1.0))
+    else:
+        kw["A"] = draw(st.floats(0.1, 5.0))
+        kw["B"] = draw(st.floats(0.1, 9.0))
+        kw["d1"] = draw(st.floats(0.05, 4.0))
+        kw["d2"] = draw(st.floats(0.05, 4.0))
+        kw["ic"] = "steady-plus-critical"
+    if draw(st.booleans()):
+        k0 = np.array([draw(st.floats(-3.0, 3.0)) for _ in range(draw(st.integers(2, 4)))])
+        if draw(st.booleans()) and np.linalg.norm(k0) > 0.1:
+            k0 /= np.linalg.norm(k0)  # a unit vector, mostly off the axes
+        kw["k0"] = tuple(k0.tolist())
+    return config.RunConfig(**kw).validate()
+
+
+class TestCleanFailures:
+    @pytest.mark.parametrize("base", [SH_CFG, BRUSS_CFG], ids=["sh", "brusselator"])
+    def test_zero_truncation_is_one_error_line(self, tmp_path, capsys, base):
+        # N = 0 keeps the zero mode alone, so the pattern seed has no orbit
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(base + "N = 0\n")
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "N = 0" in err[0]
+
+    @given(small_runs())
+    @settings(max_examples=40, deadline=None)
+    def test_simulate_succeeds_or_prints_one_error_line(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.cfg"
+            path.write_text(config.to_text(cfg))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = cli.main(["simulate", "--config", str(path),
+                                 "--output", str(Path(tmp) / "out")])
+        # a warning may precede the error line; an exception fails the test
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert (code, errors) == (0, []) or (code == 1 and len(errors) == 1)
 
 
 class TestSimulateBruss:

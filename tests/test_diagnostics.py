@@ -121,6 +121,38 @@ class TestRecord:
         if equation == "brusselator":
             assert (rec.min_v, rec.max_v) == (grid[1].min(), grid[1].max())
 
+    @pytest.mark.parametrize("case", ["sh-pattern", "sh-random", "brusselator"])
+    def test_columns_equal_per_component_formulas(self, act12, case):
+        # the norms of one component at a time, each summed over its own
+        # row, then combined: reducing the whole stack keeps every bit
+        if case == "brusselator":
+            p = brusselator.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+            u, v = brusselator.steady_plus_critical_ic(act12, p, (1.0, -0.5), 0.05)
+            st = brusselator.make_bruss_state(u, v, p, dt=0.05)
+        elif case == "sh-pattern":
+            st = sh.make_state(sh.quasicrystal_ic(act12, 0.2, 0.5, 1e-3, seed=3), 0.2, dt=0.05)
+        else:
+            st = sh.make_state(sh.random_ic(act12, 0.3, seed=5), 0.2, dt=0.05)
+        for _ in range(3):
+            st = sh.step(st)
+        s = 2.5
+        rows = list(st.coeffs)
+        rates = list(np.add(*st.terms()))
+        w = (act12.msq + 1.0) ** s
+        expected = dict(
+            l2=float(np.hypot.reduce([float(np.linalg.norm(c)) for c in rows])),
+            l1=sum(float(np.sum(np.abs(c))) for c in rows),
+            hs=float(np.hypot.reduce([float(np.sqrt(np.sum(w * np.abs(c) ** 2)))
+                                      for c in rows])),
+            rhs_l2=float(np.hypot.reduce([float(np.linalg.norm(c)) for c in rates])),
+            grad_hull_sq=sum(float(np.sum(act12.msq * np.abs(c) ** 2)) for c in rows),
+            sym_drift=max(act12.symmetry_drift(c) for c in rows),
+        )
+        rec = diagnostics.record(st, s=s)
+        assert {name: getattr(rec, name) for name in expected} == expected
+        assert all(type(getattr(rec, name)) is float for name in expected)
+        assert (rec.sym_drift > 1e-3) == (case == "sh-random")
+
     def test_validation_rejects_nan(self):
         with pytest.raises(ValueError):
             DiagnosticsRecord(

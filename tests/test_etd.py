@@ -256,6 +256,32 @@ def count_nonlinear(state, monkeypatch):
 EQUATIONS = [(eq, scheme) for eq in ("sh", "bruss") for scheme in etd.SCHEMES]
 
 
+class TestReprojection:
+    @pytest.mark.parametrize("equation,scheme", EQUATIONS)
+    def test_steps_match_inline_reprojection(self, act12, monkeypatch, equation, scheme):
+        # 50 steps through ActiveModeSet.hermitian, and through the projection
+        # written out on the (ncomp, nmodes) stack, agree to the last bit
+        def fifty_steps(st):
+            for _ in range(50):
+                st = etd.step(st)
+            return st.coeffs
+
+        ours, inline = (fresh_state(act12, equation, scheme) for _ in range(2))
+        ours = fifty_steps(ours)
+        monkeypatch.setattr(ActiveModeSet, "hermitian",
+                            lambda self, a: 0.5 * (a + np.conj(a[:, self.neg_perm])))
+        assert fifty_steps(inline).tobytes() == ours.tobytes()
+
+    @pytest.mark.parametrize("equation,scheme", EQUATIONS)
+    def test_step_projects_onto_hermitian(self, act12, equation, scheme):
+        st = fresh_state(act12, equation, scheme)
+        rng = np.random.default_rng(4)
+        skew = 1e-3 * (rng.normal(size=st.coeffs.shape) + 1j * rng.normal(size=st.coeffs.shape))
+        st = replace(st, coeffs=st.coeffs + skew)
+        assert act12.hermitian_defect(st.coeffs) > 1e-4
+        assert act12.hermitian_defect(etd.step(st).coeffs) == 0.0
+
+
 class TestTermsMemo:
     @pytest.mark.parametrize("equation,scheme", EQUATIONS)
     @pytest.mark.parametrize("T", [0.5, 0.53])

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasiflow import hull, sh
+from quasiflow import diagnostics, hull, sh
 from quasiflow.brusselator import BrusselatorParams
 from quasiflow.hull import (
     ActiveModeSet,
@@ -98,6 +98,11 @@ def sh_energy(field, lam):
     return st.params.energy(st.coeffs, *st.terms())
 
 
+def recorded(field, s):
+    """The diagnostics record, Sobolev index s, of a state holding ``field``."""
+    return diagnostics.record(sh.make_state(field, 0.2), s=s)
+
+
 def random_hermitian(active, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=len(active)) + 1j * rng.normal(size=len(active))
@@ -162,9 +167,18 @@ def built_active(name):
     return ActiveModeSet(module, BUILT_N[module.rank])
 
 
+@cache
+def built_images(name):
+    return images(built_active(name))
+
+
 class TestActiveModeSet:
     def test_single_mode_at_zero_truncation(self, mod12):
         assert len(ActiveModeSet(mod12, 0)) == 1
+
+    def test_zero_truncation_has_no_generator_orbit(self, mod12):
+        with pytest.raises(EmptyActiveSet, match="N = 0"):
+            ActiveModeSet(mod12, 0).k0_orbit()
 
     def test_oversized_index_box_refused(self, mod12):
         # refused before the (2N+1)^4 box of int64 indices is allocated
@@ -289,9 +303,9 @@ class TestCoefficientAccess:
     def test_hermitianized_defect(self, act12):
         rng = np.random.default_rng(7)
         f = HullField(act12, rng.normal(size=49) + 1j * rng.normal(size=49))
-        assert f.hermitian_defect() > 0.1
+        assert act12.hermitian_defect(f.coeffs) > 0.1
         g = f.hermitianized()
-        assert g.hermitian_defect() < 1e-14
+        assert act12.hermitian_defect(g.coeffs) < 1e-14
 
 
 class TestNorms:
@@ -300,13 +314,14 @@ class TestNorms:
         f.set_coefficient([1, 0, 0, 0], 1.0)
         assert np.isclose(f.l2_norm(), np.sqrt(2.0))
         assert np.isclose(f.l1_norm(), 2.0)
-        assert np.isclose(f.hs_norm(0.0), f.l2_norm())
+        assert np.isclose(recorded(f, 0.0).hs, f.l2_norm())
 
     def test_sobolev_weight(self, act12):
         f = HullField.zeros(act12)
         f.set_coefficient([1, 1, 0, 0], 1.0)
-        assert np.isclose(f.hs_norm(1.0), np.sqrt(6.0))
-        assert np.isclose(f.grad_sq(), 4.0)
+        rec = recorded(f, 1.0)
+        assert np.isclose(rec.hs, np.sqrt(6.0))
+        assert np.isclose(rec.grad_hull_sq, 4.0)
 
     def test_bound_constant_singleton(self, mod12):
         act0 = ActiveModeSet(mod12, 0)
@@ -325,7 +340,7 @@ class TestNorms:
     def test_l1_bounded_by_weighted_l2(self, act12, seed):
         f = random_hermitian(act12, seed)
         C = l1_hs_bound_constant(act12, 3.0)
-        assert f.l1_norm() <= C * f.hs_norm(3.0) + 1e-12
+        assert f.l1_norm() <= C * recorded(f, 3.0).hs + 1e-12
 
 
 class TestSymmetrize:
@@ -343,7 +358,7 @@ class TestSymmetrize:
     def test_idempotent(self, act12):
         s = random_hermitian(act12, 11).symmetrize()
         assert np.allclose(s.symmetrize().coeffs, s.coeffs, atol=1e-15)
-        assert s.symmetry_drift() <= 1e-14
+        assert act12.symmetry_drift(s.coeffs) <= 1e-14
 
     def test_zero_fixed(self, act12):
         assert HullField.zeros(act12).symmetrize().l2_norm() == 0.0
@@ -359,27 +374,56 @@ class TestSymmetrize:
     def test_drift_measures_asymmetry(self, act12):
         f = HullField.zeros(act12)
         f.set_coefficient([1, 0, 0, 0], 1.0)
-        assert f.symmetry_drift() == pytest.approx(1.0)
-        assert f.symmetrize().symmetry_drift() < 1e-15
+        assert act12.symmetry_drift(f.coeffs) == pytest.approx(1.0)
+        assert act12.symmetry_drift(f.symmetrize().coeffs) < 1e-15
 
     def test_drift_equals_loop_over_group(self, act12):
         # the max over group elements of the max over modes, one by one
         f = random_hermitian(act12, 14).symmetrize() + 1e-13 * random_hermitian(act12, 15)
         loop = max(np.abs(f.coeffs[perm] - f.coeffs).max() for perm in images(act12))
-        assert f.symmetry_drift() == loop
+        assert act12.symmetry_drift(f.coeffs) == loop
 
     def test_drift_over_chunks(self):
         # the 120-mode orbits of icosahedral-vertex N = 2 go 9 to a chunk
         act = built_active("icosahedral-vertex")
         f = random_hermitian(act, 17).symmetrize() + 1e-13 * random_hermitian(act, 18)
-        loop = max(np.abs(f.coeffs[perm] - f.coeffs).max() for perm in images(act))
-        assert f.symmetry_drift() == loop
+        loop = max(np.abs(f.coeffs[perm] - f.coeffs).max()
+                   for perm in built_images("icosahedral-vertex"))
+        assert act.symmetry_drift(f.coeffs) == loop
         # one mode off, in each orbit in turn
         for block in act.orbit_blocks:
             for row in block:
                 g = HullField.zeros(act)
                 g.coeffs[row[-1]] = 1.0
-                assert g.symmetry_drift() == (1.0 if len(row) > 1 else 0.0)
+                assert act.symmetry_drift(g.coeffs) == (1.0 if len(row) > 1 else 0.0)
+
+    @pytest.mark.parametrize("name", ["dihedral:12", "icosahedral-vertex"])
+    @pytest.mark.parametrize("base,noise,drift", [(1.0, 0.0, "zero"), (0.0, 1e-310, "subnormal"),
+                                                  (1.0, 1.0, "order one")])
+    def test_stacked_drift(self, name, base, noise, drift):
+        # three rows at once, against each row alone and against the group
+        # loop; icosahedral-vertex N = 2 takes its 120-mode orbits in chunks
+        act = built_active(name)
+        rows = np.stack([base * random_hermitian(act, seed).symmetrize().coeffs
+                         + noise * random_hermitian(act, seed + 10).coeffs
+                         for seed in (20, 21, 22)])
+        stacked = act.symmetry_drift(rows)
+        assert stacked == max(act.symmetry_drift(row) for row in rows)
+        table = built_images(name)
+        assert stacked == max(np.abs(row[perm] - row).max() for row in rows for perm in table)
+        assert {"zero": stacked == 0.0, "subnormal": 0.0 < stacked < 1e-308,
+                "order one": stacked > 0.1}[drift]
+
+    def test_hermitian_rows(self, act12):
+        rng = np.random.default_rng(8)
+        rows = rng.normal(size=(2, 49)) + 1j * rng.normal(size=(2, 49))
+        rows[1] *= 10.0  # the larger defect is in the second row
+        proj = act12.hermitian(rows)
+        for row, p in zip(rows, proj):
+            assert np.array_equal(p, HullField(act12, row).hermitianized().coeffs)
+            assert np.array_equal(p, np.conj(p[act12.neg_perm]))
+        assert act12.hermitian_defect(rows) == max(act12.hermitian_defect(r) for r in rows)
+        assert act12.hermitian_defect(proj) == 0.0
 
     @pytest.mark.parametrize("name", ["dihedral:12", "cyclic:10", "icosahedral-vertex"])
     def test_orbit_mean_is_group_mean(self, name):
@@ -388,10 +432,10 @@ class TestSymmetrize:
         act = built_active(name)
         f = random_hermitian(act, 16)
         group_mean = [complex(math.fsum(a.real), math.fsum(a.imag)) / len(a)
-                      for a in f.coeffs[images(act)].T]
+                      for a in f.coeffs[built_images(name)].T]
         s = f.symmetrize()
         assert np.abs(s.coeffs - group_mean).max() <= 1e-15
-        assert s.symmetry_drift() == 0.0
+        assert act.symmetry_drift(s.coeffs) == 0.0
 
 
 class TestPointwiseProduct:
@@ -875,7 +919,7 @@ def test_symmetrize_is_contraction_in_every_norm(mod4, seed):
     s = u.symmetrize()
     assert s.l2_norm() <= u.l2_norm() + 1e-12
     assert s.l1_norm() <= u.l1_norm() + 1e-12
-    assert s.hs_norm(3.0) <= u.hs_norm(3.0) + 1e-12
+    assert recorded(s, 3.0).hs <= recorded(u, 3.0).hs + 1e-12
 
 
 # one BLAS thread, as the benchmark runs: a thread pool's stacks would count

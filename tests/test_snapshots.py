@@ -196,6 +196,15 @@ class TestCorruption:
         with pytest.raises(CorruptPayload, match="not Hermitian"):
             read_snapshot(tmp_path / "t.qcs")
 
+    def test_non_hermitian_second_component(self, tmp_path, bruss_state, act12):
+        # every component is checked: a skewed v is refused with u intact
+        head, sep, payload = _written(tmp_path, bruss_state).partition(b"---\n")
+        pairs = np.frombuffer(payload, dtype="<f8").copy()
+        pairs[2 * len(act12) + 2] += 1.0  # real part of v's mode 1
+        (tmp_path / "t.qcs").write_bytes(head + sep + pairs.tobytes())
+        with pytest.raises(CorruptPayload, match="not Hermitian"):
+            read_snapshot(tmp_path / "t.qcs")
+
     @pytest.mark.parametrize("key", ["t", "step_index", "active_count"])
     def test_missing_manifest_key(self, tmp_path, sh_state, key):
         head, sep, payload = _written(tmp_path, sh_state).partition(b"---\n")
