@@ -301,10 +301,12 @@ def classify_quasicrystal(field: HullField, eps_grid, M: float, r: float) -> Cla
     grid and reports the largest eps that passes.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
-    mass = field.l1_norm()
+    mass = float(np.abs(field.coeffs).sum())
 
     smallest = eps_grid[0] if eps_grid else 0.0
-    support = field.support_set(smallest)
+    if smallest < 0:
+        raise ValueError("support threshold must be nonnegative")
+    support = field.active.indices[np.abs(field.coeffs) > smallest]
     if len(support) == 0:
         int_rank = real_rank = 0
         cond_ii = False

@@ -68,7 +68,7 @@ SERIES_TERMS = 8
 SCHEMES = ("etdrk2", "etdrk4")
 
 
-def phi(j: int, z, threshold=SERIES_THRESHOLD):
+def phi(j: int, z):
     """phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j elementwise; phi_0 is exp."""
     z = np.asarray(z, dtype=float)
     if j == 0:
@@ -76,7 +76,7 @@ def phi(j: int, z, threshold=SERIES_THRESHOLD):
     series = np.zeros_like(z)
     for n in range(SERIES_TERMS - 1, -1, -1):
         series = series * z + 1.0 / math.factorial(n + j)
-    small = np.abs(z) < threshold
+    small = np.abs(z) < SERIES_THRESHOLD
     safe = np.where(small, 1.0, z)
     num = np.expm1(safe)
     for n in range(1, j):

@@ -101,8 +101,10 @@ class ActiveModeSet:
     ``(orbits, size)`` block of positions per orbit size.  The keep mask
     is likewise one product of the box with every distinct representation
     row (up to sign) side by side.  Both multiply small integers in float64,
-    which is exact, and run in blocks of BUILD_BLOCK entries.  Row
-    operations act on the last axis of coefficients stacked (..., nmodes).
+    which is exact, and run in blocks of BUILD_BLOCK entries.  The row
+    operations ``hermitian``, ``hermitian_defect``, ``symmetrize`` and
+    ``symmetry_drift`` act on the last axis of coefficients stacked
+    (..., nmodes).
     """
 
     def __init__(self, module: FrequencyModule, N: int):
@@ -221,6 +223,19 @@ class ActiveModeSet:
         """max of |a_m - conj(a_{-m})| over all rows."""
         return float(np.abs(coeffs - self._conj_partners(coeffs)).max())
 
+    def symmetrize(self, coeffs: np.ndarray) -> np.ndarray:
+        """Every row's orthogonal projection onto the group-invariant subspace.
+
+        The mean over each orbit, which is the mean over the group action
+        since an orbit's modes have stabilisers of one size; idempotent.
+        """
+        sym = np.empty_like(coeffs)
+        for block in self.orbit_blocks:
+            # take, not coeffs[..., block]: that copy is not C-contiguous, and
+            # the mean of a strided row sums in another order
+            sym[..., block] = coeffs.take(block, axis=-1).mean(axis=-1, keepdims=True)
+        return sym
+
     def symmetry_drift(self, coeffs: np.ndarray) -> float:
         """max of |a_i - a_j| over pairs of one orbit, i.e. of |a_{gamma m} - a_m|, all rows."""
         drift = np.float64(0.0)
@@ -325,12 +340,13 @@ class ActiveModeSet:
 
 @dataclass
 class HullField:
-    """Coefficients of a truncated hull function on T^p.
+    """A view of one row of coefficients: a truncated hull function on T^p.
 
-    The Hermitian constraint is enforced at write time through
-    ``set_coefficient``; bulk constructors should call ``hermitianized`` when
-    the raw coefficients are not already symmetric.  Row operations on a
-    state's stacked coefficients live on ``ActiveModeSet``.
+    ``set_coefficient`` writes a mode and its Hermitian partner together;
+    coefficients written in bulk go through ``ActiveModeSet.hermitian``.
+    Arithmetic and norms are numpy's on ``coeffs``, and the row operations
+    (the Hermitian projection, the orbit mean, the drift) live on
+    ``ActiveModeSet``, where they act on a state's whole stack.
     """
 
     active: ActiveModeSet
@@ -339,8 +355,6 @@ class HullField:
     @classmethod
     def zeros(cls, active: ActiveModeSet) -> "HullField":
         return cls(active, np.zeros(len(active), dtype=complex))
-
-    # -- coefficient access -------------------------------------------------
 
     def set_coefficient(self, m, value: complex) -> None:
         """Set a_m (and a_{-m} = conj) so field values stay real."""
@@ -354,57 +368,6 @@ class HullField:
 
     def get_coefficient(self, m) -> complex:
         return complex(self.coeffs[self.active.position(m)])
-
-    def hermitianized(self) -> "HullField":
-        return HullField(self.active, self.active.hermitian(self.coeffs))
-
-    # -- algebra --------------------------------------------------------
-
-    def __add__(self, other: "HullField") -> "HullField":
-        self._check_same_active(other)
-        return HullField(self.active, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "HullField") -> "HullField":
-        self._check_same_active(other)
-        return HullField(self.active, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar) -> "HullField":
-        return HullField(self.active, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def _check_same_active(self, other: "HullField") -> None:
-        if other.active is not self.active:
-            raise ValueError("fields must share an active mode set")
-
-    # -- norms ----------------------------------------------------------
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def l1_norm(self) -> float:
-        return float(np.sum(np.abs(self.coeffs)))
-
-    # -- symmetry ---------------------------------------------------------
-
-    def symmetrize(self) -> "HullField":
-        """Orthogonal projection onto the group-invariant subspace.
-
-        The mean over each orbit, which is the mean over the group action
-        since an orbit's modes have stabilisers of one size; idempotent.
-        """
-        sym = np.empty_like(self.coeffs)
-        for block in self.active.orbit_blocks:
-            sym[block] = self.coeffs[block].mean(axis=1, keepdims=True)
-        return HullField(self.active, sym)
-
-    def support_set(self, eps: float) -> np.ndarray:
-        """Active indices with |a_m| > eps (rows)."""
-        if eps < 0:
-            raise ValueError("support threshold must be nonnegative")
-        return self.active.indices[np.abs(self.coeffs) > eps]
-
-    # -- sampling -----------------------------------------------------------
 
     def evaluate_physical(self, points: np.ndarray) -> np.ndarray:
         """Field values u(x) = U(A x) at physical points (rows).
@@ -420,14 +383,16 @@ class HullField:
         for lo in range(0, len(points), EVAL_CHUNK):
             block = points[lo:lo + EVAL_CHUNK]
             waves = np.exp(1j * (block @ K.T))
-            vals = waves @ self.coeffs
-            resid = np.max(np.abs(vals.imag)) if len(vals) else 0.0
-            if resid > IMAG_RESIDUE_TOL:
-                raise ImaginaryResidue(
-                    f"imaginary residue {resid:.3e}; coefficients are not Hermitian"
-                )
-            out[lo:lo + EVAL_CHUNK] = vals.real
+            out[lo:lo + EVAL_CHUNK] = _real_values(waves @ self.coeffs)
         return out
+
+
+def _real_values(vals: np.ndarray) -> np.ndarray:
+    """vals.real, refusing an imaginary part above IMAG_RESIDUE_TOL."""
+    resid = np.abs(vals.imag).max(initial=0.0)
+    if resid > IMAG_RESIDUE_TOL:
+        raise ImaginaryResidue(f"imaginary residue {resid:.3e}; coefficients are not Hermitian")
+    return vals.real
 
 
 @cache
@@ -516,13 +481,7 @@ def render_image(field: HullField, window: tuple[float, float],
     K = field.active.wavevectors
     ex = np.exp(1j * np.outer(xs, K[:, 0]))
     ey = np.exp(1j * np.outer(ys, K[:, 1]))
-    vals = (ey * field.coeffs) @ ex.T
-    resid = np.max(np.abs(vals.imag))
-    if resid > IMAG_RESIDUE_TOL:
-        raise ImaginaryResidue(
-            f"imaginary residue {resid:.3e}; coefficients are not Hermitian"
-        )
-    vals = vals.real
+    vals = _real_values((ey * field.coeffs) @ ex.T)
     vmin, vmax = vals.min(), vals.max()
     span = vmax - vmin
     if span < 1e-12 * max(1.0, abs(vmax), abs(vmin)):

@@ -133,28 +133,35 @@ def quasicrystal_ic(
     if lam <= 0:
         raise ValueError("pattern amplitude scale needs a positive parameter")
     target = relative_amplitude * np.sqrt(lam)
-    field = HullField.zeros(active)
+    coeffs = np.zeros(len(active), dtype=complex)
     orbit = active.k0_orbit()
-    field.coeffs[orbit] = target / np.sqrt(len(orbit))
+    coeffs[orbit] = target / np.sqrt(len(orbit))
     if perturbation > 0:
         q = perturbation * np.sqrt(lam) / np.sqrt(2.0)
         rng = default_rng(seed)
         noise = rng.uniform(-q, q, len(active)) + 1j * rng.uniform(-q, q, len(active))
-        # hermitianized again: the orbit mean can leave a_{-m} a rounding off conj(a_m)
-        field = HullField(active, field.coeffs + noise).hermitianized().symmetrize().hermitianized()
-        field = (target / field.l2_norm()) * field
-    return field
+        # hermitian again: the orbit mean can leave a_{-m} a rounding off conj(a_m)
+        coeffs = active.hermitian(active.symmetrize(active.hermitian(coeffs + noise)))
+        with np.errstate(over="ignore"):  # refused below, with its cause
+            norm = np.linalg.norm(coeffs)
+        # outside the normal range the sum of squares has lost its digits (all
+        # of them at lam = 5e-324) or overflowed, and the rescale would be void
+        if not np.finfo(float).tiny <= norm * norm < np.inf:
+            raise ValueError(f"lam = {lam!r} with perturbation = {perturbation!r} gives a "
+                             "seed whose squared l2 norm leaves the normal float64 range")
+        coeffs = coeffs * (target / norm)
+    return HullField(active, coeffs)
 
 
 def random_ic(active: ActiveModeSet, amplitude: float, seed: int = 0) -> HullField:
     """Hermitian Gaussian noise across all active modes, rescaled to amplitude."""
     rng = default_rng(seed)
     raw = rng.normal(size=len(active)) + 1j * rng.normal(size=len(active))
-    field = HullField(active, raw).hermitianized()
-    norm = field.l2_norm()
+    coeffs = active.hermitian(raw)
+    norm = np.linalg.norm(coeffs)
     if norm == 0 or amplitude == 0:
         return HullField.zeros(active)
-    return (amplitude / norm) * field
+    return HullField(active, coeffs * (amplitude / norm))
 
 
 def make_state(

@@ -171,8 +171,8 @@ def run_all(progress=None) -> list:
     act4 = ActiveModeSet(mod4, 2)
     rng = np.random.default_rng(3)
     n = len(act4)
-    fu = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
-    fv = HullField(act4, rng.normal(size=n) + 1j * rng.normal(size=n)).hermitianized()
+    fu = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
+    fv = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
     grids = act4.grid_values(np.stack((fu.coeffs, fv.coeffs)))
     cubic_err = float(np.max(np.abs(
         -sh.SHParams(lam).nonlinear(grids[:1], act4)[0]
@@ -280,7 +280,7 @@ def run_all(progress=None) -> list:
     u, v = br.steady_ic(act1, p_steady)
     bump = HullField.zeros(act1)
     bump.set_coefficient((1, 0, 0, 0), 0.05)
-    u = u + bump.symmetrize()
+    u.coeffs += act1.symmetrize(bump.coeffs)
     pst = br.make_bruss_state(u, v, p_steady, dt=DT)
     pfin, _ = br.bruss_integrate(pst, 10.0, diag_every=10)
     min_u, min_v = br.positivity_check(pfin)

@@ -228,6 +228,24 @@ class TestCleanFailures:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "N = 0" in err[0]
 
+    @pytest.mark.parametrize("lam,perturbation", [("5e-324", "0.5"), ("1e-310", "0.5"),
+                                                  ("0.2", "1e200")],
+                             ids=["underflow", "subnormal", "overflow"])
+    def test_unscalable_pattern_seed_is_one_error_line(self, tmp_path, capsys, lam,
+                                                       perturbation):
+        # the perturbed seed is rescaled by its l2 norm; at lam = 5e-324 its
+        # squares underflow to 0, at 1e-310 they lose digits, and at a
+        # perturbation of 1e200 they overflow and the seed rescales to 0
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG.replace("lam = 0.2", f"lam = {lam}")
+                       .replace("perturbation = 0.001", f"perturbation = {perturbation}"))
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: lam = {float(lam)!r} with perturbation")
+
     @given(small_runs())
     @settings(max_examples=40, deadline=None)
     def test_simulate_succeeds_or_prints_one_error_line(self, cfg):

@@ -110,13 +110,6 @@ class TestScalarPhis:
         for j in range(4):
             assert etd.phi(j, z).shape == (7, 1)
 
-    def test_threshold_is_respected(self):
-        # series and closed form agree to round-off in a band around the switch
-        band = np.linspace(0.5e-2, 2e-2, 101)
-        lo = etd.phi(2, band, threshold=1e-6)   # closed form everywhere
-        hi = etd.phi(2, band, threshold=1e-1)   # series everywhere
-        assert np.allclose(lo, hi, rtol=1e-10)
-
 
 class TestSinhc:
     def test_at_zero(self):

@@ -83,12 +83,7 @@ def test_every_exception_is_still_test_only():
 
 
 # (function, parameter) -> why only tests may pass it
-KNOB_TEST_ONLY = {
-    ("phi", "threshold"): (
-        "the tests move the series threshold to drive both branches of phi "
-        "on the same arguments"
-    ),
-}
+KNOB_TEST_ONLY = {}
 
 
 def _defaulted_parameters():
