@@ -177,9 +177,7 @@ def main(argv=None) -> int:
             return _cmd_render(args)
         if args.subcommand == "verify":
             return _cmd_verify(args)
-    except (cfgmod.BadValue, cfgmod.UnknownKey, OSError,
-            snapshots.FormatVersionMismatch, snapshots.CorruptPayload,
-            ValueError, NonFiniteState, OverflowError, br.NoBracket,
+    except (OSError, ValueError, NonFiniteState, OverflowError, br.NoBracket,
             RelationSearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ the mass inequality 10*dt^2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,6 +46,13 @@ class NonFiniteState(FloatingPointError):
 
 @dataclass(frozen=True)
 class DiagnosticsRecord:
+    """One record's columns; its fields are the only list of them.
+
+    A column that is not None must be finite, or NonFiniteState names it with
+    the record's time and step.  The CSV writes the fields in this order,
+    less ``step`` and the second component's extrema when they are None.
+    """
+
     t: float
     step: int
     l2: float
@@ -60,18 +68,13 @@ class DiagnosticsRecord:
     max_v: float | None = None
 
     def __post_init__(self):
-        vals = [self.t, self.l2, self.l1, self.hs, self.energy, self.rhs_l2,
-                self.grad_hull_sq, self.sym_drift, self.min_u, self.max_u]
-        if self.min_v is not None:
-            vals += [self.min_v, self.max_v]
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("diagnostics entries must be finite")
+        bad = [name for name in self.__dataclass_fields__
+               if (v := getattr(self, name)) is not None and not math.isfinite(v)]
+        if bad:
+            raise NonFiniteState(f"non-finite diagnostics ({', '.join(bad)}) "
+                                 f"at t = {self.t:.6g} (step {self.step})")
         if self.l2 > self.l1 + 1e-12:
             raise ValueError("l2 exceeded l1; coefficients are inconsistent")
-
-    @property
-    def two_component(self) -> bool:
-        return self.min_v is not None
 
 
 @dataclass
@@ -105,10 +108,10 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
     l2-type norms in quadrature, l1 and the squared gradient by sum.  The
     energy column is the equation's descent functional, and the extrema of
     the second component, if any, fill min_v/max_v.  A diagnostic that
-    overflows raises NonFiniteState naming the time and step index.
+    overflows raises NonFiniteState (see ``DiagnosticsRecord``).
     """
     act, coeffs = state.active, state.coeffs
-    # an overflow surfaces as the explicit NonFiniteState below
+    # an overflow surfaces as the record's NonFiniteState
     with np.errstate(over="ignore", invalid="ignore"):
         # extrema first: they and the terms then share one grid synthesis
         (min_u, max_u), (min_v, max_v) = (state.extrema() + [(None, None)])[:2]
@@ -125,28 +128,29 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
             sym_drift=act.symmetry_drift(coeffs),
             min_u=min_u, max_u=max_u, min_v=min_v, max_v=max_v,
         )
-    if not np.all(np.isfinite([v for v in values.values() if v is not None])):
-        raise NonFiniteState(
-            f"non-finite diagnostics at t = {state.t:.6g} (step {state.step_index})"
-        )
     return DiagnosticsRecord(t=float(state.t), step=state.step_index, **values)
 
 
 @dataclass(frozen=True)
 class CheckReport:
+    """A check's worst slack against its tolerance, and where it occurred.
+
+    ``passed`` is derived, not given: worst_slack <= tolerance, so a NaN
+    slack fails.  Every field is a plain Python scalar, so
+    ``dataclasses.asdict`` of a report, ``passed`` included, serializes
+    with json.
+    """
+
     name: str
-    passed: bool
+    passed: bool = field(init=False)
     worst_slack: float
     worst_t: float
     tolerance: float
 
     def __post_init__(self):
-        # plain Python scalars, so a report serializes with json
-        for name, kind in (("passed", bool), ("worst_slack", float),
-                           ("worst_t", float), ("tolerance", float)):
-            object.__setattr__(self, name, kind(getattr(self, name)))
-        if self.passed != (self.worst_slack <= self.tolerance):
-            raise ValueError("passed flag must equal worst_slack <= tolerance")
+        for name in ("worst_slack", "worst_t", "tolerance"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        object.__setattr__(self, "passed", self.worst_slack <= self.tolerance)
 
     def line(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"
@@ -159,10 +163,9 @@ class CheckReport:
 def _report(name, slacks, times, tolerance) -> CheckReport:
     slacks = np.asarray(slacks, dtype=float)
     if len(slacks) == 0:
-        return CheckReport(name, True, -np.inf, 0.0, tolerance)
+        return CheckReport(name, -np.inf, 0.0, tolerance)
     i = int(np.argmax(slacks))
-    worst = float(slacks[i])
-    return CheckReport(name, bool(worst <= tolerance), worst, float(times[i]), tolerance)
+    return CheckReport(name, slacks[i], times[i], tolerance)
 
 
 def check_decay_negative_lambda(traj: Trajectory, lam: float) -> CheckReport:
@@ -195,12 +198,8 @@ def check_absorbing_ball(traj: Trajectory, lam: float) -> CheckReport:
     l2 = traj.column("l2")
     root = np.sqrt(lam)
     radius = (1.0 + BALL_MARGIN) * root
-    slacks = []
-    times = []
     if l2[0] <= root:
-        slacks.append(l2 - root)
-        times.append(t)
-        name = "ball-invariance"
+        slack, times, name = l2 - root, t, "ball-invariance"
     else:
         inside = np.nonzero(l2 <= radius)[0]
         if len(inside) == 0:
@@ -208,10 +207,8 @@ def check_absorbing_ball(traj: Trajectory, lam: float) -> CheckReport:
                 f"never reached radius {radius:.4g}; final l2 = {l2[-1]:.4g}"
             )
         k = inside[0]
-        slacks.append(l2[k:] - radius)
-        times.append(t[k:])
-        name = "ball-entry"
-    return _report(name, np.concatenate(slacks), np.concatenate(times), DECAY_TOL)
+        slack, times, name = l2[k:] - radius, t[k:], "ball-entry"
+    return _report(name, slack, times, DECAY_TOL)
 
 
 def check_lyapunov(traj: Trajectory) -> tuple[CheckReport, CheckReport]:

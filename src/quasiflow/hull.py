@@ -373,7 +373,7 @@ class HullField:
         """Field values u(x) = U(A x) at physical points (rows).
 
         Raises ImaginaryResidue when coefficients are not Hermitian enough
-        for the values to be real.
+        for the values to be real, and ValueError when a value is not finite.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         if points.shape[1] != self.active.module.dimension:
@@ -382,13 +382,17 @@ class HullField:
         K = self.active.wavevectors
         for lo in range(0, len(points), EVAL_CHUNK):
             block = points[lo:lo + EVAL_CHUNK]
-            waves = np.exp(1j * (block @ K.T))
-            out[lo:lo + EVAL_CHUNK] = _real_values(waves @ self.coeffs)
+            with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
+                vals = np.exp(1j * (block @ K.T)) @ self.coeffs
+            out[lo:lo + EVAL_CHUNK] = _real_values(vals)
         return out
 
 
 def _real_values(vals: np.ndarray) -> np.ndarray:
-    """vals.real, refusing an imaginary part above IMAG_RESIDUE_TOL."""
+    """vals.real, refusing a non-finite value or an imaginary part above IMAG_RESIDUE_TOL."""
+    if not np.isfinite(vals).all():
+        raise ValueError("non-finite field value: a plane-wave phase overflowed "
+                         "or a coefficient is not finite")
     resid = np.abs(vals.imag).max(initial=0.0)
     if resid > IMAG_RESIDUE_TOL:
         raise ImaginaryResidue(f"imaginary residue {resid:.3e}; coefficients are not Hermitian")
@@ -401,12 +405,14 @@ def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(size, 1)
 
 
-def convolve_direct(*fields: HullField) -> dict:
-    """Exact convolution of the fields' coefficient arrays, as {index: coeff}.
+def convolve_direct(*fields: HullField) -> np.ndarray:
+    """Exact convolution of the fields' coefficients, on the first field's active set.
 
-    Brute force, no FFT; intended as an oracle for the pseudospectral path
-    on small mode sets.  Raises TooLarge rather than grinding through a
-    search with more than MAX_PAIR_SUMS pairwise products per stage.
+    Brute force, no transform: an oracle for the pseudospectral products on
+    small mode sets.  Each stage sums every pair of nonzero coefficients into
+    a dict keyed by mode; the product's modes outside the first field's set
+    are dropped at the end.  A stage with more than MAX_PAIR_SUMS pairs is
+    refused with TooLarge before any of its pairs is formed.
     """
     out = {tuple(m): c for m, c in zip(fields[0].active.indices, fields[0].coeffs)}
     for f in fields[1:]:
@@ -423,7 +429,7 @@ def convolve_direct(*fields: HullField) -> dict:
                 key = tuple(np.array(m1) + m2)
                 nxt[key] = nxt.get(key, 0.0) + c1 * c2
         out = nxt
-    return out
+    return np.array([out.get(tuple(m), 0.0) for m in fields[0].active.indices], dtype=complex)
 
 
 def l1_hs_bound_constant(active: ActiveModeSet, s: float) -> float:
@@ -467,7 +473,9 @@ def render_image(field: HullField, window: tuple[float, float],
 
     Row r runs top-down (decreasing y), column c left-right (increasing x).
     The value range maps linearly onto 0..255; a constant field renders as
-    mid-gray 128.
+    mid-gray 128.  A raster whose complex arrays would exceed MAX_GRID_BYTES
+    is refused with TooLarge, and a window too wide for its plane-wave
+    phases with ValueError.
     """
     if field.active.module.dimension != 2:
         raise DimensionUnsupported("rendering needs a two-dimensional pattern")
@@ -476,12 +484,20 @@ def render_image(field: HullField, window: tuple[float, float],
     lo, hi = float(window[0]), float(window[1])
     if not hi > lo:
         raise ValueError("window must be a nonempty interval")
-    xs = np.linspace(lo, hi, resolution)
-    ys = np.linspace(hi, lo, resolution)
+    # the (resolution, modes) plane waves and the (resolution, resolution) product
+    nbytes = 16 * resolution * max(resolution, len(field.active))
+    if nbytes > MAX_GRID_BYTES:
+        raise TooLarge(
+            f"a {resolution} x {resolution} raster of {len(field.active)} modes needs "
+            f"{nbytes / 2 ** 20:.3g} MiB per array; the limit is {MAX_GRID_BYTES / 2 ** 20:.3g} MiB"
+        )
     K = field.active.wavevectors
-    ex = np.exp(1j * np.outer(xs, K[:, 0]))
-    ey = np.exp(1j * np.outer(ys, K[:, 1]))
-    vals = _real_values((ey * field.coeffs) @ ex.T)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
+        xs = np.linspace(lo, hi, resolution)
+        ys = np.linspace(hi, lo, resolution)
+        ex = np.exp(1j * np.outer(xs, K[:, 0]))
+        ey = np.exp(1j * np.outer(ys, K[:, 1]))
+        vals = _real_values((ey * field.coeffs) @ ex.T)
     vmin, vmax = vals.min(), vals.max()
     span = vmax - vmin
     if span < 1e-12 * max(1.0, abs(vmax), abs(vmin)):

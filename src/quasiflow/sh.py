@@ -21,9 +21,7 @@ from numpy.random import default_rng
 
 from . import diagnostics, etd
 from .etd import LowerTri
-from .hull import ActiveModeSet, HullField, TooLarge, convolve_direct
-
-DIRECT_PAIR_LIMIT = 10_000
+from .hull import ActiveModeSet, HullField
 
 
 @dataclass(frozen=True)
@@ -65,26 +63,6 @@ class SHParams:
 
 def sigma_array(active: ActiveModeSet, lam: float) -> np.ndarray:
     return lam - (active.ksq - 1.0) ** 2
-
-
-def cubic_direct(field: HullField) -> HullField:
-    """Brute-force triple convolution of the coefficients, as an oracle.
-
-    Each retained output mode sums over |active|^2 index pairs; refuses via
-    TooLarge beyond 10^4 pairs per mode to keep the oracle honest about its
-    cost.
-    """
-    n = len(field.active)
-    if n * n > DIRECT_PAIR_LIMIT:
-        raise TooLarge(
-            f"{n * n} index pairs per output mode exceeds the "
-            f"{DIRECT_PAIR_LIMIT} oracle budget"
-        )
-    conv = convolve_direct(field, field, field)
-    out = HullField.zeros(field.active)
-    for i, m in enumerate(field.active.indices):
-        out.coeffs[i] = conv.get(tuple(m), 0.0)
-    return out
 
 
 class SolverState(etd.EtdState):

@@ -23,13 +23,14 @@ from __future__ import annotations
 
 import io
 import os
+from dataclasses import fields
 
 import numpy as np
 
 from . import brusselator as br
 from . import config as cfgmod
 from . import sh
-from .diagnostics import Trajectory
+from .diagnostics import DiagnosticsRecord, Trajectory
 from .hull import HERMITIAN_TOL, ActiveModeSet, HullField, render_image
 from .symmetry import build_holohedry, generate_frequency_module
 
@@ -196,15 +197,16 @@ def read_snapshot(path, active: ActiveModeSet | None = None):
     return state, cfg
 
 
-CSV_COLUMNS_ONE = ("t", "l2", "l1", "hs", "energy", "rhs_l2",
-                   "grad_hull_sq", "sym_drift", "min_u", "max_u")
-CSV_COLUMNS_TWO = CSV_COLUMNS_ONE + ("min_v", "max_v")
-
-
 def write_diagnostics_csv(traj: Trajectory, path) -> None:
-    """One row per record, 17 significant digits throughout."""
-    two = bool(traj.records) and traj.records[0].two_component
-    columns = CSV_COLUMNS_TWO if two else CSV_COLUMNS_ONE
+    """One row per record, 17 significant digits throughout.
+
+    The header is ``DiagnosticsRecord``'s fields in order, less ``step`` and
+    less any column that is None in the first record; an empty trajectory
+    leaves out the columns whose default is None, the one-component header.
+    """
+    first = traj.records[0] if traj.records else None
+    columns = [f.name for f in fields(DiagnosticsRecord)
+               if f.name != "step" and getattr(first, f.name, f.default) is not None]
     rows = [",".join(columns)]
     for rec in traj.records:
         rows.append(",".join(f"{getattr(rec, c):.17g}" for c in columns))

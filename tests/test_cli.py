@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiflow import brusselator as br
-from quasiflow import cli, config, sh, snapshots
+from quasiflow import cli, config, hull, sh, snapshots
 from quasiflow.etd import SCHEMES
 from quasiflow.hull import ActiveModeSet
 from quasiflow.symmetry import build_holohedry, generate_frequency_module
@@ -246,6 +247,20 @@ class TestCleanFailures:
         assert len(err) == 1
         assert err[0].startswith(f"error: lam = {float(lam)!r} with perturbation")
 
+    def test_overflowing_record_names_its_column(self, tmp_path, capsys):
+        # at N = 2 the Sobolev weights (|m|^2 + 1)^400 reach 17^400 and
+        # overflow, so the first record's hs is not finite: the error line
+        # names the column, not a blow-up alone
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG + "N = 2\ns = 400\n")
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0] == ("error: non-finite diagnostics (hs) at t = 0 (step 0) "
+                          "(blow-up after 0 full steps)")
+
     @given(small_runs())
     @settings(max_examples=40, deadline=None)
     def test_simulate_succeeds_or_prints_one_error_line(self, cfg):
@@ -253,10 +268,15 @@ class TestCleanFailures:
             path = Path(tmp) / "c.cfg"
             path.write_text(config.to_text(cfg))
             err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
                 code = cli.main(["simulate", "--config", str(path),
                                  "--output", str(Path(tmp) / "out")])
-        # a warning may precede the error line; an exception fails the test
+        # the one warning a run may give is the advice on lam above 1; any
+        # other warning, or an exception, fails the test
+        assert all(cfg.equation == "sh" and cfg.lam > 1.0
+                   and "bifurcation parameter above 1" in str(w.message) for w in caught)
         errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
         assert (code, errors) == (0, []) or (code == 1 and len(errors) == 1)
 
@@ -489,6 +509,40 @@ class TestRender:
                          "--window", "-10", "10"])
         assert code == 0
         assert img.read_bytes().startswith(b"P5\n16 16\n255\n")
+
+    def test_window_too_wide_is_one_error_line(self, tmp_path, sh_cfg, capsys):
+        # the plane-wave phases overflow at x = 1e308
+        out = tmp_path / "run"
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(out)])
+        capsys.readouterr()
+        img = tmp_path / "f.pgm"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(["render", "--snapshot", str(out / "final.qcs"),
+                             "--out", str(img), "--resolution", "16", "--window", "0", "1e308"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: non-finite field value")
+        assert not img.exists()
+
+    def test_oversized_raster_is_one_error_line(self, tmp_path, sh_cfg, capsys, monkeypatch):
+        # the limit is lowered, so that no large array is ever allocated: a
+        # 64 x 64 raster of 49 modes has 64 KiB complex arrays
+        out = tmp_path / "run"
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(out)])
+        capsys.readouterr()
+        monkeypatch.setattr(hull, "MAX_GRID_BYTES", 2 ** 16 - 1)
+        img = tmp_path / "f.pgm"
+        code = cli.main(["render", "--snapshot", str(out / "final.qcs"),
+                         "--out", str(img), "--resolution", "64"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: a 64 x 64 raster of 49 modes needs 0.0625 MiB")
+        assert not img.exists()
+        monkeypatch.setattr(hull, "MAX_GRID_BYTES", 2 ** 16)
+        assert cli.main(["render", "--snapshot", str(out / "final.qcs"),
+                         "--out", str(img), "--resolution", "64"]) == 0
 
     def test_missing_snapshot(self, tmp_path, capsys):
         code = cli.main(["render", "--snapshot", str(tmp_path / "no.qcs"),

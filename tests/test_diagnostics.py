@@ -16,6 +16,7 @@ from quasiflow.diagnostics import (
     CheckReport,
     DiagnosticsRecord,
     NeverEnters,
+    NonFiniteState,
     Trajectory,
 )
 from quasiflow.hull import ActiveModeSet, HullField
@@ -78,7 +79,7 @@ class TestRecord:
         # quartic mean of 2 cos is 6, energy = 6/4 at the critical ring
         assert rec.energy == pytest.approx(1.5)
         assert rec.min_u < 0 < rec.max_u
-        assert not rec.two_component
+        assert rec.min_v is None and rec.max_v is None
 
     def test_pure(self, act12):
         st = sh.make_state(sh.random_ic(act12, 0.2, seed=1), lam=0.1, dt=0.01)
@@ -154,7 +155,7 @@ class TestRecord:
         assert (rec.sym_drift > 1e-3) == (case == "sh-random")
 
     def test_validation_rejects_nan(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NonFiniteState, match=r"\(l2\) at t = 0 \(step 0\)"):
             DiagnosticsRecord(
                 t=0.0, step=0, l2=np.nan, l1=0.0, hs=0.0, energy=0.0,
                 rhs_l2=0.0, grad_hull_sq=0.0, sym_drift=0.0, min_u=0.0, max_u=0.0,
@@ -170,18 +171,25 @@ class TestRecord:
 
 class TestCheckReport:
     def test_line_format(self):
-        rep = CheckReport("demo", True, -0.5, 2.0, 1e-9)
+        rep = CheckReport("demo", -0.5, 2.0, 1e-9)
         assert rep.line().startswith("PASS demo:")
-        rep = CheckReport("demo", False, 0.5, 2.0, 1e-9)
+        rep = CheckReport("demo", 0.5, 2.0, 1e-9)
         assert rep.line().startswith("FAIL demo:")
 
-    def test_flag_must_match_slack(self):
-        with pytest.raises(ValueError):
-            CheckReport("demo", True, 1.0, 0.0, 1e-9)
+    def test_verdict_is_derived(self):
+        # passed is worst_slack <= tolerance, so a NaN slack fails, and no
+        # caller can pass a verdict of its own
+        assert CheckReport("demo", 1e-9, 0.0, 1e-9).passed
+        rep = CheckReport("demo", np.nan, 0.0, np.inf)
+        assert rep.passed is False and rep.line().startswith("FAIL demo:")
+        assert dataclasses.asdict(rep)["passed"] is False
+        with pytest.raises(TypeError):
+            CheckReport("demo", True, -0.5, 0.0, 1e-9)
+        with pytest.raises(TypeError):
+            CheckReport("demo", -0.5, 0.0, 1e-9, passed=True)
 
     def test_numpy_scalars_serialize(self):
-        rep = CheckReport("demo", np.bool_(True), np.float64(-0.5),
-                          np.float64(2.0), np.float64(1e-9))
+        rep = CheckReport("demo", np.float64(-0.5), np.float64(2.0), np.float64(1e-9))
         back = json.loads(json.dumps(dataclasses.asdict(rep)))
         assert back == {"name": "demo", "passed": True, "worst_slack": -0.5,
                         "worst_t": 2.0, "tolerance": 1e-9}

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from functools import cache
 from pathlib import Path
@@ -606,6 +607,13 @@ class TestEvaluatePhysical:
         x = np.array([[np.pi, 0.0]])
         assert np.isclose(f.evaluate_physical(x)[0], -2.0)
 
+    def test_overflowing_phase_refused(self, act12):
+        f = HullField(act12, act12.symmetrize(random_hermitian(act12, 57).coeffs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite field value"):
+                f.evaluate_physical(np.array([[1e308, 0.0]]))
+
     def test_broken_symmetry_raises(self, act12):
         f = HullField.zeros(act12)
         f.coeffs[act12.position([1, 0, 0, 0])] = 1.0
@@ -903,6 +911,26 @@ class TestRenderImage:
         f = HullField.zeros(ActiveModeSet(mod4, 1))
         with pytest.raises(ValueError):
             render_image(f, (1.0, 1.0), 8)
+
+    @pytest.mark.parametrize("window", [(0.0, 1e308), (-1e308, 1e308), (0.0, np.inf)])
+    def test_window_beyond_the_phases_refused(self, act12, window):
+        # the phases (or the window's width) overflow: one ValueError, no warning
+        f = HullField(act12, act12.symmetrize(random_hermitian(act12, 56).coeffs))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="non-finite field value"):
+                render_image(f, window, 8)
+
+    def test_oversized_raster_refused(self, act12, monkeypatch):
+        # 16 bytes per complex entry of the (8, 8) product and the (8, modes)
+        # plane waves: the larger of them sets the size
+        f = HullField.zeros(act12)
+        need = 16 * 8 * max(8, len(act12))
+        monkeypatch.setattr(hull, "MAX_GRID_BYTES", need - 1)
+        with pytest.raises(hull.TooLarge, match="raster"):
+            render_image(f, (0.0, 1.0), 8)
+        monkeypatch.setattr(hull, "MAX_GRID_BYTES", need)
+        assert np.all(render_image(f, (0.0, 1.0), 8) == 128)
 
 
 class TestValueSemantics:

@@ -107,7 +107,7 @@ class TestRhs:
         rng = np.random.default_rng(7)
         c = rng.normal(size=len(act4)) + 1j * rng.normal(size=len(act4))
         f = HullField(act4, act4.hermitian(c))
-        want = sh.sigma_array(act4, 0.3) * f.coeffs - sh.cubic_direct(f).coeffs
+        want = sh.sigma_array(act4, 0.3) * f.coeffs - hull.convolve_direct(f, f, f)
         got = rhs(f, 0.3)
         assert np.max(np.abs(got.coeffs - want)) < 1e-12
 
@@ -119,9 +119,15 @@ class TestRhs:
         assert r.get_coefficient(e_first(4)) == pytest.approx(0.2e-8, rel=1e-12)
 
     def test_direct_convolution_guard(self, mod12):
-        big = ActiveModeSet(mod12, 3)  # 1369 modes, pair count over the limit
+        # 3721^2 pairs in the first stage: refused before any pair is formed,
+        # so even a zero field is refused
+        big = ActiveModeSet(mod12, 4)
+        assert len(big) == 3721
         with pytest.raises(TooLarge):
-            sh.cubic_direct(HullField.zeros(big))
+            hull.convolve_direct(HullField.zeros(big), HullField.zeros(big))
+        # 1369^2 pairs are within the budget, and a zero field forms none
+        mid = HullField.zeros(ActiveModeSet(mod12, 3))
+        assert not hull.convolve_direct(mid, mid, mid).any()
 
 
 class TestMakeState:

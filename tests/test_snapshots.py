@@ -276,6 +276,9 @@ class TestCSV:
         write_diagnostics_csv(traj, tmp_path / "d.csv")
         first = (tmp_path / "d.csv").read_bytes().split(b"\n")[0]
         assert first.endswith(b",min_v,max_v")
+        assert first == (
+            b"t,l2,l1,hs,energy,rhs_l2,grad_hull_sq,sym_drift,min_u,max_u,min_v,max_v"
+        )
 
     def test_values_round_trip_exactly(self, tmp_path, act12):
         st = sh.make_state(sh.random_ic(act12, 0.2, seed=3), 0.2, dt=0.01)
@@ -291,6 +294,7 @@ class TestCSV:
         write_diagnostics_csv(Trajectory([], dt=0.01), tmp_path / "d.csv")
         text = (tmp_path / "d.csv").read_text()
         assert text.count("\n") == 1
+        assert text == "t,l2,l1,hs,energy,rhs_l2,grad_hull_sq,sym_drift,min_u,max_u\n"
         cols = read_diagnostics_csv(tmp_path / "d.csv")
         assert len(cols["t"]) == 0
 
