@@ -299,9 +299,9 @@ class BrusselatorState(etd.EtdState):
         return HullField(self.active, self.coeffs[1])
 
 
-def bruss_step(state: BrusselatorState) -> BrusselatorState:
+def bruss_step(state: BrusselatorState, terms=None) -> BrusselatorState:
     """One exponential step of the state's scheme and dt (see ``etd.step``)."""
-    return etd.step(state)
+    return etd.step(state, terms)
 
 
 def bruss_integrate(

@@ -96,13 +96,15 @@ class Trajectory:
         return self.column("t")
 
 
-def record(state, s: float = 3.0) -> DiagnosticsRecord:
-    """Snapshot a solver state; safe to call repeatedly.
+def record(state, grids: np.ndarray, terms: tuple[np.ndarray, np.ndarray],
+           s: float = 3.0) -> DiagnosticsRecord:
+    """Snapshot a solver state; pure, so safe to call repeatedly.
 
-    The record may fill the state's (L a, N(a)) memo (``EtdState.terms``),
-    which the next step then reuses; filling it changes neither the
-    coefficients nor any result.  The extrema columns come from the same
-    memo (``EtdState.extrema``): samples on N(a)'s grid, not torus bounds.
+    ``grids`` are the state's values on the product grid, stacked like its
+    coefficients, and ``terms`` its (L a, N(a)) computed from them
+    (``EtdState.terms``); the time loop synthesizes the grid once and hands
+    the pair on to the next step.  The extrema columns are read off
+    ``grids``: samples on the product grid, not torus bounds.
 
     Norms are reduced from the rows of ``state.coeffs``, one per component:
     l2-type norms in quadrature, l1 and the squared gradient by sum.  The
@@ -111,11 +113,12 @@ def record(state, s: float = 3.0) -> DiagnosticsRecord:
     overflows raises NonFiniteState (see ``DiagnosticsRecord``).
     """
     act, coeffs = state.active, state.coeffs
+    linear, nonlinear = terms
     # an overflow surfaces as the record's NonFiniteState
     with np.errstate(over="ignore", invalid="ignore"):
-        # extrema first: they and the terms then share one grid synthesis
-        (min_u, max_u), (min_v, max_v) = (state.extrema() + [(None, None)])[:2]
-        linear, nonlinear = state.terms()
+        flat = grids.reshape(len(grids), -1)
+        extrema = list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
+        (min_u, max_u), (min_v, max_v) = (extrema + [(None, None)])[:2]
         mag = np.abs(coeffs)
         sq = mag ** 2  # np.abs(c) ** 2 of each row, bit for bit
         values = dict(

@@ -19,7 +19,8 @@ through the ETDRK2 or ETDRK4 combination (Cox & Matthews, J. Comput. Phys.
 176, 2002; Hochbruck & Ostermann, Acta Numerica 19, 2010), for either block.
 A step is fixed by L, N, the scheme and the step h, so an ``EtdState``
 carries its ``scheme`` and ``dt`` with its coefficients and params, and
-``step`` takes the state alone; another step size is ``replace(state, dt=h)``.
+``step`` takes the state, with its (L a, N(a)) when the caller holds them;
+another step size is ``replace(state, dt=h)``.
 
 The combinations are written in increment form: with e^{hL} = I + hL phi_1(hL)
 each stage is the current value plus phi-weighted rates L a + N, e.g. ETDRK2's
@@ -27,17 +28,15 @@ predictor a + h phi_1(hL) (L a + N(a)).  A fixed point, where L a + N(a) = 0,
 then gets a zero increment at any step instead of a difference of large terms
 that cancel only to round-off.
 
-Every ETDRK stage starts from the rates at a_n, so a state memoizes its pair
-(L a, N(a)) (``EtdState.terms``): a diagnostics record and the step that
-follows it share one nonlinear evaluation, and a recorded ETDRK2 step pays
-two instead of three.  A record also reads each component's (min, max)
-over N(a)'s grid (``EtdState.extrema``); the memo keeps them once asked
-for, but not the grid itself, so the record synthesizes no second grid and
-an unrecorded step pays no reduction.  The memo is keyed on the coefficient
-array, params and active set objects, and a state's coefficients are never
-mutated in place; a stepped state starts with an empty memo.  The ETD
-tables are memoized the same way, keyed on params, active set, dt and
-scheme.
+Every ETDRK stage starts from the rates at a_n, the pair (L a, N(a))
+(``EtdState.terms``).  ``integrate`` computes it for a recorded state from
+the product grid it synthesizes, gives both to ``diagnostics.record``, which
+reads the extrema off that grid, and hands the pair on to the next
+``step``: a record and the step after it share one nonlinear evaluation, so
+a recorded ETDRK2 step pays two instead of three, and an unrecorded step
+pays no min/max reduction.  A state caches nothing derived from its
+coefficients; it memoizes only its ETD tables, keyed on the params and
+active set objects, dt and scheme.
 
 One family phi_j(z) = (e^z - sum_{n<j} z^n/n!)/z^j, with phi_0 = exp, drives
 the steppers.  Away from zero the closed forms built on expm1 are stable;
@@ -215,7 +214,8 @@ class EtdState:
 
     The state carries the step that advances it, ``scheme`` (one of
     ``SCHEMES``) and ``dt`` (> 0); both are checked on construction, so a
-    ``replace`` with a bad value raises ``ValueError`` too.
+    ``replace`` with a bad value raises ``ValueError`` too.  It memoizes its
+    ETD tables (``tables``) and nothing derived from its coefficients.
     """
 
     active: ActiveModeSet
@@ -226,8 +226,6 @@ class EtdState:
     dt: float
     step_index: int = 0
     _tables: tuple | None = None  # (params, active, EtdTables)
-    # (params, active, coeffs, (L a, N(a)), per-component (min, max) or None)
-    _terms: tuple | None = None
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
@@ -235,64 +233,40 @@ class EtdState:
         if not (self.dt > 0):
             raise ValueError("dt must be positive")
 
-    def _holds(self, memo) -> bool:
-        """Whether a memo was filled for this state's params and active set."""
-        return memo is not None and memo[0] is self.params and memo[1] is self.active
+    def _held_tables(self) -> EtdTables | None:
+        """The tables last built, if they were built for these params and active set."""
+        memo = self._tables
+        if memo is not None and memo[0] is self.params and memo[1] is self.active:
+            return memo[2]
+        return None
 
     def tables(self) -> EtdTables:
         """The ETD tables, memoized on params, active set, dt and scheme."""
-        memo = self._tables
-        if not self._holds(memo) or memo[2].dt != self.dt or memo[2].scheme != self.scheme:
+        tab = self._held_tables()
+        if tab is None or tab.dt != self.dt or tab.scheme != self.scheme:
             tab = EtdTables(self.params.linear_block(self.active), self.scheme, self.dt)
-            self._tables = memo = (self.params, self.active, tab)
-        return memo[2]
+            self._tables = (self.params, self.active, tab)
+        return tab
 
-    def terms(self) -> tuple[np.ndarray, np.ndarray]:
+    def terms(self, grids: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
         """(L a, N(a)); their sum is the time derivative of the coefficients.
 
-        N(a) is computed from the product grid synthesized here.  The pair
-        is memoized on the state, keyed on the coefficient array, params and
-        active set objects themselves (not their ids, which a freed object
-        can pass on), so a ``replace`` with any of them new recomputes it,
-        while a new dt or scheme keeps it.  The key holds only if
-        coefficients are never mutated in place: every update builds a new
-        array.
+        N(a) is computed from ``grids``, the coefficients' values on the
+        product grid, which are synthesized here when not given.  L comes
+        from any tables the state holds, whatever their dt, since L is the
+        same at every dt.  Nothing is cached: each call computes the pair.
         """
-        return self._memo(False)[3]
-
-    def extrema(self) -> list[tuple[float, float]]:
-        """Each component's (min, max) over the grid of ``terms``.
-
-        They are memoized with the pair, but only once asked for: a state
-        whose extrema are asked before its terms synthesizes one grid for
-        both, and an unrecorded step pays no reduction.
-        """
-        return self._memo(True)[4]
-
-    def _memo(self, with_extrema: bool) -> tuple:
-        """The ``_terms`` memo for this state, filled with extrema if asked."""
-        memo = self._terms
-        current = self._holds(memo) and memo[2] is self.coeffs
-        if current and (memo[4] is not None or not with_extrema):
-            return memo
-        grids = self.active.grid_values(self.coeffs)
-        if current:
-            pair = memo[3]
-        else:
-            tab = self._tables  # L is the same at every dt: any held tables serve
-            L = tab[2].L if self._holds(tab) else self.tables().L
-            pair = (L @ self.coeffs, self.params.nonlinear(grids, self.active))
-        found = None
-        if with_extrema:
-            flat = grids.reshape(len(grids), -1)
-            found = list(zip(flat.min(axis=1).tolist(), flat.max(axis=1).tolist()))
-        self._terms = memo = (self.params, self.active, self.coeffs, pair, found)
-        return memo
+        if grids is None:
+            grids = self.active.grid_values(self.coeffs)
+        L = (self._held_tables() or self.tables()).L
+        return L @ self.coeffs, self.params.nonlinear(grids, self.active)
 
 
-def step(state: EtdState) -> EtdState:
+def step(state: EtdState, terms: tuple[np.ndarray, np.ndarray] | None = None) -> EtdState:
     """One exponential time differencing step of the state's scheme and dt.
 
+    ``terms`` is the state's (L a, N(a)) when the caller already holds it,
+    as ``integrate`` does after a record; otherwise the step computes it.
     The linear factor is exact; Hermitian symmetry is reprojected after the
     update so round-off cannot accumulate a complex-valued drift.
     """
@@ -305,7 +279,7 @@ def step(state: EtdState) -> EtdState:
 
     # overflow surfaces as the explicit NonFiniteState below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
-        La, Na = state.terms()
+        La, Na = state.terms() if terms is None else terms
         if tab.scheme == "etdrk2":
             pred = a + tab.hp1 @ (La + Na)
             out = pred + tab.hp2 @ (nonlinear(pred) - Na)
@@ -324,10 +298,7 @@ def step(state: EtdState) -> EtdState:
         raise NonFiniteState(
             f"non-finite coefficient after step at t = {state.t:.6g}"
         )
-    return replace(
-        state, coeffs=out, t=state.t + tab.dt, step_index=state.step_index + 1,
-        _terms=None,
-    )
+    return replace(state, coeffs=out, t=state.t + tab.dt, step_index=state.step_index + 1)
 
 
 def integrate(
@@ -341,11 +312,13 @@ def integrate(
     """March to time T with ``step``, recording diagnostics every diag_every steps.
 
     The first state is always recorded, with Sobolev index ``s``, and so is
-    the final one when a step was taken.
-    Hooks are called with (state, record) at each recording.  A final
-    fractional step lands exactly on T when T is not a multiple of dt.  A
-    blow-up raises NonFiniteState carrying the trajectory, which then holds
-    the records taken before it.
+    the final one when a step was taken.  A recorded state's product grid is
+    synthesized once: its (L a, N(a)) come from it, the record reads its
+    extrema off it, and the pair is handed to the next ``step(state, terms)``.
+    Hooks are called with (state, record) at each recording and must leave
+    the state unchanged.  A final fractional step lands exactly on T when T
+    is not a multiple of dt.  A blow-up raises NonFiniteState carrying the
+    trajectory, which then holds the records taken before it.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
@@ -355,20 +328,25 @@ def integrate(
     remainder = T - n_steps * dt
 
     def grab(st):
-        rec = diagnostics.record(st, s=s)
+        """Record ``st`` and return its (L a, N(a)) for the step that follows."""
+        # an overflow surfaces as the record's NonFiniteState
+        with np.errstate(over="ignore", invalid="ignore"):
+            grids = st.active.grid_values(st.coeffs)
+            terms = st.terms(grids)
+        rec = diagnostics.record(st, grids, terms, s=s)
         traj.records.append(rec)
         for hook in hooks:
             hook(st, rec)
+        return terms
 
     start = state.step_index
     try:
-        grab(state)
+        terms = grab(state)
         for i in range(1, n_steps + 1):
-            state = step(state)
-            if i % diag_every == 0 and i != n_steps:
-                grab(state)
+            state = step(state, terms)
+            terms = grab(state) if i % diag_every == 0 and i != n_steps else None
         if remainder > 1e-12 * max(1.0, T):
-            state = replace(step(replace(state, dt=remainder)), dt=dt)
+            state = replace(step(replace(state, dt=remainder), terms), dt=dt)
         if state.step_index != start:
             grab(state)
     except NonFiniteState as exc:

@@ -51,6 +51,8 @@ from .symmetry import FrequencyModule, integer_box, module_points_in_ball
 HERMITIAN_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 EVAL_CHUNK = 4096  # physical points per block of plane waves
+# radians: a rendered plane-wave phase must be resolved this finely by float64
+PHASE_SPACING_TOL = 1e-6
 # 256 MiB of float64 per component grid: icosahedral N=3 (13^6, 37 MiB)
 # fits; rank 8 at N=2 (9^8 points, 328 MiB) does not
 MAX_GRID_BYTES = 2 ** 28
@@ -474,8 +476,10 @@ def render_image(field: HullField, window: tuple[float, float],
     Row r runs top-down (decreasing y), column c left-right (increasing x).
     The value range maps linearly onto 0..255; a constant field renders as
     mid-gray 128.  A raster whose complex arrays would exceed MAX_GRID_BYTES
-    is refused with TooLarge, and a window too wide for its plane-wave
-    phases with ValueError.
+    is refused with TooLarge.  A window whose largest phase x k_j has a
+    float64 spacing above PHASE_SPACING_TOL radians (from 2^33 rad on)
+    is refused with ValueError, since its raster would be round-off noise,
+    and so is one whose phases overflow.
     """
     if field.active.module.dimension != 2:
         raise DimensionUnsupported("rendering needs a two-dimensional pattern")
@@ -492,6 +496,14 @@ def render_image(field: HullField, window: tuple[float, float],
             f"{nbytes / 2 ** 20:.3g} MiB per array; the limit is {MAX_GRID_BYTES / 2 ** 20:.3g} MiB"
         )
     K = field.active.wavevectors
+    reach = max(abs(lo), abs(hi)) * float(np.abs(K).max())
+    # an overflowing phase (reach = inf) is refused below as non-finite
+    if np.isfinite(reach) and np.spacing(reach) > PHASE_SPACING_TOL:
+        raise ValueError(
+            f"window reaches plane-wave phase {reach:.3g} rad, where float64 spacing is "
+            f"{np.spacing(reach):.3g} rad (limit {PHASE_SPACING_TOL:g}): the raster "
+            "would be round-off noise"
+        )
     with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
         xs = np.linspace(lo, hi, resolution)
         ys = np.linspace(hi, lo, resolution)

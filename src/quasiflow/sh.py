@@ -36,7 +36,7 @@ class SHParams:
             warnings.warn(
                 "bifurcation parameter above 1 leaves the regime where the "
                 "pattern amplitude estimates apply",
-                stacklevel=2,
+                stacklevel=3,  # past the dataclass __init__, to the line constructing it
             )
 
     def linear_block(self, active: ActiveModeSet) -> LowerTri:
@@ -73,9 +73,9 @@ class SolverState(etd.EtdState):
         return HullField(self.active, self.coeffs[0])
 
 
-def step(state: SolverState) -> SolverState:
+def step(state: SolverState, terms=None) -> SolverState:
     """One ETDRK2/ETDRK4 step of the state's scheme and dt (see ``etd.step``)."""
-    return etd.step(state)
+    return etd.step(state, terms)
 
 
 def integrate(

@@ -525,6 +525,19 @@ class TestRender:
         assert len(err) == 1 and err[0].startswith("error: non-finite field value")
         assert not img.exists()
 
+    def test_unresolved_window_is_one_error_line(self, tmp_path, sh_cfg, capsys):
+        # finite phases near 1.9e17 rad, whose float spacing is 32 rad
+        out = tmp_path / "run"
+        cli.main(["simulate", "--config", str(sh_cfg), "--output", str(out)])
+        capsys.readouterr()
+        img = tmp_path / "f.pgm"
+        code = cli.main(["render", "--snapshot", str(out / "final.qcs"),
+                         "--out", str(img), "--resolution", "16", "--window", "0", "1e17"])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: window reaches plane-wave phase")
+        assert not img.exists()
+
     def test_oversized_raster_is_one_error_line(self, tmp_path, sh_cfg, capsys, monkeypatch):
         # the limit is lowered, so that no large array is ever allocated: a
         # 64 x 64 raster of 49 modes has 64 KiB complex arrays

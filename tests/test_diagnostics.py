@@ -44,6 +44,12 @@ def supercritical(act12):
     return traj
 
 
+def record_of(state, s=3.0):
+    """The state's record, from its product grid and (L a, N(a)) as the time loop computes them."""
+    grids = state.active.grid_values(state.coeffs)
+    return diagnostics.record(state, grids, state.terms(grids), s=s)
+
+
 def synthetic(l2_values, dt=0.1):
     """Trajectory with prescribed l2 column and harmless other fields."""
     records = []
@@ -73,7 +79,7 @@ class TestRecord:
         e0[0] = 1
         f.set_coefficient(e0, 1.0)
         st = sh.make_state(f, lam=0.0, dt=0.01)
-        rec = diagnostics.record(st)
+        rec = record_of(st)
         assert rec.l2 == pytest.approx(np.sqrt(2))
         assert rec.l1 == pytest.approx(2.0)
         # quartic mean of 2 cos is 6, energy = 6/4 at the critical ring
@@ -84,14 +90,14 @@ class TestRecord:
     def test_pure(self, act12):
         st = sh.make_state(sh.random_ic(act12, 0.2, seed=1), lam=0.1, dt=0.01)
         before = st.field.coeffs.copy()
-        r1 = diagnostics.record(st)
-        r2 = diagnostics.record(st)
+        r1 = record_of(st)
+        r2 = record_of(st)
         assert r1 == r2
         assert np.array_equal(st.field.coeffs, before)
 
     def test_zero_state(self, act12):
         st = sh.make_state(HullField.zeros(act12), lam=0.3, dt=0.01)
-        rec = diagnostics.record(st)
+        rec = record_of(st)
         assert rec.l2 == rec.l1 == rec.rhs_l2 == 0.0
 
     @pytest.mark.parametrize("equation", ["sh", "brusselator"])
@@ -112,12 +118,12 @@ class TestRecord:
             return vals
 
         monkeypatch.setattr(ActiveModeSet, "grid_values", counting)
-        diagnostics.record(st)
+        record_of(st)
         product = (act12.product_axis_points,) * act12.rank
         # the components are stacked: one product-grid call synthesizes all of them
         assert shapes == [(st.params.ncomp,) + product]
         grid = original(act12, st.coeffs).reshape(st.params.ncomp, -1)
-        rec = diagnostics.record(st)
+        rec = record_of(st)
         assert (rec.min_u, rec.max_u) == (grid[0].min(), grid[0].max())
         if equation == "brusselator":
             assert (rec.min_v, rec.max_v) == (grid[1].min(), grid[1].max())
@@ -149,7 +155,7 @@ class TestRecord:
             grad_hull_sq=sum(float(np.sum(act12.msq * np.abs(c) ** 2)) for c in rows),
             sym_drift=max(act12.symmetry_drift(c) for c in rows),
         )
-        rec = diagnostics.record(st, s=s)
+        rec = record_of(st, s=s)
         assert {name: getattr(rec, name) for name in expected} == expected
         assert all(type(getattr(rec, name)) is float for name in expected)
         assert (rec.sym_drift > 1e-3) == (case == "sh-random")

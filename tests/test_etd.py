@@ -1,5 +1,5 @@
 """Phi functions, their divided differences and triangular matrix functions;
-the memoized (L a, N(a)) pair that records and steps share."""
+the (L a, N(a)) pair that the time loop hands from a record to the next step."""
 
 import decimal
 import math
@@ -349,32 +349,64 @@ class TestTermsMemo:
         ref_la, ref_n = replace(fresh_state(act12, equation, "etdrk2"), coeffs=c2).terms()
         assert np.array_equal(la, ref_la) and np.array_equal(n, ref_n)
 
-    def test_new_dt_keeps_the_memo(self, act12, monkeypatch):
-        state = fresh_state(act12, "sh", "etdrk2")
-        pair = state.terms()
+    @pytest.mark.parametrize("equation", ["sh", "bruss"])
+    def test_terms_see_an_in_place_update(self, act12, equation):
+        state = fresh_state(act12, equation, "etdrk2")
+        state.terms()
+        state.coeffs *= 1.5
+        ref = replace(fresh_state(act12, equation, "etdrk2"), coeffs=state.coeffs.copy())
+        assert all(np.array_equal(x, y) for x, y in zip(state.terms(), ref.terms()))
+
+    @pytest.mark.parametrize("equation,scheme,per_step",
+                             [(eq, sc, 2 if sc == "etdrk2" else 4) for eq, sc in EQUATIONS])
+    def test_handed_terms_step_bit_for_bit(self, act12, monkeypatch, equation, scheme,
+                                           per_step):
+        state = etd.step(fresh_state(act12, equation, scheme))
+        terms = state.terms()
+        assert etd.step(state, terms).coeffs.tobytes() == etd.step(state).coeffs.tobytes()
+        # the equations' steps forward the pair, and the step then skips N(a_n)
+        forward = sh.step if equation == "sh" else br.bruss_step
         calls = count_nonlinear(state, monkeypatch)
-        shorter = replace(state, dt=0.01, scheme="etdrk4")
-        assert all(x is y for x, y in zip(shorter.terms(), pair))
-        assert calls == []
+        assert forward(state, terms).coeffs.tobytes() == etd.step(state).coeffs.tobytes()
+        assert len(calls) == (per_step - 1) + per_step
 
     @pytest.mark.parametrize("equation,scheme", EQUATIONS)
-    def test_unrecorded_step_reduces_no_extrema(self, act12, equation, scheme, monkeypatch):
+    def test_unrecorded_step_takes_no_extrema(self, act12, equation, scheme, monkeypatch):
+        calls = []
+
+        class Counting(np.ndarray):
+            """A product grid that counts the min and max reductions of it.
+
+            Only its views count: arithmetic on it gives plain arrays, so
+            the products and coefficients computed from it count nothing.
+            """
+
+            def __array_wrap__(self, out, *args, **kwargs):
+                return out.view(np.ndarray)
+
+            def min(self, *args, **kwargs):
+                calls.append("min")
+                return super().min(*args, **kwargs)
+
+            def max(self, *args, **kwargs):
+                calls.append("max")
+                return super().max(*args, **kwargs)
+
+        original = ActiveModeSet.grid_values
+        monkeypatch.setattr(ActiveModeSet, "grid_values",
+                            lambda self, *a, **k: original(self, *a, **k).view(Counting))
         state = fresh_state(act12, equation, scheme)
-        stepped = etd.step(state)
-        etd.step(stepped)  # fills the stepped state's terms memo, not its extrema
-        assert stepped._terms[4] is None
-        # asked for later, they come off a fresh grid and leave the pair alone
-        pair = stepped.terms()
-        calls = count_nonlinear(stepped, monkeypatch)
-        ext = stepped.extrema()
-        assert calls == [] and all(x is y for x, y in zip(stepped.terms(), pair))
-        assert ext == replace(stepped, coeffs=stepped.coeffs.copy()).extrema()
+        for _ in range(3):
+            state = etd.step(state)
+        assert calls == []
+        # a run records its first and last states, and reduces each one's grid
+        _, traj = etd.integrate(state, 3 * state.dt, etd.step, diag_every=10)
+        assert len(traj) == 2 and calls == ["min", "max"] * 2
 
     @pytest.mark.parametrize("equation,scheme", EQUATIONS)
     def test_stepped_state_starts_empty(self, act12, equation, scheme):
         state = fresh_state(act12, equation, scheme)
         state.terms()
         for stepped in (etd.step(state), etd.step(replace(state, dt=0.02))):
-            assert stepped._terms is None
             ref = replace(stepped, coeffs=stepped.coeffs.copy()).terms()
             assert all(np.array_equal(x, y) for x, y in zip(stepped.terms(), ref))

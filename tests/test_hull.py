@@ -100,8 +100,13 @@ def sh_energy(field, lam):
 
 
 def recorded(field, s):
-    """The diagnostics record, Sobolev index s, of a state holding ``field``."""
-    return diagnostics.record(sh.make_state(field, 0.2), s=s)
+    """The diagnostics record, Sobolev index s, of a state holding ``field``.
+
+    The grid and (L a, N(a)) are computed as the time loop computes them.
+    """
+    st = sh.make_state(field, 0.2)
+    grids = st.active.grid_values(st.coeffs)
+    return diagnostics.record(st, grids, st.terms(grids), s=s)
 
 
 def random_hermitian(active, seed, scale=0.5):
@@ -920,6 +925,19 @@ class TestRenderImage:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite field value"):
                 render_image(f, window, 8)
+
+    def test_window_beyond_the_phase_resolution_refused(self, mod12):
+        # finite phases whose float spacing is radians wide (1e17, 1e300) give
+        # noise, not a raster.  The largest phase is 3.7 hi: a spacing of
+        # 1.9e-6 rad past 2^33 is refused, 9.5e-7 rad at 2^32 is not
+        act = ActiveModeSet(mod12, 2)
+        f = HullField(act, act.symmetrize(random_hermitian(act, 56).coeffs))
+        reach = float(np.abs(act.wavevectors).max())
+        for hi in (1e17, 1e300, 1.5 * 2.0 ** 33 / reach):
+            with pytest.raises(ValueError, match="float64 spacing"):
+                render_image(f, (0.0, hi), 8)
+        for window in [(-20.0, 20.0), (0.0, 1e6), (0.0, 2.0 ** 32 / reach)]:
+            assert render_image(f, window, 8).shape == (8, 8)
 
     def test_oversized_raster_refused(self, act12, monkeypatch):
         # 16 bytes per complex entry of the (8, 8) product and the (8, modes)

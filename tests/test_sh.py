@@ -59,6 +59,11 @@ class TestParams:
         with pytest.warns(UserWarning):
             SHParams(lam=1.5)
 
+    def test_large_lambda_warning_names_the_caller(self):
+        with pytest.warns(UserWarning, match="bifurcation parameter above 1") as caught:
+            SHParams(lam=2.0)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_moderate_lambda_silent(self):
         import warnings
 
