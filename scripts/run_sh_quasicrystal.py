@@ -40,7 +40,7 @@ def main():
     outdir.mkdir(parents=True, exist_ok=True)
     snapshots.write_diagnostics_csv(traj, outdir / "diagnostics.csv")
     snapshots.write_snapshot(final, outdir / "final.qcs")
-    snapshots.export_raster(final.field, (-40.0, 40.0), 512,
+    snapshots.export_raster(final.active, final.coeffs[0], (-40.0, 40.0), 512,
                             outdir / "final.pgm")
 
     l2 = traj.column("l2")

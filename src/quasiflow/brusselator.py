@@ -318,19 +318,19 @@ def bruss_integrate(
 def steady_ic(active: ActiveModeSet, params: BrusselatorParams) -> tuple[HullField, HullField]:
     """Both components constant at the homogeneous steady state."""
     ubar, vbar = steady_state(params)
-    u = HullField.zeros(active)
-    v = HullField.zeros(active)
+    u = np.zeros(len(active), dtype=complex)
+    v = np.zeros(len(active), dtype=complex)
     zero = np.zeros(active.rank, dtype=int)
-    u.set_coefficient(zero, ubar)
-    v.set_coefficient(zero, vbar)
-    return u, v
+    active.set_mode(u, zero, ubar)
+    active.set_mode(v, zero, vbar)
+    return HullField(active, u), HullField(active, v)
 
 
 def steady_plus_critical_ic(
     active: ActiveModeSet,
     params: BrusselatorParams,
     eigenvector: tuple[float, float],
-    amplitude: float = 1e-6,
+    amplitude: float,
 ) -> tuple[HullField, HullField]:
     """Steady state plus a symmetric critical-orbit mode along the eigenvector.
 

@@ -54,9 +54,8 @@ def _sh_initial_field(cfg: cfgmod.RunConfig, active: ActiveModeSet):
 def _bruss_initial_fields(cfg: cfgmod.RunConfig, active: ActiveModeSet, params):
     if cfg.ic == "steady-plus-critical":
         onset = br.turing_analysis(cfg.A, cfg.d1, cfg.d2)
-        return br.steady_plus_critical_ic(
-            active, params, onset.critical_eigenvector, cfg.perturbation or 1e-6
-        )
+        return br.steady_plus_critical_ic(active, params, onset.critical_eigenvector,
+                                          cfg.perturbation)
     if cfg.ic == "file":
         u, v = _restart_coeffs(cfg, active, "brusselator")
         return HullField(active, u), HullField(active, v)
@@ -120,7 +119,7 @@ def _cmd_render(args) -> int:
     state, _ = snapshots.read_snapshot(args.snapshot)
     # the first component: the pattern, or the Brusselator's activator
     snapshots.export_raster(
-        HullField(state.active, state.coeffs[0]),
+        state.active, state.coeffs[0],
         (args.window[0], args.window[1]), args.resolution, args.out,
     )
     print(f"wrote {args.out}")

@@ -162,6 +162,10 @@ def parse_config(text: str) -> RunConfig:
         raise BadValue("missing required key: symmetry")
     if "T" not in seen:
         raise BadValue("missing required key: T")
+    if seen.get("ic") == "steady-plus-critical":
+        # the critical-orbit amplitude when none is given; resolved here, so
+        # that the echo names the amplitude that ran
+        seen.setdefault("perturbation", 1e-6)
     try:
         cfg = RunConfig(**seen)
     except TypeError as exc:

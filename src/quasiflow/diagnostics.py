@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hull import HullField, condition_iii_check
+from .hull import ActiveModeSet, condition_iii_check
 
 DECAY_TOL = 1e-9
 L1_CONTROL_TOL = 1e-12
@@ -290,7 +290,8 @@ class ClassificationReport:
     caveat: str
 
 
-def classify_quasicrystal(field: HullField, eps_grid, M: float, r: float) -> ClassificationReport:
+def classify_quasicrystal(active: ActiveModeSet, coeffs: np.ndarray, eps_grid, M: float,
+                          r: float) -> ClassificationReport:
     """Evaluate the three defining conditions on a truncated field.
 
     Condition (i), summable amplitudes, always holds on a truncation and is
@@ -301,25 +302,25 @@ def classify_quasicrystal(field: HullField, eps_grid, M: float, r: float) -> Cla
     grid and reports the largest eps that passes.
     """
     eps_grid = sorted(float(e) for e in eps_grid)
-    mass = float(np.abs(field.coeffs).sum())
+    mass = float(np.abs(coeffs).sum())
 
     smallest = eps_grid[0] if eps_grid else 0.0
     if smallest < 0:
         raise ValueError("support threshold must be nonnegative")
-    support = field.active.indices[np.abs(field.coeffs) > smallest]
+    support = active.indices[np.abs(coeffs) > smallest]
     if len(support) == 0:
         int_rank = real_rank = 0
         cond_ii = False
     else:
         int_rank = int(np.linalg.matrix_rank(support.astype(float), tol=1e-9))
-        kvecs = support @ field.active.module.generators
+        kvecs = support @ active.module.generators
         real_rank = int(np.linalg.matrix_rank(kvecs, tol=1e-9))
         cond_ii = int_rank > real_rank
 
     best = 0.0
     cond_iii = False
     for eps in reversed(eps_grid):
-        ok, _ = condition_iii_check(field, M, r, eps)
+        ok, _ = condition_iii_check(active, coeffs, M, r, eps)
         if ok:
             best = eps
             cond_iii = True

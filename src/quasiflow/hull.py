@@ -1,10 +1,18 @@
 """Hull functions on the torus T^p, truncated to a symmetric set of modes.
 
-A hull field stores complex coefficients on an "active" set of integer mode
-indices: the largest subset of the box |m|_inf <= N that is mapped to itself
-by every group element.  Closure under the group action makes symmetrization
-exact; closure under negation lets the Hermitian constraint a_{-m} =
-conj(a_m) keep field values real.
+A hull function is a row of complex coefficients on an "active" set of
+integer mode indices: the largest subset of the box |m|_inf <= N that is
+mapped to itself by every group element.  Closure under the group action
+makes symmetrization exact; closure under negation lets the Hermitian
+constraint a_{-m} = conj(a_m) keep field values real.
+
+Every operation on coefficients is a row operation of ``ActiveModeSet``,
+acting on the last axis of an array stacked ``(..., nmodes)``, one row or a
+state's whole stack alike; every other function here takes the pair
+``(active, coeffs)``.  ``HullField`` is that pair as one value, with no
+methods, and only crosses the time loop's boundary: the initial conditions
+return it, ``make_state`` and ``make_bruss_state`` take it, and the states'
+views give it.
 
 Products of fields are evaluated pseudospectrally: ``grid_values`` synthesizes
 each factor on a uniform grid, the product is taken pointwise there, and
@@ -104,9 +112,9 @@ class ActiveModeSet:
     is likewise one product of the box with every distinct representation
     row (up to sign) side by side.  Both multiply small integers in float64,
     which is exact, and run in blocks of BUILD_BLOCK entries.  The row
-    operations ``hermitian``, ``hermitian_defect``, ``symmetrize`` and
-    ``symmetry_drift`` act on the last axis of coefficients stacked
-    (..., nmodes).
+    operations ``set_mode``, ``hermitian``, ``hermitian_defect``,
+    ``symmetrize``, ``symmetry_drift`` and ``evaluate_physical`` act on the
+    last axis of coefficients stacked (..., nmodes).
     """
 
     def __init__(self, module: FrequencyModule, N: int):
@@ -214,6 +222,16 @@ class ActiveModeSet:
         e0 = self.position(np.eye(self.rank, dtype=int)[0])
         return np.flatnonzero(self.orbit == self.orbit[e0])
 
+    def set_mode(self, coeffs: np.ndarray, m, value: complex) -> None:
+        """Write a_m = value and a_{-m} = conj(value) in every row, so values stay real."""
+        i = self.position(m)
+        j = self.neg_perm[i]
+        value = complex(value)
+        if i == j and abs(value.imag) > HERMITIAN_TOL * max(1.0, abs(value)):
+            raise ValueError("self-conjugate mode must have a real coefficient")
+        coeffs[..., i] = value
+        coeffs[..., j] = np.conj(value)
+
     def _conj_partners(self, coeffs: np.ndarray) -> np.ndarray:
         return np.conj(coeffs[..., self.neg_perm])  # conj(a_{-m}) at every m
 
@@ -249,6 +267,25 @@ class ActiveModeSet:
                 diff = vals.take(i, axis=-1) - vals.take(j, axis=-1)
                 drift = np.maximum(drift, np.abs(diff).max(initial=0.0))
         return float(drift)
+
+    def evaluate_physical(self, coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Field values u(x) = U(A x) at physical points (rows), ``(..., npoints)``.
+
+        Each row takes the one-row call's product, so a stacked row's values
+        equal its own.  Raises ImaginaryResidue when coefficients are not
+        Hermitian enough for the values to be real, and ValueError when a
+        value is not finite.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        if points.shape[1] != self.module.dimension:
+            raise ValueError("points have the wrong ambient dimension")
+        out = np.empty(coeffs.shape[:-1] + (len(points),))
+        for lo in range(0, len(points), EVAL_CHUNK):
+            block = points[lo:lo + EVAL_CHUNK]
+            with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
+                vals = np.exp(1j * (block @ self.wavevectors.T)) @ coeffs[..., None]
+            out[..., lo:lo + EVAL_CHUNK] = _real_values(vals[..., 0])
+        return out
 
     def _transforms(self, axis_points: int | None):
         """Pruned DFT matrices for a grid of G >= 2N+1 points per axis.
@@ -342,52 +379,10 @@ class ActiveModeSet:
 
 @dataclass
 class HullField:
-    """A view of one row of coefficients: a truncated hull function on T^p.
-
-    ``set_coefficient`` writes a mode and its Hermitian partner together;
-    coefficients written in bulk go through ``ActiveModeSet.hermitian``.
-    Arithmetic and norms are numpy's on ``coeffs``, and the row operations
-    (the Hermitian projection, the orbit mean, the drift) live on
-    ``ActiveModeSet``, where they act on a state's whole stack.
-    """
+    """One row of coefficients with its active set, at the time loop's boundary only."""
 
     active: ActiveModeSet
     coeffs: np.ndarray
-
-    @classmethod
-    def zeros(cls, active: ActiveModeSet) -> "HullField":
-        return cls(active, np.zeros(len(active), dtype=complex))
-
-    def set_coefficient(self, m, value: complex) -> None:
-        """Set a_m (and a_{-m} = conj) so field values stay real."""
-        i = self.active.position(m)
-        j = self.active.neg_perm[i]
-        value = complex(value)
-        if i == j and abs(value.imag) > HERMITIAN_TOL * max(1.0, abs(value)):
-            raise ValueError("self-conjugate mode must have a real coefficient")
-        self.coeffs[i] = value
-        self.coeffs[j] = np.conj(value)
-
-    def get_coefficient(self, m) -> complex:
-        return complex(self.coeffs[self.active.position(m)])
-
-    def evaluate_physical(self, points: np.ndarray) -> np.ndarray:
-        """Field values u(x) = U(A x) at physical points (rows).
-
-        Raises ImaginaryResidue when coefficients are not Hermitian enough
-        for the values to be real, and ValueError when a value is not finite.
-        """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != self.active.module.dimension:
-            raise ValueError("points have the wrong ambient dimension")
-        out = np.empty(len(points))
-        K = self.active.wavevectors
-        for lo in range(0, len(points), EVAL_CHUNK):
-            block = points[lo:lo + EVAL_CHUNK]
-            with np.errstate(over="ignore", invalid="ignore"):  # refused as non-finite
-                vals = np.exp(1j * (block @ K.T)) @ self.coeffs
-            out[lo:lo + EVAL_CHUNK] = _real_values(vals)
-        return out
 
 
 def _real_values(vals: np.ndarray) -> np.ndarray:
@@ -407,31 +402,31 @@ def _pairs(size: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(size, 1)
 
 
-def convolve_direct(*fields: HullField) -> np.ndarray:
-    """Exact convolution of the fields' coefficients, on the first field's active set.
+def convolve_direct(active: ActiveModeSet, *rows: np.ndarray) -> np.ndarray:
+    """Exact convolution of rows of coefficients on ``active``, truncated to it.
 
     Brute force, no transform: an oracle for the pseudospectral products on
     small mode sets.  Each stage sums every pair of nonzero coefficients into
-    a dict keyed by mode; the product's modes outside the first field's set
-    are dropped at the end.  A stage with more than MAX_PAIR_SUMS pairs is
-    refused with TooLarge before any of its pairs is formed.
+    a dict keyed by mode; the product's modes outside the set are dropped at
+    the end.  A stage with more than MAX_PAIR_SUMS pairs is refused with
+    TooLarge before any of its pairs is formed.
     """
-    out = {tuple(m): c for m, c in zip(fields[0].active.indices, fields[0].coeffs)}
-    for f in fields[1:]:
-        if len(out) * len(f.active) > MAX_PAIR_SUMS:
+    out = {tuple(m): c for m, c in zip(active.indices, rows[0])}
+    for row in rows[1:]:
+        if len(out) * len(active) > MAX_PAIR_SUMS:
             raise TooLarge("direct convolution refused; use the padded-grid path")
         nxt: dict = {}
         items = list(out.items())
         for m1, c1 in items:
             if c1 == 0:
                 continue
-            for m2, c2 in zip(f.active.indices, f.coeffs):
+            for m2, c2 in zip(active.indices, row):
                 if c2 == 0:
                     continue
                 key = tuple(np.array(m1) + m2)
                 nxt[key] = nxt.get(key, 0.0) + c1 * c2
         out = nxt
-    return np.array([out.get(tuple(m), 0.0) for m in fields[0].active.indices], dtype=complex)
+    return np.array([out.get(tuple(m), 0.0) for m in active.indices], dtype=complex)
 
 
 def l1_hs_bound_constant(active: ActiveModeSet, s: float) -> float:
@@ -445,8 +440,8 @@ def l1_hs_bound_constant(active: ActiveModeSet, s: float) -> float:
     return float(np.sqrt(np.sum((active.msq + 1.0) ** (-s))))
 
 
-def condition_iii_check(field: HullField, ball_radius: float, covering_radius: float,
-                        eps: float):
+def condition_iii_check(active: ActiveModeSet, coeffs: np.ndarray, ball_radius: float,
+                        covering_radius: float, eps: float):
     """Covering check: every module point in the ball is near the support.
 
     Enumerates module points with |k| <= ball_radius (coefficients bounded
@@ -456,9 +451,8 @@ def condition_iii_check(field: HullField, ball_radius: float, covering_radius: f
     """
     if eps < 0:
         raise ValueError("support threshold must be nonnegative")
-    sup = np.abs(field.coeffs) > eps
-    support_k = field.active.wavevectors[sup]
-    _, ball_k = module_points_in_ball(field.active.module, ball_radius)
+    support_k = active.wavevectors[np.abs(coeffs) > eps]
+    _, ball_k = module_points_in_ball(active.module, ball_radius)
     if len(support_k) == 0:
         return False, [k for k in ball_k]
     uncovered = []
@@ -469,9 +463,9 @@ def condition_iii_check(field: HullField, ball_radius: float, covering_radius: f
     return len(uncovered) == 0, uncovered
 
 
-def render_image(field: HullField, window: tuple[float, float],
+def render_image(active: ActiveModeSet, coeffs: np.ndarray, window: tuple[float, float],
                  resolution: int = 512) -> np.ndarray:
-    """Grayscale raster of the field over a square planar window.
+    """Grayscale raster of a planar field's coefficients over a square window.
 
     Row r runs top-down (decreasing y), column c left-right (increasing x).
     The value range maps linearly onto 0..255; a constant field renders as
@@ -481,7 +475,7 @@ def render_image(field: HullField, window: tuple[float, float],
     is refused with ValueError, since its raster would be round-off noise,
     and so is one whose phases overflow.
     """
-    if field.active.module.dimension != 2:
+    if active.module.dimension != 2:
         raise DimensionUnsupported("rendering needs a two-dimensional pattern")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
@@ -489,13 +483,13 @@ def render_image(field: HullField, window: tuple[float, float],
     if not hi > lo:
         raise ValueError("window must be a nonempty interval")
     # the (resolution, modes) plane waves and the (resolution, resolution) product
-    nbytes = 16 * resolution * max(resolution, len(field.active))
+    nbytes = 16 * resolution * max(resolution, len(active))
     if nbytes > MAX_GRID_BYTES:
         raise TooLarge(
-            f"a {resolution} x {resolution} raster of {len(field.active)} modes needs "
+            f"a {resolution} x {resolution} raster of {len(active)} modes needs "
             f"{nbytes / 2 ** 20:.3g} MiB per array; the limit is {MAX_GRID_BYTES / 2 ** 20:.3g} MiB"
         )
-    K = field.active.wavevectors
+    K = active.wavevectors
     reach = max(abs(lo), abs(hi)) * float(np.abs(K).max())
     # an overflowing phase (reach = inf) is refused below as non-finite
     if np.isfinite(reach) and np.spacing(reach) > PHASE_SPACING_TOL:
@@ -509,7 +503,7 @@ def render_image(field: HullField, window: tuple[float, float],
         ys = np.linspace(hi, lo, resolution)
         ex = np.exp(1j * np.outer(xs, K[:, 0]))
         ey = np.exp(1j * np.outer(ys, K[:, 1]))
-        vals = _real_values((ey * field.coeffs) @ ex.T)
+        vals = _real_values((ey * coeffs) @ ex.T)
     vmin, vmax = vals.min(), vals.max()
     span = vmax - vmin
     if span < 1e-12 * max(1.0, abs(vmax), abs(vmin)):

@@ -138,7 +138,7 @@ def random_ic(active: ActiveModeSet, amplitude: float, seed: int = 0) -> HullFie
     coeffs = active.hermitian(raw)
     norm = np.linalg.norm(coeffs)
     if norm == 0 or amplitude == 0:
-        return HullField.zeros(active)
+        return HullField(active, np.zeros(len(active), dtype=complex))
     return HullField(active, coeffs * (amplitude / norm))
 
 

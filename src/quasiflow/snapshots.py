@@ -31,7 +31,7 @@ from . import brusselator as br
 from . import config as cfgmod
 from . import sh
 from .diagnostics import DiagnosticsRecord, Trajectory
-from .hull import HERMITIAN_TOL, ActiveModeSet, HullField, render_image
+from .hull import HERMITIAN_TOL, ActiveModeSet, render_image
 from .symmetry import build_holohedry, generate_frequency_module
 
 FORMAT_NAME = "quasiflow-snapshot"
@@ -225,9 +225,9 @@ def read_diagnostics_csv(path) -> dict:
     return {name: table[:, i] for i, name in enumerate(header)}
 
 
-def export_raster(field: HullField, window, resolution, path) -> None:
-    """Binary PGM (P5, maxval 255) of a planar field over a square window."""
-    pixels = render_image(field, window, resolution)
+def export_raster(active: ActiveModeSet, coeffs: np.ndarray, window, resolution, path) -> None:
+    """Binary PGM (P5, maxval 255) of a planar field's coefficients over a square window."""
+    pixels = render_image(active, coeffs, window, resolution)
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n255\n"
     with open(path, "wb") as fh:
         fh.write(header.encode("ascii"))

@@ -20,12 +20,7 @@ import numpy as np
 from . import brusselator as br
 from . import diagnostics, etd, sh, snapshots
 from .diagnostics import CheckReport
-from .hull import (
-    ActiveModeSet,
-    HullField,
-    convolve_direct,
-    l1_hs_bound_constant,
-)
+from .hull import ActiveModeSet, convolve_direct, l1_hs_bound_constant
 from .symmetry import GOLDEN, build_holohedry, generate_frequency_module
 
 # seed on an icosahedral vertex axis: its orbit is the 12-element vertex set
@@ -166,16 +161,16 @@ def run_all(progress=None) -> list:
     act4 = ActiveModeSet(mod4, 2)
     rng = np.random.default_rng(3)
     n = len(act4)
-    fu = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
-    fv = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
-    grids = act4.grid_values(np.stack((fu.coeffs, fv.coeffs)))
+    fu = act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n))
+    fv = act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n))
+    grids = act4.grid_values(np.stack((fu, fv)))
     cubic_err = float(np.max(np.abs(
-        -sh.SHParams(lam).nonlinear(grids[:1], act4)[0] - convolve_direct(fu, fu, fu)
+        -sh.SHParams(lam).nonlinear(grids[:1], act4)[0] - convolve_direct(act4, fu, fu, fu)
     )))
     # N_v = -u^2 v: the feed A enters N_u only
     p10 = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
     uuv = -p10.nonlinear(grids, act4)[1]
-    uuv_err = float(np.max(np.abs(uuv - convolve_direct(fu, fu, fv))))
+    uuv_err = float(np.max(np.abs(uuv - convolve_direct(act4, fu, fu, fv))))
     worst = max(cubic_err, uuv_err)
     add(CheckReport("10-product-oracle", worst, 0.0, 1e-12))
 
@@ -215,7 +210,7 @@ def run_all(progress=None) -> list:
         sh.make_state(noisy, lam, dt=DT), 10.0, diag_every=10 ** 9
     )
     cls = diagnostics.classify_quasicrystal(
-        cls_state.field, eps_grid=np.geomspace(1e-10, 1e-2, 17), M=2.0, r=0.5
+        act, cls_state.coeffs[0], eps_grid=np.geomspace(1e-10, 1e-2, 17), M=2.0, r=0.5
     )
     add(CheckReport("13a-classification-rank-gap", 0.0 if cls.condition_ii else 1.0, 10.0, 0.0))
     ok_iii = cls.condition_iii and cls.best_eps > 1e-10
@@ -245,10 +240,8 @@ def run_all(progress=None) -> list:
     p_steady = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
     st = br.make_bruss_state(*br.steady_ic(act1, p_steady), p_steady, dt=DT)
     fin, _ = br.bruss_integrate(st, 10.0, diag_every=100)
-    zero = np.zeros(4, dtype=int)
     steady_err = max(
-        abs(fin.u_field.get_coefficient(zero) - 2.0),
-        abs(fin.v_field.get_coefficient(zero) - 2.1),
+        *np.abs(fin.coeffs[:, act1.zero_position] - (2.0, 2.1)).tolist(),
         *np.sort(np.abs(fin.coeffs), axis=-1)[:, -2].tolist(),
     )
     add(CheckReport("15a-steady-state-fixed", steady_err, 10.0, 1e-12))
@@ -261,11 +254,10 @@ def run_all(progress=None) -> list:
     rate_err = abs(rate - predicted) / abs(predicted)
     add(CheckReport("15b-onset-growth-rate", rate_err, 40.0, 0.05))
 
-    u, v = br.steady_ic(act1, p_steady)
-    bump = HullField.zeros(act1)
-    bump.set_coefficient((1, 0, 0, 0), 0.05)
-    u.coeffs += act1.symmetrize(bump.coeffs)
-    pst = br.make_bruss_state(u, v, p_steady, dt=DT)
+    pst = br.make_bruss_state(*br.steady_ic(act1, p_steady), p_steady, dt=DT)
+    bump = np.zeros(len(act1), dtype=complex)
+    act1.set_mode(bump, (1, 0, 0, 0), 0.05)
+    pst.coeffs[0] += act1.symmetrize(bump)
     pfin, _ = br.bruss_integrate(pst, 10.0, diag_every=10)
     min_u, min_v = br.positivity_check(pfin)
     worst_min = min(min_u, min_v)
@@ -342,10 +334,10 @@ def _io_checks():
             return False, "csv-roundtrip"
 
         # PGM layout for a constant field
-        const = HullField.zeros(act1)
-        const.set_coefficient(np.zeros(4, dtype=int), 1.0)
+        const = np.zeros(len(act1), dtype=complex)
+        act1.set_mode(const, np.zeros(4, dtype=int), 1.0)
         ppath = os.path.join(tmp, "c.pgm")
-        snapshots.export_raster(const, (-5.0, 5.0), 16, ppath)
+        snapshots.export_raster(act1, const, (-5.0, 5.0), 16, ppath)
         with open(ppath, "rb") as fh:
             data = fh.read()
         if data != b"P5\n16 16\n255\n" + bytes([128]) * 256:

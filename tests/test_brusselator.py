@@ -308,6 +308,10 @@ class TestScanOracle:
             br._interior_min_ksq(BrusselatorParams(*cases[0]))
 
 
+def zero_field(active):
+    return HullField(active, np.zeros(len(active), dtype=complex))
+
+
 def uuv_params():
     # -N_v = u^2 v for any parameters: the feed A enters N_u only
     return BrusselatorParams(B=4.2, **RUN_PARAMS)
@@ -317,22 +321,22 @@ class TestQuadraticCubic:
     def test_matches_direct_convolution(self, act4):
         rng = np.random.default_rng(3)
         n = len(act4)
-        fu = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
-        fv = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
-        grids = act4.grid_values(np.stack((fu.coeffs, fv.coeffs)))
+        fu = act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n))
+        fv = act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n))
+        grids = act4.grid_values(np.stack((fu, fv)))
         grid = -uuv_params().nonlinear(grids, act4)[1]
-        direct = hull.convolve_direct(fu, fu, fv)
+        direct = hull.convolve_direct(act4, fu, fu, fv)
         assert direct.shape == (len(act4),)
         assert np.max(np.abs(grid - direct)) < 1e-12
 
     def test_linear_in_second_factor(self, act4):
         rng = np.random.default_rng(4)
         n = len(act4)
-        a = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
-        b = HullField(act4, act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n)))
+        a = act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n))
+        b = act4.hermitian(rng.normal(size=n) + 1j * rng.normal(size=n))
         p = uuv_params()
-        one = -p.nonlinear(act4.grid_values(np.stack((a.coeffs, b.coeffs))), act4)[1]
-        three = -p.nonlinear(act4.grid_values(np.stack((a.coeffs, 3.0 * b.coeffs))), act4)[1]
+        one = -p.nonlinear(act4.grid_values(np.stack((a, b))), act4)[1]
+        three = -p.nonlinear(act4.grid_values(np.stack((a, 3.0 * b))), act4)[1]
         assert np.allclose(three, 3.0 * one, atol=1e-12)
 
 
@@ -347,19 +351,18 @@ class TestRhs:
 
     def test_zero_fields_feel_the_feed(self, act12):
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
-        st = br.make_bruss_state(HullField.zeros(act12), HullField.zeros(act12), p)
-        du, dv = (HullField(st.active, c) for c in sum(st.terms()))
-        zero = np.zeros(4, dtype=int)
-        assert du.get_coefficient(zero) == pytest.approx(2.0)
-        assert np.linalg.norm(du.coeffs) == pytest.approx(2.0)  # only the feed term
-        assert np.linalg.norm(dv.coeffs) == 0.0
+        st = br.make_bruss_state(zero_field(act12), zero_field(act12), p)
+        du, dv = sum(st.terms())
+        assert du[act12.zero_position] == pytest.approx(2.0)
+        assert np.linalg.norm(du) == pytest.approx(2.0)  # only the feed term
+        assert np.linalg.norm(dv) == 0.0
 
     def test_components_must_share_active_set(self, act12):
         other = ActiveModeSet(act12.module, 1)
         with pytest.raises(ValueError):
             br.make_bruss_state(
-                HullField.zeros(act12),
-                HullField.zeros(other),
+                zero_field(act12),
+                zero_field(other),
                 BrusselatorParams(B=4.2, **RUN_PARAMS),
             )
 
@@ -369,11 +372,11 @@ class TestStepper:
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         st = br.make_bruss_state(*br.steady_ic(act12, p), p, dt=0.01)
         fin, _ = br.bruss_integrate(st, 10.0, diag_every=100)
-        zero = np.zeros(4, dtype=int)
-        assert abs(fin.u_field.get_coefficient(zero) - 2.0) < 1e-12
-        assert abs(fin.v_field.get_coefficient(zero) - 2.1) < 1e-12
-        off_u = np.sort(np.abs(fin.u_field.coeffs))[-2]
-        off_v = np.sort(np.abs(fin.v_field.coeffs))[-2]
+        u, v = fin.coeffs
+        assert abs(u[act12.zero_position] - 2.0) < 1e-12
+        assert abs(v[act12.zero_position] - 2.1) < 1e-12
+        off_u = np.sort(np.abs(u))[-2]
+        off_v = np.sort(np.abs(v))[-2]
         assert max(off_u, off_v) == 0.0
 
     @pytest.mark.parametrize("N", [1, 2, 3])
@@ -470,7 +473,7 @@ class TestIntegrate:
     def test_blow_up_reports_completed_steps(self, act12):
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         u, v = br.steady_ic(act12, p)
-        u.set_coefficient(e_first(4), 1e60)  # finite record, u^2 v overflows
+        act12.set_mode(u.coeffs, e_first(4), 1e60)  # finite record, u^2 v overflows
         st = br.make_bruss_state(u, v, p, dt=0.01)
         with pytest.raises(NonFiniteState, match=r"blow-up after 0 full steps"):
             br.bruss_integrate(st, 0.1)
@@ -478,7 +481,7 @@ class TestIntegrate:
     def test_overflowing_first_record_names_time_and_step(self, act12):
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         u, v = br.steady_ic(act12, p)
-        u.set_coefficient(e_first(4), 1e200)  # finite state, its diagnostics overflow
+        act12.set_mode(u.coeffs, e_first(4), 1e200)  # finite state, its diagnostics overflow
         st = br.make_bruss_state(u, v, p, dt=0.01)
         with pytest.raises(NonFiniteState, match=r"at t = 0 \(step 0\)") as info:
             br.bruss_integrate(st, 0.1)
@@ -489,9 +492,9 @@ class TestPositivity:
     def test_positive_ic_stays_positive(self, act12):
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         u, v = br.steady_ic(act12, p)
-        bump = HullField.zeros(act12)
-        bump.set_coefficient(e_first(4), 0.05)
-        u.coeffs += act12.symmetrize(bump.coeffs)
+        bump = np.zeros(len(act12), dtype=complex)
+        act12.set_mode(bump, e_first(4), 0.05)
+        u.coeffs += act12.symmetrize(bump)
         st = br.make_bruss_state(u, v, p, dt=0.01)
         fin, traj = br.bruss_integrate(st, 10.0, diag_every=10)
         min_u, min_v = br.positivity_check(fin)
@@ -502,9 +505,9 @@ class TestPositivity:
         # after the feed balances consumption, u stays above half of A/(B+1)
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         u, v = br.steady_ic(act12, p)
-        bump = HullField.zeros(act12)
-        bump.set_coefficient(e_first(4), 0.05)
-        u.coeffs += act12.symmetrize(bump.coeffs)
+        bump = np.zeros(len(act12), dtype=complex)
+        act12.set_mode(bump, e_first(4), 0.05)
+        u.coeffs += act12.symmetrize(bump)
         st = br.make_bruss_state(u, v, p, dt=0.01)
         _, traj = br.bruss_integrate(st, 10.0, diag_every=10)
         floor = 0.5 * p.A / (p.B + 1.0)
@@ -541,12 +544,11 @@ class TestCertifiedBound:
     def test_bound_is_below_every_sample(self, case, seed, offset):
         act = bound_case(*case)
         rng = np.random.default_rng(seed)
-        u, v = (HullField(act, act.hermitian(0.3 * (rng.normal(size=len(act))
-                                                    + 1j * rng.normal(size=len(act)))))
+        u, v = (act.hermitian(0.3 * (rng.normal(size=len(act)) + 1j * rng.normal(size=len(act))))
                 for _ in range(2))
-        u.coeffs[act.zero_position] += offset
+        u[act.zero_position] += offset
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
-        state = br.make_bruss_state(u, v, p)
+        state = br.make_bruss_state(HullField(act, u), HullField(act, v), p)
         bound = br.positivity_check(state)
         G = act.product_axis_points
         # denser grids, one of which the product grid's G does not divide
@@ -555,8 +557,7 @@ class TestCertifiedBound:
             assert np.all(np.array(bound) <= grids.reshape(2, -1).min(axis=1))
         # and physical points of the pattern itself
         x = rng.uniform(-50.0, 50.0, size=(200, act.module.dimension))
-        for low, field in zip(bound, (u, v)):
-            assert low <= field.evaluate_physical(x).min()
+        assert np.all(np.array(bound) <= act.evaluate_physical(state.coeffs, x).min(axis=1))
 
     @pytest.mark.parametrize("case", BOUND_CASES, ids=lambda c: f"{c[0]}-N{c[1]}")
     def test_constant_field_bound_is_the_constant(self, case):
@@ -564,8 +565,28 @@ class TestCertifiedBound:
         p = BrusselatorParams(B=4.2, **RUN_PARAMS)
         u, v = br.steady_ic(act, p)
         assert br.positivity_check(br.make_bruss_state(u, v, p)) == (2.0, 2.1)
-        u.set_coefficient(np.zeros(act.rank, dtype=int), -0.37)
+        act.set_mode(u.coeffs, np.zeros(act.rank, dtype=int), -0.37)
         assert br.positivity_check(br.make_bruss_state(u, v, p), 16) == (-0.37, 2.1)
+
+
+class TestPhysicalValues:
+    @pytest.mark.parametrize("case", BOUND_CASES, ids=lambda c: f"{c[0]}-N{c[1]}")
+    def test_stacked_state_evaluates_row_by_row(self, case, onset):
+        # (2, nmodes) in, (2, npoints) out, each row as its own one-row call;
+        # more points than EVAL_CHUNK, so the blocks are stitched too
+        act = bound_case(*case)
+        p = BrusselatorParams(B=4.2, **RUN_PARAMS)
+        st = br.make_bruss_state(
+            *br.steady_plus_critical_ic(act, p, onset.critical_eigenvector, 0.1), p)
+        rng = np.random.default_rng(5)
+        x = rng.uniform(-30.0, 30.0, (hull.EVAL_CHUNK + 7, act.module.dimension))
+        vals = act.evaluate_physical(st.coeffs, x)
+        assert vals.shape == (2, len(x)) and vals.dtype == float
+        for row, coeffs in zip(vals, st.coeffs):
+            assert np.array_equal(row, act.evaluate_physical(coeffs, x))
+        assert np.ptp(vals[0]) > 0.1  # the critical orbit shows
+        assert np.allclose(act.evaluate_physical(st.coeffs, np.zeros(act.module.dimension)),
+                           st.coeffs.sum(axis=1, keepdims=True).real)
 
 
 class TestICs:
@@ -580,7 +601,7 @@ class TestICs:
         u, v = br.steady_plus_critical_ic(act12, p, onset.critical_eigenvector, 1e-6)
         e0 = e_first(4)
         evu, evv = onset.critical_eigenvector
-        assert u.get_coefficient(e0) == pytest.approx(1e-6 * evu, rel=1e-12)
-        assert v.get_coefficient(e0) == pytest.approx(1e-6 * evv, rel=1e-12)
+        assert u.coeffs[act12.position(e0)] == pytest.approx(1e-6 * evu, rel=1e-12)
+        assert v.coeffs[act12.position(e0)] == pytest.approx(1e-6 * evv, rel=1e-12)
         assert np.count_nonzero(u.coeffs) == 13  # zero mode + the 12-orbit
         assert act12.symmetry_drift(u.coeffs) < 1e-18

@@ -298,6 +298,31 @@ class TestSimulateBruss:
         assert state.params.B == 4.2
         assert state.u_field.active is state.v_field.active
 
+    def test_zero_perturbation_seeds_nothing(self, tmp_path):
+        # perturbation = 0 starts on the steady state itself: no critical-orbit
+        # amplitude at t = 0, and the echo names the 0 that ran
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(BRUSS_CFG.replace("perturbation = 1e-4", "perturbation = 0"))
+        out = tmp_path / "run"
+        assert cli.main(["simulate", "--config", str(cfg), "--output", str(out)]) == 0
+        cols = snapshots.read_diagnostics_csv(out / "diagnostics.csv")
+        assert cols["t"][0] == 0.0 and np.all(cols["grad_hull_sq"] == 0.0)
+        assert "perturbation = 0\n" in (out / "config.txt").read_text()
+
+    def test_omitted_perturbation_runs_and_echoes_the_default(self, tmp_path):
+        # no key and an explicit 1e-6 are the same run, echo and snapshot alike
+        outs = []
+        for i, text in enumerate((BRUSS_CFG.replace("perturbation = 1e-4\n", ""),
+                                  BRUSS_CFG.replace("1e-4", "1e-6"))):
+            cfg = tmp_path / f"c{i}.cfg"
+            cfg.write_text(text)
+            outs.append(tmp_path / f"run{i}")
+            assert cli.main(["simulate", "--config", str(cfg), "--output", str(outs[-1])]) == 0
+        for name in ("config.txt", "diagnostics.csv", "final.qcs"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+        grad = snapshots.read_diagnostics_csv(outs[0] / "diagnostics.csv")["grad_hull_sq"]
+        assert grad[0] > 0.0
+
     def test_etdrk4_run_round_trips_its_scheme(self, tmp_path):
         from quasiflow.config import parse_config
 

@@ -116,6 +116,17 @@ class TestParse:
         cfg = parse_config(MINIMAL + "dt = 0.1\ndt = 0.2\n")
         assert cfg.dt == 0.2
 
+    def test_critical_amplitude_resolved_when_omitted(self):
+        # steady-plus-critical seeds 1e-6 when no perturbation is given, and
+        # exactly the given amplitude otherwise, 0 included
+        bruss = ("symmetry = dihedral:12\nT = 1\nequation = brusselator\n"
+                 "A = 2\nB = 4.2\nd1 = 1\nd2 = 4\nic = steady-plus-critical\n")
+        assert parse_config(bruss).perturbation == 1e-6
+        assert parse_config(bruss + "perturbation = 0\n").perturbation == 0.0
+        assert parse_config(bruss + "perturbation = 1e-3\n").perturbation == 1e-3
+        assert "perturbation = 9.9999999999999995e-07\n" in to_text(parse_config(bruss))
+        assert parse_config(MINIMAL).perturbation == 0.0
+
 
 class TestValidate:
     def test_bad_equation(self):

@@ -72,13 +72,16 @@ def synthetic(l2_values, dt=0.1):
     return Trajectory(records, dt=dt)
 
 
+def ring_pair(active, value):
+    """A field holding a_{e0} = value and its partner on the first generator, e0."""
+    coeffs = np.zeros(len(active), dtype=complex)
+    active.set_mode(coeffs, np.eye(active.rank, dtype=int)[0], value)
+    return HullField(active, coeffs)
+
+
 class TestRecord:
     def test_one_component_values(self, act12):
-        f = HullField.zeros(act12)
-        e0 = np.zeros(4, dtype=int)
-        e0[0] = 1
-        f.set_coefficient(e0, 1.0)
-        st = sh.make_state(f, lam=0.0, dt=0.01)
+        st = sh.make_state(ring_pair(act12, 1.0), lam=0.0, dt=0.01)
         rec = record_of(st)
         assert rec.l2 == pytest.approx(np.sqrt(2))
         assert rec.l1 == pytest.approx(2.0)
@@ -96,7 +99,7 @@ class TestRecord:
         assert np.array_equal(st.field.coeffs, before)
 
     def test_zero_state(self, act12):
-        st = sh.make_state(HullField.zeros(act12), lam=0.3, dt=0.01)
+        st = sh.make_state(ring_pair(act12, 0.0), lam=0.3, dt=0.01)
         rec = record_of(st)
         assert rec.l2 == rec.l1 == rec.rhs_l2 == 0.0
 
@@ -218,11 +221,7 @@ class TestDecayChecks:
             diagnostics.check_decay_negative_lambda(decaying, 0.5)
 
     def test_zero_lambda_passes(self, act12):
-        f = HullField.zeros(act12)
-        e0 = np.zeros(4, dtype=int)
-        e0[0] = 1
-        f.set_coefficient(e0, 0.3 / np.sqrt(2))
-        st = sh.make_state(f, lam=0.0, dt=0.01)
+        st = sh.make_state(ring_pair(act12, 0.3 / np.sqrt(2)), lam=0.0, dt=0.01)
         _, traj = sh.integrate(st, 100.0, diag_every=100)
         assert diagnostics.check_decay_zero_lambda(traj).passed
 
@@ -362,13 +361,13 @@ def relaxed_n2(act12):
         sh.quasicrystal_ic(act2, 0.2, 0.5, 1e-3, seed=3), lam=0.2, dt=0.01
     )
     fin, _ = sh.integrate(st, 10.0, diag_every=10 ** 9)
-    return fin.field
+    return act2, fin.coeffs[0]
 
 
 class TestClassification:
     def test_twelvefold_field_classified(self, relaxed_n2):
         rep = diagnostics.classify_quasicrystal(
-            relaxed_n2, eps_grid=np.geomspace(1e-8, 1e-2, 13), M=2.0, r=0.5
+            *relaxed_n2, eps_grid=np.geomspace(1e-8, 1e-2, 13), M=2.0, r=0.5
         )
         assert rep.condition_ii
         assert rep.support_integer_rank == 4
@@ -381,18 +380,15 @@ class TestClassification:
         # the 49-mode truncation cannot 0.5-cover the ball-2 module points
         f = sh.quasicrystal_ic(act12, 0.2, 0.5, 1e-3, seed=3)
         rep = diagnostics.classify_quasicrystal(
-            f, eps_grid=np.geomspace(1e-8, 1e-2, 13), M=2.0, r=0.5
+            act12, f.coeffs, eps_grid=np.geomspace(1e-8, 1e-2, 13), M=2.0, r=0.5
         )
         assert not rep.condition_iii
 
     def test_single_cosine_is_periodic(self, act12):
         # support spans a rank-1 integer lattice: rational case, must not classify
-        f = HullField.zeros(act12)
-        e0 = np.zeros(4, dtype=int)
-        e0[0] = 1
-        f.set_coefficient(e0, 0.4)
         rep = diagnostics.classify_quasicrystal(
-            f, eps_grid=np.geomspace(1e-8, 1e-2, 13), M=2.0, r=0.5
+            act12, ring_pair(act12, 0.4).coeffs, eps_grid=np.geomspace(1e-8, 1e-2, 13),
+            M=2.0, r=0.5
         )
         assert rep.support_integer_rank == 1
         assert rep.support_real_rank == 1
@@ -402,7 +398,8 @@ class TestClassification:
 
     def test_zero_field_not_classified(self, act12):
         rep = diagnostics.classify_quasicrystal(
-            HullField.zeros(act12), eps_grid=np.geomspace(1e-8, 1e-2, 5), M=2.0, r=0.5
+            act12, np.zeros(len(act12), dtype=complex), eps_grid=np.geomspace(1e-8, 1e-2, 5),
+            M=2.0, r=0.5
         )
         # summability holds on any truncation; the empty support fails the rest
         assert rep.condition_i

@@ -5,7 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from functools import cache
 from pathlib import Path
 
@@ -64,47 +64,50 @@ def dict_convolve(*term_maps):
     return out
 
 
-def as_dict(field):
-    return {tuple(m): c for m, c in zip(field.active.indices, field.coeffs)}
+def as_dict(act, coeffs):
+    return {tuple(m): c for m, c in zip(act.indices, coeffs)}
 
 
-def grid_product(f, g):
+def mode(act, m, value):
+    """Coefficients holding a_m = value and its Hermitian partner, zero elsewhere."""
+    coeffs = np.zeros(len(act), dtype=complex)
+    act.set_mode(coeffs, m, value)
+    return coeffs
+
+
+def grid_product(act, f, g):
     """Retained coefficients of f*g from one product on the product grid."""
-    act = f.active
-    return HullField(act, act.coefficients_from_grid(
-        act.grid_values(f.coeffs) * act.grid_values(g.coeffs)))
+    return act.coefficients_from_grid(act.grid_values(f) * act.grid_values(g))
 
 
-def cube(field):
+def cube(act, coeffs):
     """Retained coefficients of u^3, from the Swift-Hohenberg N(u) = -u^3."""
-    grids = field.active.grid_values(field.coeffs[None])
-    n = sh.SHParams(0.2).nonlinear(grids, field.active)
-    return HullField(field.active, -n[0])
+    return -sh.SHParams(0.2).nonlinear(act.grid_values(coeffs[None]), act)[0]
 
 
-def minmax(field, axis_points):
+def minmax(act, coeffs, axis_points):
     """(min, max) of the field over a uniform torus grid."""
-    vals = field.active.grid_values(field.coeffs, axis_points)
+    vals = act.grid_values(coeffs, axis_points)
     return vals.min(), vals.max()
 
 
-def quartic_mean(field):
+def quartic_mean(act, coeffs):
     """mean(u^4) by Parseval: Re<a, u^3>."""
-    return float(np.vdot(field.coeffs, cube(field).coeffs).real)
+    return float(np.vdot(coeffs, cube(act, coeffs)).real)
 
 
-def sh_energy(field, lam):
+def sh_energy(act, coeffs, lam):
     """The recorded Swift-Hohenberg energy, from the state's (L a, N(a))."""
-    st = sh.make_state(field, lam)
+    st = sh.make_state(HullField(act, coeffs), lam)
     return st.params.energy(st.coeffs, *st.terms())
 
 
-def recorded(field, s):
-    """The diagnostics record, Sobolev index s, of a state holding ``field``.
+def recorded(act, coeffs, s):
+    """The diagnostics record, Sobolev index s, of a state holding ``coeffs``.
 
     The grid and (L a, N(a)) are computed as the time loop computes them.
     """
-    st = sh.make_state(field, 0.2)
+    st = sh.make_state(HullField(act, coeffs), 0.2)
     grids = st.active.grid_values(st.coeffs)
     return diagnostics.record(st, grids, st.terms(grids), s=s)
 
@@ -112,7 +115,7 @@ def recorded(field, s):
 def random_hermitian(active, seed, scale=0.5):
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=len(active)) + 1j * rng.normal(size=len(active))
-    return HullField(active, active.hermitian(scale * raw))
+    return active.hermitian(scale * raw)
 
 
 def images(act):
@@ -278,53 +281,54 @@ class TestActiveModeSet:
 
 class TestCoefficientAccess:
     def test_hermitian_partner_real(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
-        assert f.get_coefficient([-1, 0, 0, 0]) == 1.0
+        f = mode(act12, [1, 0, 0, 0], 1.0)
+        assert f[act12.position([-1, 0, 0, 0])] == 1.0
 
     def test_hermitian_partner_imaginary(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1j)
-        assert f.get_coefficient([-1, 0, 0, 0]) == -1j
+        f = mode(act12, [1, 0, 0, 0], 1j)
+        assert f[act12.position([-1, 0, 0, 0])] == -1j
 
     def test_untouched_mode_is_zero(self, act12):
-        f = HullField.zeros(act12)
-        assert f.get_coefficient([0, 1, 0, 0]) == 0.0
+        f = mode(act12, [1, 0, 0, 0], 1.0)
+        assert f[act12.position([0, 1, 0, 0])] == 0.0
+        assert np.count_nonzero(f) == 2
 
     def test_zero_mode_must_stay_real(self, act12):
-        f = HullField.zeros(act12)
+        f = np.zeros(len(act12), dtype=complex)
         with pytest.raises(ValueError):
-            f.set_coefficient([0, 0, 0, 0], 1j)
+            act12.set_mode(f, [0, 0, 0, 0], 1j)
+        assert not f.any()
 
     def test_inactive_mode_rejected(self, act12):
-        f = HullField.zeros(act12)
+        f = np.zeros(len(act12), dtype=complex)
         with pytest.raises(InactiveMode):
-            f.set_coefficient([2, 0, 0, 0], 1.0)
+            act12.set_mode(f, [2, 0, 0, 0], 1.0)
 
-    def test_zeros_is_zero(self, act12):
-        f = HullField.zeros(act12)
-        assert np.linalg.norm(f.coeffs) == 0.0
-        assert len(f.active) == 49
+    def test_set_mode_writes_every_row(self, act12):
+        rows = np.ones((2, len(act12)), dtype=complex)
+        act12.set_mode(rows, [1, 1, 0, 0], 0.5 + 0.25j)
+        single = np.ones(len(act12), dtype=complex)
+        act12.set_mode(single, [1, 1, 0, 0], 0.5 + 0.25j)
+        assert np.array_equal(rows, np.stack((single, single)))
+        assert single[act12.position([-1, -1, 0, 0])] == 0.5 - 0.25j
 
     def test_hermitian_defect(self, act12):
         rng = np.random.default_rng(7)
-        f = HullField(act12, rng.normal(size=49) + 1j * rng.normal(size=49))
-        assert act12.hermitian_defect(f.coeffs) > 0.1
-        assert act12.hermitian_defect(act12.hermitian(f.coeffs)) < 1e-14
+        f = rng.normal(size=49) + 1j * rng.normal(size=49)
+        assert act12.hermitian_defect(f) > 0.1
+        assert act12.hermitian_defect(act12.hermitian(f)) < 1e-14
 
 
 class TestNorms:
     def test_cosine_pair(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
-        assert np.isclose(np.linalg.norm(f.coeffs), np.sqrt(2.0))
-        assert np.isclose(np.abs(f.coeffs).sum(), 2.0)
-        assert np.isclose(recorded(f, 0.0).hs, np.linalg.norm(f.coeffs))
+        f = mode(act12, [1, 0, 0, 0], 1.0)
+        assert np.isclose(np.linalg.norm(f), np.sqrt(2.0))
+        assert np.isclose(np.abs(f).sum(), 2.0)
+        assert np.isclose(recorded(act12, f, 0.0).hs, np.linalg.norm(f))
 
     def test_sobolev_weight(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 1, 0, 0], 1.0)
-        rec = recorded(f, 1.0)
+        f = mode(act12, [1, 1, 0, 0], 1.0)
+        rec = recorded(act12, f, 1.0)
         assert np.isclose(rec.hs, np.sqrt(6.0))
         assert np.isclose(rec.grad_hull_sq, 4.0)
 
@@ -345,14 +349,13 @@ class TestNorms:
     def test_l1_bounded_by_weighted_l2(self, act12, seed):
         f = random_hermitian(act12, seed)
         C = l1_hs_bound_constant(act12, 3.0)
-        assert np.abs(f.coeffs).sum() <= C * recorded(f, 3.0).hs + 1e-12
+        assert np.abs(f).sum() <= C * recorded(act12, f, 3.0).hs + 1e-12
 
 
 class TestSymmetrize:
     def test_delta_spreads_to_sixth(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
-        s = act12.symmetrize(f.coeffs)
+        f = mode(act12, [1, 0, 0, 0], 1.0)
+        s = act12.symmetrize(f)
         orbit = act12.k0_orbit()
         assert len(orbit) == 12
         assert np.allclose(s[orbit], 1.0 / 6.0)
@@ -361,47 +364,46 @@ class TestSymmetrize:
         assert np.allclose(s[mask], 0.0)
 
     def test_idempotent(self, act12):
-        s = act12.symmetrize(random_hermitian(act12, 11).coeffs)
+        s = act12.symmetrize(random_hermitian(act12, 11))
         assert np.allclose(act12.symmetrize(s), s, atol=1e-15)
         assert act12.symmetry_drift(s) <= 1e-14
 
     def test_zero_fixed(self, act12):
-        assert np.linalg.norm(act12.symmetrize(HullField.zeros(act12).coeffs)) == 0.0
+        assert np.linalg.norm(act12.symmetrize(np.zeros(len(act12), dtype=complex))) == 0.0
 
     def test_orthogonal_projection(self, act12):
         f = random_hermitian(act12, 12)
         g = random_hermitian(act12, 13)
-        sf, sg = act12.symmetrize(f.coeffs), act12.symmetrize(g.coeffs)
-        cross = np.sum(sf * np.conj(g.coeffs - sg))
+        sf, sg = act12.symmetrize(f), act12.symmetrize(g)
+        cross = np.sum(sf * np.conj(g - sg))
         assert abs(cross) < 1e-10
-        assert np.linalg.norm(sf) <= np.linalg.norm(f.coeffs) + 1e-12
+        assert np.linalg.norm(sf) <= np.linalg.norm(f) + 1e-12
 
     def test_drift_measures_asymmetry(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
-        assert act12.symmetry_drift(f.coeffs) == pytest.approx(1.0)
-        assert act12.symmetry_drift(act12.symmetrize(f.coeffs)) < 1e-15
+        f = mode(act12, [1, 0, 0, 0], 1.0)
+        assert act12.symmetry_drift(f) == pytest.approx(1.0)
+        assert act12.symmetry_drift(act12.symmetrize(f)) < 1e-15
 
     def test_drift_equals_loop_over_group(self, act12):
         # the max over group elements of the max over modes, one by one
-        f = (act12.symmetrize(random_hermitian(act12, 14).coeffs)
-             + 1e-13 * random_hermitian(act12, 15).coeffs)
+        f = (act12.symmetrize(random_hermitian(act12, 14))
+             + 1e-13 * random_hermitian(act12, 15))
         loop = max(np.abs(f[perm] - f).max() for perm in images(act12))
         assert act12.symmetry_drift(f) == loop
 
     def test_drift_over_chunks(self):
         # the 120-mode orbits of icosahedral-vertex N = 2 go 9 to a chunk
         act = built_active("icosahedral-vertex")
-        f = (act.symmetrize(random_hermitian(act, 17).coeffs)
-             + 1e-13 * random_hermitian(act, 18).coeffs)
+        f = (act.symmetrize(random_hermitian(act, 17))
+             + 1e-13 * random_hermitian(act, 18))
         loop = max(np.abs(f[perm] - f).max() for perm in built_images("icosahedral-vertex"))
         assert act.symmetry_drift(f) == loop
         # one mode off, in each orbit in turn
         for block in act.orbit_blocks:
             for row in block:
-                g = HullField.zeros(act)
-                g.coeffs[row[-1]] = 1.0
-                assert act.symmetry_drift(g.coeffs) == (1.0 if len(row) > 1 else 0.0)
+                g = np.zeros(len(act), dtype=complex)
+                g[row[-1]] = 1.0
+                assert act.symmetry_drift(g) == (1.0 if len(row) > 1 else 0.0)
 
     @pytest.mark.parametrize("name", ["dihedral:12", "icosahedral-vertex"])
     @pytest.mark.parametrize("base,noise,drift", [(1.0, 0.0, "zero"), (0.0, 1e-310, "subnormal"),
@@ -410,8 +412,8 @@ class TestSymmetrize:
         # three rows at once, against each row alone and against the group
         # loop; icosahedral-vertex N = 2 takes its 120-mode orbits in chunks
         act = built_active(name)
-        rows = np.stack([base * act.symmetrize(random_hermitian(act, seed).coeffs)
-                         + noise * random_hermitian(act, seed + 10).coeffs
+        rows = np.stack([base * act.symmetrize(random_hermitian(act, seed))
+                         + noise * random_hermitian(act, seed + 10)
                          for seed in (20, 21, 22)])
         stacked = act.symmetry_drift(rows)
         assert stacked == max(act.symmetry_drift(row) for row in rows)
@@ -435,7 +437,7 @@ class TestSymmetrize:
     def test_stacked_symmetrize(self, name):
         # three rows at once, against each row alone
         act = built_active(name)
-        rows = np.stack([random_hermitian(act, seed).coeffs for seed in (23, 24, 25)])
+        rows = np.stack([random_hermitian(act, seed) for seed in (23, 24, 25)])
         sym = act.symmetrize(rows)
         for s, row in zip(sym, rows):
             assert np.array_equal(s, act.symmetrize(row))
@@ -449,8 +451,8 @@ class TestSymmetrize:
         act = built_active(name)
         f = random_hermitian(act, 16)
         group_mean = [complex(math.fsum(a.real), math.fsum(a.imag)) / len(a)
-                      for a in f.coeffs[built_images(name)].T]
-        s = act.symmetrize(f.coeffs)
+                      for a in f[built_images(name)].T]
+        s = act.symmetrize(f)
         assert np.abs(s - group_mean).max() <= 1e-15
         assert act.symmetry_drift(s) == 0.0
 
@@ -458,44 +460,40 @@ class TestSymmetrize:
 class TestPointwiseProduct:
     def test_cosine_square(self, mod2):
         act = ActiveModeSet(mod2, 2)
-        f = HullField.zeros(act)
-        f.set_coefficient([1], 1.0)
-        p = grid_product(f, f)
-        assert np.isclose(p.get_coefficient([0]), 2.0)
-        assert np.isclose(p.get_coefficient([2]), 1.0)
-        assert np.isclose(p.get_coefficient([1]), 0.0)
+        f = mode(act, [1], 1.0)
+        p = grid_product(act, f, f)
+        assert np.isclose(p[act.position([0])], 2.0)
+        assert np.isclose(p[act.position([2])], 1.0)
+        assert np.isclose(p[act.position([1])], 0.0)
 
     def test_zero_absorbs(self, act12):
         f = random_hermitian(act12, 21)
-        z = HullField.zeros(act12)
-        assert np.linalg.norm(grid_product(f, z).coeffs) == 0.0
+        z = np.zeros(len(act12), dtype=complex)
+        assert np.linalg.norm(grid_product(act12, f, z)) == 0.0
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_direct_convolution(self, mod4, seed):
         act = ActiveModeSet(mod4, 2)
         f = random_hermitian(act, seed)
         g = random_hermitian(act, seed + 100)
-        p = grid_product(f, g)
-        ref = dict_convolve(as_dict(f), as_dict(g))
-        for m, c in as_dict(p).items():
+        p = grid_product(act, f, g)
+        ref = dict_convolve(as_dict(act, f), as_dict(act, g))
+        for m, c in as_dict(act, p).items():
             assert abs(c - ref.get(m, 0.0)) < 1e-12
 
     def test_cubic_of_cosine(self, mod2):
         # 8 cos^3 = 6 cos + 2 cos 3t
         act = ActiveModeSet(mod2, 3)
-        f = HullField.zeros(act)
-        f.set_coefficient([1], 1.0)
-        c = cube(f)
-        assert np.isclose(c.get_coefficient([1]), 3.0)
-        assert np.isclose(c.get_coefficient([3]), 1.0)
+        c = cube(act, mode(act, [1], 1.0))
+        assert np.isclose(c[act.position([1])], 3.0)
+        assert np.isclose(c[act.position([3])], 1.0)
 
     @pytest.mark.parametrize("seed", [3, 4, 5])
     def test_cubic_matches_triple_convolution(self, mod4, seed):
         act = ActiveModeSet(mod4, 2)
         f = random_hermitian(act, seed)
-        ref = dict_convolve(as_dict(f), as_dict(f), as_dict(f))
-        c = cube(f)
-        for m, v in as_dict(c).items():
+        ref = dict_convolve(as_dict(act, f), as_dict(act, f), as_dict(act, f))
+        for m, v in as_dict(act, cube(act, f)).items():
             assert abs(v - ref.get(m, 0.0)) < 1e-12
 
     def test_triple_product_matches_convolution(self, mod4):
@@ -503,49 +501,46 @@ class TestPointwiseProduct:
         act = ActiveModeSet(mod4, 2)
         u, v = (random_hermitian(act, s) for s in (31, 33))
         params = BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
-        grids = act.grid_values(np.stack((u.coeffs, v.coeffs)))
-        t = HullField(act, -params.nonlinear(grids, act)[1])
-        ref = dict_convolve(as_dict(u), as_dict(u), as_dict(v))
-        for m, c in as_dict(t).items():
+        grids = act.grid_values(np.stack((u, v)))
+        t = -params.nonlinear(grids, act)[1]
+        ref = dict_convolve(as_dict(act, u), as_dict(act, u), as_dict(act, v))
+        for m, c in as_dict(act, t).items():
             assert abs(c - ref.get(m, 0.0)) < 1e-12
 
     def test_truncated_chaining_differs_from_true_triple(self, mod2):
         # restricting the intermediate square to the active set drops tail
         # modes that feed back into retained ones
         act = ActiveModeSet(mod2, 1)
-        f = HullField.zeros(act)
-        f.set_coefficient([1], 1.0)
-        chained = grid_product(grid_product(f, f), f)
-        assert np.isclose(chained.get_coefficient([1]), 2.0)
-        assert np.isclose(cube(f).get_coefficient([1]), 3.0)
+        f = mode(act, [1], 1.0)
+        chained = grid_product(act, grid_product(act, f, f), f)
+        assert np.isclose(chained[act.position([1])], 2.0)
+        assert np.isclose(cube(act, f)[act.position([1])], 3.0)
 
     def test_insufficient_padding_rejected(self, act12):
         # dealias survives only as the value 2; the grid is not a choice
-        f = HullField.zeros(act12)
+        f = HullField(act12, np.zeros(len(act12), dtype=complex))
         for dealias in (1, 3):
             with pytest.raises(ValueError, match="dealias"):
                 sh.make_state(f, 0.2, dealias=dealias)
 
     def test_quartic_mean(self, mod2):
         act = ActiveModeSet(mod2, 2)
-        f = HullField.zeros(act)
-        f.set_coefficient([1], 1.0)
-        assert np.isclose(quartic_mean(f), 6.0)
+        assert np.isclose(quartic_mean(act, mode(act, [1], 1.0)), 6.0)
 
 
 class TestInnerProduct:
     def test_self_inner_is_norm_squared(self, act12):
         # Parseval on the product grid
         f = random_hermitian(act12, 41)
-        vals = act12.grid_values(f.coeffs)
-        assert np.isclose(np.mean(vals * vals), np.linalg.norm(f.coeffs) ** 2)
+        vals = act12.grid_values(f)
+        assert np.isclose(np.mean(vals * vals), np.linalg.norm(f) ** 2)
 
     @pytest.mark.parametrize("seed", [6, 7, 8])
     def test_product_associativity(self, mod4, seed):
         act = ActiveModeSet(mod4, 2)
         u, v, w = (random_hermitian(act, seed + 10 * j) for j in range(3))
-        lhs = np.vdot(u.coeffs, grid_product(v, w).coeffs).real
-        rhs = np.vdot(grid_product(u, v).coeffs, w.coeffs).real
+        lhs = np.vdot(u, grid_product(act, v, w)).real
+        rhs = np.vdot(grid_product(act, u, v), w).real
         assert abs(lhs - rhs) < 1e-10
 
     @settings(max_examples=100, deadline=None)
@@ -553,33 +548,31 @@ class TestInnerProduct:
     def test_square_cauchy_schwarz(self, mod4, seed):
         act = ActiveModeSet(mod4, 2)
         u = random_hermitian(act, seed)
-        assert np.linalg.norm(u.coeffs) ** 4 <= quartic_mean(u) + 1e-12
+        assert np.linalg.norm(u) ** 4 <= quartic_mean(act, u) + 1e-12
 
     def test_square_cauchy_schwarz_hand_value(self, mod2):
         act = ActiveModeSet(mod2, 2)
-        u = HullField.zeros(act)
-        u.set_coefficient([1], 1.0)
-        assert np.isclose(np.linalg.norm(u.coeffs) ** 4, 4.0)
-        assert np.isclose(quartic_mean(u), 6.0)
+        u = mode(act, [1], 1.0)
+        assert np.isclose(np.linalg.norm(u) ** 4, 4.0)
+        assert np.isclose(quartic_mean(act, u), 6.0)
 
 
 class TestEnergy:
     def test_zero_field(self, act12):
-        assert sh_energy(HullField.zeros(act12), 0.3) == 0.0
+        assert sh_energy(act12, np.zeros(len(act12), dtype=complex), 0.3) == 0.0
 
     def test_unit_ring_pair(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
+        f = mode(act12, [1, 0, 0, 0], 1.0)
         for lam in (0.0, 0.2, 1.0):
-            assert np.isclose(sh_energy(f, lam), 1.5 - lam)
+            assert np.isclose(sh_energy(act12, f, lam), 1.5 - lam)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
     def test_lower_bound(self, act12, seed):
         u = random_hermitian(act12, seed, scale=0.3)
         lam = 0.4
-        mass = np.linalg.norm(u.coeffs) ** 2
-        assert sh_energy(u, lam) >= 0.25 * (mass ** 2 - 2 * lam * mass) - 1e-10
+        mass = np.linalg.norm(u) ** 2
+        assert sh_energy(act12, u, lam) >= 0.25 * (mass ** 2 - 2 * lam * mass) - 1e-10
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10_000), st.floats(-0.5, 1.0))
@@ -589,13 +582,13 @@ class TestEnergy:
         # N(a): both are exact for G >= 4N+1
         act = ActiveModeSet(mod4, 2)
         u = random_hermitian(act, seed)
-        a2 = np.abs(u.coeffs) ** 2
-        got = sh_energy(u, lam)
+        a2 = np.abs(u) ** 2
+        got = sh_energy(act, u, lam)
         for G in (act.product_axis_points, 3 * (2 * act.N + 1)):
             terms = np.array([
                 0.5 * np.sum((1.0 - act.ksq) ** 2 * a2),
                 -0.5 * lam * np.sum(a2),
-                0.25 * np.mean(act.grid_values(u.coeffs, G) ** 4),
+                0.25 * np.mean(act.grid_values(u, G) ** 4),
             ])
             assert abs(got - terms.sum()) <= 1e-12 * np.abs(terms).sum()
 
@@ -603,75 +596,73 @@ class TestEnergy:
 class TestEvaluatePhysical:
     def test_at_origin_sums_coefficients(self, act12):
         f = random_hermitian(act12, 51)
-        val = f.evaluate_physical(np.zeros((1, 2)))
-        assert np.isclose(val[0], np.sum(f.coeffs).real)
+        val = act12.evaluate_physical(f, np.zeros((1, 2)))
+        assert np.isclose(val[0], np.sum(f).real)
 
     def test_cosine_at_half_period(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
+        f = mode(act12, [1, 0, 0, 0], 1.0)
         x = np.array([[np.pi, 0.0]])
-        assert np.isclose(f.evaluate_physical(x)[0], -2.0)
+        assert np.isclose(act12.evaluate_physical(f, x)[0], -2.0)
 
     def test_overflowing_phase_refused(self, act12):
-        f = HullField(act12, act12.symmetrize(random_hermitian(act12, 57).coeffs))
+        f = act12.symmetrize(random_hermitian(act12, 57))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite field value"):
-                f.evaluate_physical(np.array([[1e308, 0.0]]))
+                act12.evaluate_physical(f, np.array([[1e308, 0.0]]))
 
     def test_broken_symmetry_raises(self, act12):
-        f = HullField.zeros(act12)
-        f.coeffs[act12.position([1, 0, 0, 0])] = 1.0
+        f = np.zeros(len(act12), dtype=complex)
+        f[act12.position([1, 0, 0, 0])] = 1.0
         with pytest.raises(ImaginaryResidue):
-            f.evaluate_physical(np.random.default_rng(0).normal(size=(5, 2)))
+            act12.evaluate_physical(f, np.random.default_rng(0).normal(size=(5, 2)))
 
     def test_group_invariance_pointwise(self, act12):
-        u = HullField(act12, act12.symmetrize(random_hermitian(act12, 52).coeffs))
+        u = act12.symmetrize(random_hermitian(act12, 52))
         rng = np.random.default_rng(53)
         xs = rng.normal(scale=5.0, size=(20, 2))
-        base = u.evaluate_physical(xs)
+        base = act12.evaluate_physical(u, xs)
         for mat in act12.module.holohedry.matrices:
-            rotated = u.evaluate_physical(xs @ mat.T)
+            rotated = act12.evaluate_physical(u, xs @ mat.T)
             assert np.allclose(rotated, base, atol=1e-10)
 
     def test_near_period(self, act12):
         # 7953*(1+sqrt(3))/2 sits 3.6e-5 from an integer (continued-fraction
         # convergent), so the diagonal shift nearly restores all four
         # generator phases mod 2pi
-        u = HullField(act12, act12.symmetrize(random_hermitian(act12, 54).coeffs))
+        u = act12.symmetrize(random_hermitian(act12, 54))
         h = 2 * np.pi * 7953.0 * np.array([1.0, 1.0])
         phases = act12.module.generators @ h
         residue = np.abs((phases + np.pi) % (2 * np.pi) - np.pi).max()
         assert residue < 1e-3
         rng = np.random.default_rng(55)
         xs = rng.normal(scale=10.0, size=(100, 2))
-        drift = np.abs(u.evaluate_physical(xs + h) - u.evaluate_physical(xs))
-        assert np.all(drift <= np.abs(u.coeffs).sum() * residue + 1e-12)
+        drift = np.abs(act12.evaluate_physical(u, xs + h) - act12.evaluate_physical(u, xs))
+        assert np.all(drift <= np.abs(u).sum() * residue + 1e-12)
 
 
 class TestGridAndParseval:
     def test_parseval_on_exact_grid(self, act12):
         u = random_hermitian(act12, 61)
-        vals = act12.grid_values(u.coeffs, 2 * act12.N + 1)
-        assert np.isclose(np.mean(vals ** 2), np.linalg.norm(u.coeffs) ** 2, rtol=1e-10)
+        vals = act12.grid_values(u, 2 * act12.N + 1)
+        assert np.isclose(np.mean(vals ** 2), np.linalg.norm(u) ** 2, rtol=1e-10)
 
     def test_norm_ordering(self, act12):
         for seed in range(5):
             u = random_hermitian(act12, 70 + seed)
-            sup = np.abs(act12.grid_values(u.coeffs, 9)).max()
-            assert np.linalg.norm(u.coeffs) <= sup + 1e-12
-            assert sup <= np.abs(u.coeffs).sum() + 1e-12
+            sup = np.abs(act12.grid_values(u, 9)).max()
+            assert np.linalg.norm(u) <= sup + 1e-12
+            assert sup <= np.abs(u).sum() + 1e-12
 
     def test_roundtrip_preserves_coefficients(self, act12):
         u = random_hermitian(act12, 62)
-        back = act12.coefficients_from_grid(act12.grid_values(u.coeffs))
-        assert np.allclose(back, u.coeffs, atol=1e-13)
+        back = act12.coefficients_from_grid(act12.grid_values(u))
+        assert np.allclose(back, u, atol=1e-13)
 
     def test_minmax_of_cosine(self, mod4):
         act = ActiveModeSet(mod4, 1)
-        u = HullField.zeros(act)
-        u.set_coefficient([1, 0], 1.0)
-        lo, hi = minmax(u, 64)
+        u = mode(act, [1, 0], 1.0)
+        lo, hi = minmax(act, u, 64)
         assert np.isclose(lo, -2.0, atol=1e-9) and np.isclose(hi, 2.0, atol=1e-9)
 
 
@@ -798,7 +789,7 @@ class TestRealTransforms:
         u = random_hermitian(act12, 3)
         side = int(round((hull.MAX_GRID_BYTES / 8) ** 0.25)) + 1
         with pytest.raises(hull.TooLarge, match="MiB"):
-            act12.grid_values(u.coeffs, side)
+            act12.grid_values(u, side)
         # rank 8 at N = 2 would run on 9^8 points (328 MiB per component)
         rank8 = transform_active("rank8")
         with pytest.raises(hull.TooLarge, match="9\\^8"):
@@ -807,60 +798,58 @@ class TestRealTransforms:
         assert 8 * 13 ** 6 <= hull.MAX_GRID_BYTES and 8 * 61 ** 4 <= hull.MAX_GRID_BYTES
 
 
-def support_ranks(field, eps):
+def support_ranks(act, coeffs, eps):
     """(integer, real) rank of the eps-support, |a_m| > eps, the classifier reads."""
-    rep = diagnostics.classify_quasicrystal(field, [eps], M=1.0, r=0.5)
+    rep = diagnostics.classify_quasicrystal(act, coeffs, [eps], M=1.0, r=0.5)
     return rep.support_integer_rank, rep.support_real_rank
 
 
 class TestSupportAndConditions:
     def test_support_empty_for_zero(self, act12):
-        assert support_ranks(HullField.zeros(act12), 0.0) == (0, 0)
+        assert support_ranks(act12, np.zeros(len(act12), dtype=complex), 0.0) == (0, 0)
 
     def test_support_threshold(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 0.5)
-        assert support_ranks(f, 0.25) == (1, 1)
-        assert support_ranks(f, 0.5) == (0, 0)
+        f = mode(act12, [1, 0, 0, 0], 0.5)
+        assert support_ranks(act12, f, 0.25) == (1, 1)
+        assert support_ranks(act12, f, 0.5) == (0, 0)
 
     def test_symmetrized_orbit_support(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
-        s = act12.symmetrize(f.coeffs)
+        f = mode(act12, [1, 0, 0, 0], 1.0)
+        s = act12.symmetrize(f)
         assert np.count_nonzero(np.abs(s) > 1.0 / 12.0) == 12
-        assert support_ranks(HullField(act12, s), 1.0 / 12.0) == (4, 2)
+        assert support_ranks(act12, s, 1.0 / 12.0) == (4, 2)
 
     def test_negative_threshold_refused(self, act12):
         with pytest.raises(ValueError, match="nonnegative"):
-            diagnostics.classify_quasicrystal(HullField.zeros(act12), [-1.0, 1.0], M=1.0, r=0.5)
+            diagnostics.classify_quasicrystal(act12, np.zeros(len(act12), dtype=complex),
+                                              [-1.0, 1.0], M=1.0, r=0.5)
 
     def test_zero_field_fails_covering(self, act12):
-        ok, uncovered = condition_iii_check(HullField.zeros(act12), 1.0, 0.5, 0.0)
+        ok, uncovered = condition_iii_check(act12, np.zeros(len(act12), dtype=complex),
+                                            1.0, 0.5, 0.0)
         assert not ok
         assert any(np.allclose(k, 0.0) for k in uncovered)
 
     def test_large_threshold_fails_covering(self, act12):
         f = random_hermitian(act12, 81)
-        ok, _ = condition_iii_check(f, 1.0, 0.5, 10 * np.abs(f.coeffs).sum())
+        ok, _ = condition_iii_check(act12, f, 1.0, 0.5, 10 * np.abs(f).sum())
         assert not ok
 
     def test_full_support_with_brute_covering_radius(self, mod12):
         act = ActiveModeSet(mod12, 2)
-        f = HullField(act, np.ones(len(act), dtype=complex))
+        f = np.ones(len(act), dtype=complex)
         from quasiflow.symmetry import module_points_in_ball
 
         _, ball = module_points_in_ball(mod12, 1.2)
         cover = max(
             np.min(np.linalg.norm(act.wavevectors - k, axis=1)) for k in ball
         )
-        ok, _ = condition_iii_check(f, 1.2, cover + 1e-9, 0.5)
+        ok, _ = condition_iii_check(act, f, 1.2, cover + 1e-9, 0.5)
         assert ok
 
     def test_pure_ring_leaves_interior_uncovered(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([1, 0, 0, 0], 1.0)
-        ok, uncovered = condition_iii_check(HullField(act12, act12.symmetrize(f.coeffs)),
-                                            1.05, 0.3, 1e-6)
+        f = mode(act12, [1, 0, 0, 0], 1.0)
+        ok, uncovered = condition_iii_check(act12, act12.symmetrize(f), 1.05, 0.3, 1e-6)
         assert not ok and len(uncovered) == 27
 
 
@@ -868,40 +857,36 @@ class TestSeparation:
     # the half-range of a field over a torus sample grid
 
     def test_constant_field(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient([0, 0, 0, 0], 0.7)
-        lo, hi = minmax(f, 8)
+        f = mode(act12, [0, 0, 0, 0], 0.7)
+        lo, hi = minmax(act12, f, 8)
         assert hi - lo == 0.0
 
     def test_cosine_half_range(self, mod4):
         act = ActiveModeSet(mod4, 1)
-        f = HullField.zeros(act)
-        f.set_coefficient([1, 0], 1.0)
-        lo, hi = minmax(f, 64)
+        f = mode(act, [1, 0], 1.0)
+        lo, hi = minmax(act, f, 64)
         assert np.isclose(0.5 * (hi - lo), 2.0, atol=1e-9)
 
     def test_monotone_under_refinement(self, act12):
         # the 8-point grid is a subset of the 16-point one
         f = random_hermitian(act12, 91)
-        lo8, hi8 = minmax(f, 8)
-        lo16, hi16 = minmax(f, 16)
+        lo8, hi8 = minmax(act12, f, 8)
+        lo16, hi16 = minmax(act12, f, 16)
         assert lo16 <= lo8 + 1e-12 and hi16 >= hi8 - 1e-12
 
 
 class TestRenderImage:
     def test_constant_maps_to_midgray(self, mod4):
         act = ActiveModeSet(mod4, 1)
-        f = HullField.zeros(act)
-        f.set_coefficient([0, 0], 0.3)
-        img = render_image(f, (0.0, 5.0), 16)
+        f = mode(act, [0, 0], 0.3)
+        img = render_image(act, f, (0.0, 5.0), 16)
         assert img.shape == (16, 16) and img.dtype == np.uint8
         assert np.all(img == 128)
 
     def test_stripes_along_first_generator(self, mod4):
         act = ActiveModeSet(mod4, 1)
-        f = HullField.zeros(act)
-        f.set_coefficient([1, 0], 1.0)
-        img = render_image(f, (0.0, 4.0 * np.pi), 64)
+        f = mode(act, [1, 0], 1.0)
+        img = render_image(act, f, (0.0, 4.0 * np.pi), 64)
         # u = 2cos(x): constant down each column, full range across
         assert np.all(img == img[0:1, :])
         assert img.min() == 0 and img.max() == 255
@@ -910,60 +895,63 @@ class TestRenderImage:
         mod = generate_frequency_module(build_holohedry("icosahedral"))
         act = ActiveModeSet(mod, 1)
         with pytest.raises(DimensionUnsupported):
-            render_image(HullField.zeros(act), (0.0, 1.0), 8)
+            render_image(act, np.zeros(len(act), dtype=complex), (0.0, 1.0), 8)
 
     def test_bad_window(self, mod4):
-        f = HullField.zeros(ActiveModeSet(mod4, 1))
+        act = ActiveModeSet(mod4, 1)
         with pytest.raises(ValueError):
-            render_image(f, (1.0, 1.0), 8)
+            render_image(act, np.zeros(len(act), dtype=complex), (1.0, 1.0), 8)
 
     @pytest.mark.parametrize("window", [(0.0, 1e308), (-1e308, 1e308), (0.0, np.inf)])
     def test_window_beyond_the_phases_refused(self, act12, window):
         # the phases (or the window's width) overflow: one ValueError, no warning
-        f = HullField(act12, act12.symmetrize(random_hermitian(act12, 56).coeffs))
+        f = act12.symmetrize(random_hermitian(act12, 56))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="non-finite field value"):
-                render_image(f, window, 8)
+                render_image(act12, f, window, 8)
 
     def test_window_beyond_the_phase_resolution_refused(self, mod12):
         # finite phases whose float spacing is radians wide (1e17, 1e300) give
         # noise, not a raster.  The largest phase is 3.7 hi: a spacing of
         # 1.9e-6 rad past 2^33 is refused, 9.5e-7 rad at 2^32 is not
         act = ActiveModeSet(mod12, 2)
-        f = HullField(act, act.symmetrize(random_hermitian(act, 56).coeffs))
+        f = act.symmetrize(random_hermitian(act, 56))
         reach = float(np.abs(act.wavevectors).max())
         for hi in (1e17, 1e300, 1.5 * 2.0 ** 33 / reach):
             with pytest.raises(ValueError, match="float64 spacing"):
-                render_image(f, (0.0, hi), 8)
+                render_image(act, f, (0.0, hi), 8)
         for window in [(-20.0, 20.0), (0.0, 1e6), (0.0, 2.0 ** 32 / reach)]:
-            assert render_image(f, window, 8).shape == (8, 8)
+            assert render_image(act, f, window, 8).shape == (8, 8)
 
     def test_oversized_raster_refused(self, act12, monkeypatch):
         # 16 bytes per complex entry of the (8, 8) product and the (8, modes)
         # plane waves: the larger of them sets the size
-        f = HullField.zeros(act12)
+        f = np.zeros(len(act12), dtype=complex)
         need = 16 * 8 * max(8, len(act12))
         monkeypatch.setattr(hull, "MAX_GRID_BYTES", need - 1)
         with pytest.raises(hull.TooLarge, match="raster"):
-            render_image(f, (0.0, 1.0), 8)
+            render_image(act12, f, (0.0, 1.0), 8)
         monkeypatch.setattr(hull, "MAX_GRID_BYTES", need)
-        assert np.all(render_image(f, (0.0, 1.0), 8) == 128)
+        assert np.all(render_image(act12, f, (0.0, 1.0), 8) == 128)
 
 
 class TestValueSemantics:
     def test_a_field_is_a_view_of_one_row(self):
-        public = {name for name in vars(HullField) if not name.startswith("_")}
-        assert public == {"zeros", "set_coefficient", "get_coefficient", "evaluate_physical"}
-        assert not any(hasattr(HullField, f"__{op}__") for op in ("add", "sub", "mul", "rmul"))
+        # the boundary pair only: its operations are ActiveModeSet's row operations
+        assert [f.name for f in fields(HullField)] == ["active", "coeffs"]
+        assert {name for name in vars(HullField) if not name.startswith("_")} == set()
+        ops = ("add", "sub", "mul", "truediv", "matmul", "neg", "pos", "abs", "pow")
+        assert not any(hasattr(HullField, f"__{pre}{op}__")
+                       for op in ops for pre in ("", "r", "i"))
 
     def test_operations_return_new_arrays(self, act12):
         f = random_hermitian(act12, 95)
-        before = f.coeffs.copy()
-        _ = act12.symmetrize(f.coeffs)
-        _ = act12.hermitian(f.coeffs)
-        _ = cube(f)
-        assert np.array_equal(f.coeffs, before)
+        before = f.copy()
+        _ = act12.symmetrize(f)
+        _ = act12.hermitian(f)
+        _ = cube(act12, f)
+        assert np.array_equal(f, before)
 
 
 @settings(max_examples=40, deadline=None)
@@ -972,7 +960,7 @@ def test_hermitian_fields_have_real_values(mod4, seed):
     act = ActiveModeSet(mod4, 2)
     u = random_hermitian(act, seed)
     pts = np.random.default_rng(seed).normal(size=(10, 2))
-    vals = u.evaluate_physical(pts)
+    vals = act.evaluate_physical(u, pts)
     assert np.all(np.isfinite(vals))
 
 
@@ -981,10 +969,10 @@ def test_hermitian_fields_have_real_values(mod4, seed):
 def test_symmetrize_is_contraction_in_every_norm(mod4, seed):
     act = ActiveModeSet(mod4, 2)
     u = random_hermitian(act, seed)
-    s = HullField(act, act.symmetrize(u.coeffs))
-    assert np.linalg.norm(s.coeffs) <= np.linalg.norm(u.coeffs) + 1e-12
-    assert np.abs(s.coeffs).sum() <= np.abs(u.coeffs).sum() + 1e-12
-    assert recorded(s, 3.0).hs <= recorded(u, 3.0).hs + 1e-12
+    s = act.symmetrize(u)
+    assert np.linalg.norm(s) <= np.linalg.norm(u) + 1e-12
+    assert np.abs(s).sum() <= np.abs(u).sum() + 1e-12
+    assert recorded(act, s, 3.0).hs <= recorded(act, u, 3.0).hs + 1e-12
 
 
 # one BLAS thread, as the benchmark runs: a thread pool's stacks would count

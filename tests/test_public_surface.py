@@ -21,8 +21,9 @@ CALLERS = ("src/quasiflow", "scripts", "perfbench")
 # name -> why only tests may call it
 TEST_ONLY = {
     "evaluate_physical": (
+        "ActiveModeSet's row operation for u(x) = U(A x) at physical points, "
         "the only physical-space evaluation of a rank-6 hull; the tests use "
-        "it as their group-invariance oracle"
+        "it as their group-invariance and certified-bound oracle"
     ),
 }
 

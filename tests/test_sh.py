@@ -41,17 +41,25 @@ def symbol(module, m, lam):
     return lam - (k @ k - 1.0) ** 2
 
 
+def seed_field(active, m=None, value=0.0):
+    """A field with a_m = value and its partner, zero elsewhere (zero if no m)."""
+    coeffs = np.zeros(len(active), dtype=complex)
+    if m is not None:
+        active.set_mode(coeffs, m, value)
+    return HullField(active, coeffs)
+
+
 def critical_orbit_seed(active, l2):
     """A field of l2 norm ``l2`` spread evenly over the first generator's orbit."""
-    f = HullField.zeros(active)
+    f = seed_field(active)
     orbit = active.k0_orbit()
     f.coeffs[orbit] = l2 / np.sqrt(len(orbit))
     return f
 
 
 def rhs(field, lam):
-    """The engine's time derivative of a one-component state, as a field."""
-    return HullField(field.active, sum(sh.make_state(field, lam).terms())[0])
+    """The engine's time derivative of a one-component state, one row."""
+    return sum(sh.make_state(field, lam).terms())[0]
 
 
 class TestParams:
@@ -76,7 +84,7 @@ class TestParams:
         "bad", [{"scheme": "euler"}, {"dt": 0.0}, {"dt": -1.0}, {"dt": float("nan")}]
     )
     def test_stepper_config_rejects(self, bad, act12):
-        field = HullField.zeros(act12)
+        field = seed_field(act12)
         with pytest.raises(ValueError):
             sh.make_state(field, 0.1, **{"scheme": "etdrk2", "dt": 0.01, **bad})
         with pytest.raises(ValueError):
@@ -105,34 +113,34 @@ class TestLinearSymbol:
 
 class TestRhs:
     def test_zero_field_fixed(self, act12):
-        r = rhs(HullField.zeros(act12), 0.3)
-        assert np.linalg.norm(r.coeffs) == 0.0
+        r = rhs(seed_field(act12), 0.3)
+        assert np.linalg.norm(r) == 0.0
 
     def test_matches_direct_convolution(self, act4):
         rng = np.random.default_rng(7)
         c = rng.normal(size=len(act4)) + 1j * rng.normal(size=len(act4))
-        f = HullField(act4, act4.hermitian(c))
-        want = sh.sigma_array(act4, 0.3) * f.coeffs - hull.convolve_direct(f, f, f)
-        got = rhs(f, 0.3)
-        assert np.max(np.abs(got.coeffs - want)) < 1e-12
+        a = act4.hermitian(c)
+        want = sh.sigma_array(act4, 0.3) * a - hull.convolve_direct(act4, a, a, a)
+        got = rhs(HullField(act4, a), 0.3)
+        assert np.max(np.abs(got - want)) < 1e-12
 
     def test_small_amplitude_is_linear(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient(e_first(4), 1e-8)
-        r = rhs(f, 0.2)
+        r = rhs(seed_field(act12, e_first(4), 1e-8), 0.2)
         # cubic correction is O(1e-24), far below resolution here
-        assert r.get_coefficient(e_first(4)) == pytest.approx(0.2e-8, rel=1e-12)
+        assert r[act12.position(e_first(4))] == pytest.approx(0.2e-8, rel=1e-12)
 
     def test_direct_convolution_guard(self, mod12):
         # 3721^2 pairs in the first stage: refused before any pair is formed,
         # so even a zero field is refused
         big = ActiveModeSet(mod12, 4)
         assert len(big) == 3721
+        zero = np.zeros(len(big), dtype=complex)
         with pytest.raises(TooLarge):
-            hull.convolve_direct(HullField.zeros(big), HullField.zeros(big))
+            hull.convolve_direct(big, zero, zero)
         # 1369^2 pairs are within the budget, and a zero field forms none
-        mid = HullField.zeros(ActiveModeSet(mod12, 3))
-        assert not hull.convolve_direct(mid, mid, mid).any()
+        mid = ActiveModeSet(mod12, 3)
+        zero = np.zeros(len(mid), dtype=complex)
+        assert not hull.convolve_direct(mid, zero, zero, zero).any()
 
 
 class TestMakeState:
@@ -140,7 +148,7 @@ class TestMakeState:
         f = sh.random_ic(act12, 0.1, seed=2)
         st = sh.make_state(f, lam=0.2)
         before = st.coeffs.copy()
-        f.set_coefficient(e_first(4), 1.0)
+        act12.set_mode(f.coeffs, e_first(4), 1.0)
         assert not np.shares_memory(st.coeffs, f.coeffs)
         assert np.array_equal(st.coeffs, before)
 
@@ -149,15 +157,14 @@ class TestStep:
     def test_single_linear_step(self, act12):
         # amplitude small enough that the cubic is negligible: one dt = 0.1
         # step at lam = 0.2 multiplies the unit-ring pair by e^{0.02}
-        f = HullField.zeros(act12)
-        f.set_coefficient(e_first(4), 1e-6)
-        st = sh.make_state(f, lam=0.2, scheme="etdrk2", dt=0.1)
-        out = sh.step(st).field.get_coefficient(e_first(4))
+        st = sh.make_state(seed_field(act12, e_first(4), 1e-6), lam=0.2, scheme="etdrk2",
+                           dt=0.1)
+        out = sh.step(st).coeffs[0, act12.position(e_first(4))]
         assert out == pytest.approx(1e-6 * np.exp(0.02), rel=1e-9)
 
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_zero_is_fixed_point(self, act12, scheme):
-        st = sh.make_state(HullField.zeros(act12), lam=0.3, scheme=scheme, dt=0.05)
+        st = sh.make_state(seed_field(act12), lam=0.3, scheme=scheme, dt=0.05)
         assert np.linalg.norm(sh.step(st).field.coeffs) == 0.0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -184,8 +191,7 @@ class TestStep:
         assert st2.dt == 0.005
 
     def test_nonfinite_detected(self, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient(e_first(4), 1e200)  # cube overflows
+        f = seed_field(act12, e_first(4), 1e200)  # cube overflows
         st = sh.make_state(f, lam=0.2, dt=0.1)
         with pytest.raises(NonFiniteState):
             sh.step(st)
@@ -239,7 +245,7 @@ class TestIntegrate:
         assert traj.dt == 0.02
 
     def test_negative_horizon_rejected(self, act12):
-        st = sh.make_state(HullField.zeros(act12), lam=0.1, dt=0.01)
+        st = sh.make_state(seed_field(act12), lam=0.1, dt=0.01)
         with pytest.raises(ValueError):
             sh.integrate(st, -1.0)
 
@@ -268,7 +274,7 @@ class TestQuasicrystalIC:
         # lam = 0.04, half-amplitude: each of the 12 ring modes carries
         # 0.5 * 0.2 / sqrt(12)
         f = sh.quasicrystal_ic(act12, lam=0.04, relative_amplitude=0.5)
-        assert f.get_coefficient(e_first(4)) == pytest.approx(0.1 / np.sqrt(12))
+        assert f.coeffs[act12.position(e_first(4))] == pytest.approx(0.1 / np.sqrt(12))
         assert np.linalg.norm(f.coeffs) == pytest.approx(0.1, abs=1e-15)
         assert act12.symmetry_drift(f.coeffs) <= 1e-14
 

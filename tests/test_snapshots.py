@@ -8,7 +8,7 @@ import pytest
 from quasiflow import brusselator as br
 from quasiflow import sh, snapshots
 from quasiflow.config import parse_config
-from quasiflow.hull import ActiveModeSet, HullField
+from quasiflow.hull import ActiveModeSet
 from quasiflow.snapshots import (
     CorruptPayload,
     FormatVersionMismatch,
@@ -66,7 +66,7 @@ class TestSnapshotRoundTrip:
         assert cfg.equation == "brusselator"
 
     def test_signed_zeros_survive(self, tmp_path, act12):
-        # set_coefficient stores conj of the real steady values, so the zero
+        # set_mode stores conj of the real steady values, so the zero
         # mode's imaginary parts are -0.0; array_equal alone would miss them
         p = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
         state = br.make_bruss_state(*br.steady_ic(act12, p), p)
@@ -310,20 +310,20 @@ class TestCSV:
 class TestRaster:
     def test_header_and_size(self, tmp_path, act12):
         f = sh.random_ic(act12, 0.3, seed=2)
-        snapshots.export_raster(f, (-10.0, 10.0), 32, tmp_path / "r.pgm")
+        snapshots.export_raster(act12, f.coeffs, (-10.0, 10.0), 32, tmp_path / "r.pgm")
         data = (tmp_path / "r.pgm").read_bytes()
         assert data.startswith(b"P5\n32 32\n255\n")
         assert len(data) == len(b"P5\n32 32\n255\n") + 32 * 32
 
     def test_constant_field_mid_gray(self, tmp_path, act12):
-        f = HullField.zeros(act12)
-        f.set_coefficient(np.zeros(4, dtype=int), 2.5)
-        snapshots.export_raster(f, (-5.0, 5.0), 16, tmp_path / "r.pgm")
+        f = np.zeros(len(act12), dtype=complex)
+        act12.set_mode(f, np.zeros(4, dtype=int), 2.5)
+        snapshots.export_raster(act12, f, (-5.0, 5.0), 16, tmp_path / "r.pgm")
         data = (tmp_path / "r.pgm").read_bytes()
         assert data == b"P5\n16 16\n255\n" + bytes([128]) * 256
 
     def test_full_dynamic_range(self, tmp_path, act12):
         f = sh.quasicrystal_ic(act12, 0.2)
-        snapshots.export_raster(f, (-20.0, 20.0), 64, tmp_path / "r.pgm")
+        snapshots.export_raster(act12, f.coeffs, (-20.0, 20.0), 64, tmp_path / "r.pgm")
         body = (tmp_path / "r.pgm").read_bytes()[len(b"P5\n64 64\n255\n"):]
         assert min(body) == 0 and max(body) == 255
