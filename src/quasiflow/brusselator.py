@@ -10,11 +10,17 @@ any dt and on every product grid, not just to O(dt^2): each stage adds
 phi-weighted rates L a + N(a), which vanish there because the forward
 transform gives the constant u^2 v back exactly, so no large terms cancel
 even where h L reaches thousands.
+
+The Turing onset is scanned on the dispersion determinant, a parabola in
+k^2 whose vertex is exact: bisecting B - 1 on the sign of its minimum finds
+B_c - 1 to adjacent floats and k_c at the same vertex, which
+``turing_analysis`` checks against the closed forms.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import ClassVar
@@ -25,12 +31,9 @@ from . import diagnostics, etd
 from .etd import LowerTri
 from .hull import ActiveModeSet, HullField
 
-GOLDEN_RATIO = (math.sqrt(5.0) - 1.0) / 2.0
-BRENT_MAX_ITER = 100
-
 
 class NoBracket(RuntimeError):
-    """No finite-wavelength minimum of the dispersion determinant."""
+    """The dispersion determinant stays positive at every B the scan tries."""
 
 
 @dataclass(frozen=True)
@@ -90,108 +93,6 @@ def dispersion_matrix(params: BrusselatorParams, ksq: float) -> np.ndarray:
     ])
 
 
-def _interior_min_ksq(params: BrusselatorParams) -> tuple[float, float]:
-    """Locate min_k det by golden-section plus exact parabolic refinement.
-
-    The determinant is quadratic in the squared wavenumber, so after the
-    golden-section narrows the bracket, one symmetric three-point parabola
-    fit, kept inside k^2 >= 0, lands on the vertex to round-off.  It is
-    evaluated on Python floats from coefficients formed once per call; they
-    do not trap overflow, so a non-finite value (or parabola step) raises
-    FloatingPointError.
-    """
-    A, B, d1, d2 = float(params.A), float(params.B), float(params.d1), float(params.d2)
-    c2, c1, c0 = d1 * d2, d1 * A * A - d2 * (B - 1.0), A * A
-
-    def det(ksq: float) -> float:
-        f = c2 * (ksq * ksq) + c1 * ksq + c0
-        if not math.isfinite(f):
-            raise FloatingPointError(f"determinant {f} at k^2 = {ksq:.6g}")
-        return f
-
-    hi = 1.0
-    for _ in range(200):
-        if det(hi) > det(0.5 * hi):
-            break
-        hi *= 2.0
-    else:
-        raise NoBracket("determinant keeps decreasing; no interior minimum")
-    lo = 0.0
-    a, b = lo, hi
-    c = b - GOLDEN_RATIO * (b - a)
-    d = a + GOLDEN_RATIO * (b - a)
-    fc, fd = det(c), det(d)
-    while b - a > 1e-6 * (1.0 + b):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - GOLDEN_RATIO * (b - a)
-            fc = det(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + GOLDEN_RATIO * (b - a)
-            fd = det(d)
-    mid = 0.5 * (a + b)
-    s = min(1e-3 * (1.0 + mid), 0.5 * mid)
-    f0 = det(mid)
-    fp = det(mid + s)
-    fm = det(mid - s)
-    denom = fp - 2.0 * f0 + fm
-    vertex = mid if denom <= 0 else mid - 0.5 * s * (fp - fm) / denom
-    if not (math.isfinite(denom) and math.isfinite(vertex)):
-        raise FloatingPointError(f"parabola fit out of range at k^2 = {mid:.6g}")
-    vertex = max(vertex, 0.0)
-    return vertex, det(vertex)
-
-
-def _brent_root(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """A root of f between xa and xb by Brent's method (Brent 1973, ch. 4).
-
-    Each iteration swaps the bracket so that the current point has the
-    smaller |f|, tries a secant or inverse quadratic step, and bisects when
-    that step is not short enough.  The steps and their floating-point
-    operations are those of scipy's ``brentq``, so both return the same root
-    bit for bit.  It stops when half the bracket is below
-    (xtol + rtol |x|)/2; f must take opposite signs at the ends.
-    """
-    xpre, xcur = xa, xb
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if (fpre < 0) == (fcur < 0):
-        raise ValueError("f must have different signs at the bracket's ends")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(BRENT_MAX_ITER):
-        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # secant
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # inverse quadratic
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
-    raise RuntimeError(f"root solve did not converge in {BRENT_MAX_ITER} iterations")
-
-
 @dataclass(frozen=True)
 class TuringReport:
     eta: float
@@ -217,50 +118,64 @@ class TuringReport:
 def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     """Find the finite-wavelength onset of the homogeneous state.
 
-    The scan minimizes the dispersion determinant over squared wavenumber
-    inside a root solve on the feed parameter, by Brent's method
-    (``_brent_root``), to a tolerance relative to B - 1 near B = 1; the
-    closed forms B_c = (1 + A*eta)^2 and k_c^2 = A/sqrt(d1 d2) are
-    cross-checked against it to 1e-8 relative and returned.  The scan runs
-    on Python floats (``_interior_min_ksq``); parameters whose B_c, or
-    determinant anywhere on its way, overflows raise ``ValueError``.
+    The dispersion determinant is c2 k^4 + c1 k^2 + c0 with c2 = d1 d2,
+    c1 = d1 A^2 - d2 (B - 1) and c0 = A^2, so its minimum over k^2 >= 0 is
+    c0 + c1 k^2/2 at the vertex k^2 = max(-c1/(2 c2), 0).  At B = 1 that
+    minimum is A^2 > 0.  The scan doubles B - 1 from 1 until the minimum
+    turns negative, bisects B - 1 down to adjacent floats, and reads B_c and
+    k_c off the vertex at the negative end.  The closed forms
+    B_c = (1 + A*eta)^2 and k_c^2 = A/sqrt(d1 d2) are cross-checked against
+    it to 1e-8 relative and returned.  The scan runs on Python floats;
+    parameters whose eta or B_c overflows, whose d1 d2, d1 A^2 or A^2 is not
+    a normal finite float, or whose minimum is not finite on the way, raise
+    ``ValueError``.
     """
-    if not np.all(np.isfinite((A, d1, d2))):
+    A, d1, d2 = float(A), float(d1), float(d2)
+    if not all(map(math.isfinite, (A, d1, d2))):
         raise ValueError("parameters must be finite")
     if min(A, d1, d2) <= 0:
         raise ValueError("parameters must be positive")
-    eta = float(np.sqrt(d1 / d2))
-    ksq_closed = A / np.sqrt(d1 * d2)
-
-    def min_det(B: float) -> float:
-        return _interior_min_ksq(BrusselatorParams(A, B, d1, d2))[1]
-
+    eta = math.sqrt(d1 / d2)
+    if eta == math.inf:
+        raise ValueError("eta = sqrt(d1/d2) out of range: d1/d2 overflows")
     try:
         B_closed = (1.0 + A * eta) ** 2  # a float's ** raises OverflowError
-        B_hi = 2.0
-        for _ in range(200):
-            if min_det(B_hi) < 0:
-                break
-            B_hi *= 2.0
-        else:
-            raise NoBracket("dispersion determinant never turns negative")
-        B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13, 1e-15)
-        if B_scan - 1.0 < 1e-3:  # k_c^2 ~ (B - 1)/(2 d1): resolve B - 1, not B
-            B_scan = _brent_root(min_det, 1.0 + 1e-12, B_hi, 1e-13 * (B_scan - 1.0), 1e-15)
-        ksq_scan, _ = _interior_min_ksq(BrusselatorParams(A, B_scan, d1, d2))
     except OverflowError:
         raise ValueError(f"B_c = (1 + A eta)^2 out of range at A eta = {A * eta:g}") from None
-    except FloatingPointError as exc:
-        raise ValueError(f"dispersion determinant out of range: {exc}") from None
-    k_scan = float(np.sqrt(ksq_scan))
+    c2, dA2, c0 = d1 * d2, d1 * A * A, A * A
+    for name, c in (("d1 d2", c2), ("d1 A^2", dA2), ("A^2", c0)):
+        if not sys.float_info.min <= c < math.inf:
+            raise ValueError(f"dispersion determinant out of range: {name} = {c:g}")
 
-    rel_B = abs(B_scan - B_closed) / B_closed
-    rel_k = abs(k_scan - np.sqrt(ksq_closed)) / np.sqrt(ksq_closed)
-    if max(rel_B, rel_k) > 1e-8:
-        warnings.warn(
-            f"scan and closed forms disagree (relative {max(rel_B, rel_k):.2e})",
-            stacklevel=2,
-        )
+    def vertex(beta: float) -> tuple[float, float]:
+        """The minimizing k^2 >= 0 at B = 1 + beta, and the minimum there."""
+        c1 = dA2 - d2 * beta
+        ksq = max(-0.5 * c1 / c2, 0.0)
+        f = c0 + 0.5 * c1 * ksq
+        if not math.isfinite(f):
+            raise ValueError(f"dispersion determinant out of range: minimum {f} at B - 1 = {beta:g}")
+        return ksq, f
+
+    lo, hi = 0.0, 1.0
+    for _ in range(200):
+        if vertex(hi)[1] < 0:
+            break
+        lo, hi = hi, 2.0 * hi
+    else:
+        raise NoBracket("dispersion determinant never turns negative")
+    # stops when lo and hi are adjacent floats: no tolerance to choose
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if vertex(mid)[1] < 0:
+            hi = mid
+        else:
+            lo = mid
+    ksq_scan = vertex(hi)[0]
+    B_scan, k_scan = 1.0 + hi, math.sqrt(ksq_scan)
+    k_closed = math.sqrt(A / math.sqrt(c2))
+
+    disagree = max(abs(B_scan - B_closed) / B_closed, abs(k_scan - k_closed) / k_closed)
+    if not disagree <= 1e-8:
+        warnings.warn(f"scan and closed forms disagree (relative {disagree:.2e})", stacklevel=2)
 
     crit = dispersion_matrix(BrusselatorParams(A, B_scan, d1, d2), ksq_scan)
     _, _, vt = np.linalg.svd(crit)
@@ -273,7 +188,7 @@ def turing_analysis(A: float, d1: float, d2: float) -> TuringReport:
     return TuringReport(
         eta=eta,
         B_c=B_closed,
-        k_c=float(np.sqrt(ksq_closed)),
+        k_c=k_closed,
         critical_eigenvector=(float(vec[0]), float(vec[1])),
         turing_first=bool(B_closed < 1.0 + A * A),
         B_c_scan=B_scan,

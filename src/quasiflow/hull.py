@@ -54,16 +54,14 @@ from functools import cache
 
 import numpy as np
 
-from .symmetry import FrequencyModule, integer_box, module_points_in_ball
+from .symmetry import (MAX_GRID_BYTES, FrequencyModule, TooLarge, integer_box,
+                       module_points_in_ball)
 
 HERMITIAN_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 EVAL_CHUNK = 4096  # physical points per block of plane waves
 # radians: a rendered plane-wave phase must be resolved this finely by float64
 PHASE_SPACING_TOL = 1e-6
-# 256 MiB of float64 per component grid: icosahedral N=3 (13^6, 37 MiB)
-# fits; rank 8 at N=2 (9^8 points, 328 MiB) does not
-MAX_GRID_BYTES = 2 ** 28
 # pairwise products per stage of the brute-force convolution oracle
 MAX_PAIR_SUMS = 4_000_000
 # float64 entries per block of the active-set build's products: 512 KiB stays
@@ -85,10 +83,6 @@ class ImaginaryResidue(ValueError):
 
 class DimensionUnsupported(ValueError):
     """Operation requires a different ambient dimension."""
-
-
-class TooLarge(ValueError):
-    """A grid or brute-force path refused as too big to allocate or run."""
 
 
 class ActiveModeSet:

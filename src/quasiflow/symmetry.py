@@ -27,6 +27,10 @@ ORBIT_SEPARATION_TOL = 1e-7
 # coefficient bound of the integer relation search, and so of the box the
 # covering check enumerates
 RELATION_BOUND = 2
+# 256 MiB per array: a float64 grid per component (icosahedral N=3, 13^6
+# points, 37 MiB, fits; rank 8 at N=2, 9^8 points, 328 MiB, does not), or a
+# holohedry's pairwise comparison of its elements (dihedral:1448 fits)
+MAX_GRID_BYTES = 2 ** 28
 
 GOLDEN = (1.0 + np.sqrt(5.0)) / 2.0
 
@@ -37,6 +41,10 @@ class UnknownSpec(ValueError):
 
 class OddOrderNoMinusI(ValueError):
     """Requested cyclic/dihedral order is odd, so -I would be missing."""
+
+
+class TooLarge(ValueError):
+    """A grid, group or brute-force path refused as too big to allocate or run."""
 
 
 class RelationSearchExhausted(RuntimeError):
@@ -153,7 +161,9 @@ def build_holohedry(spec: str) -> Holohedry:
     Accepted descriptors: ``cyclic:q`` and ``dihedral:q`` with q even
     (rotations by 2*pi/q, plus q reflections for the dihedral family), and
     ``icosahedral`` (order 120).  Odd q raises OddOrderNoMinusI because the
-    group would not contain -I; anything else raises UnknownSpec.
+    group would not contain -I; an order whose pairwise comparison of
+    elements would exceed MAX_GRID_BYTES raises TooLarge before any matrix
+    is built; anything else raises UnknownSpec.
     """
     spec = spec.strip()
     if spec == "icosahedral":
@@ -173,6 +183,15 @@ def build_holohedry(spec: str) -> Holohedry:
             if q % 2 != 0:
                 raise OddOrderNoMinusI(
                     f"{spec!r} has odd order; the group would not contain -I"
+                )
+            # Holohedry compares its elements pairwise in one
+            # (order, order, 2, 2) float64 array
+            order = 2 * q if family == "dihedral" else q
+            if order ** 2 * 32 > MAX_GRID_BYTES:
+                raise TooLarge(
+                    f"{spec!r} has order {order}; comparing its elements pairwise "
+                    f"takes {order ** 2 * 32 / 2 ** 20:.3g} MiB, and the limit is "
+                    f"{MAX_GRID_BYTES / 2 ** 20:.0f} MiB"
                 )
             mats = [_rotation_2d(2.0 * np.pi * j / q) for j in range(q)]
             if family == "dihedral":

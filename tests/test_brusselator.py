@@ -110,17 +110,18 @@ class TestTuringAnalysis:
             assert abs(rep.B_c_scan - (1 + A * eta) ** 2) / rep.B_c < 1e-8
             assert abs(rep.k_c_scan ** 2 - A / np.sqrt(d1 * d2)) / rep.k_c ** 2 < 1e-8
 
-    # k_c^2 from 5e-8 to 3e-3, below the golden section's absolute width;
-    # a warning is an error here, since the scan warns when it disagrees
+    # k_c^2 from 5e-13 to 3e-3, where B_c - 1 falls below 1e-12: the scan
+    # bisects B - 1, not B, so no digit of k_c is lost; a warning is an
+    # error here, since the scan warns when it disagrees
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("A", [1e-3, 1e-4, 1e-5, 1e-7])
+    @pytest.mark.parametrize("A", [1e-3, 1e-4, 1e-5, 1e-7, 1e-9, 1e-12])
     @pytest.mark.parametrize("d1,d2", [(1.0, 4.0), (0.05, 2.0)])
     def test_small_wavenumber_matches_closed_form(self, A, d1, d2):
         rep = br.turing_analysis(A, d1, d2)
         B_c = (1 + A * np.sqrt(d1 / d2)) ** 2
         k_c = np.sqrt(A / np.sqrt(d1 * d2))
-        assert abs(rep.B_c_scan - B_c) / B_c < 1e-8
-        assert abs(rep.k_c_scan - k_c) / k_c < 1e-8
+        assert abs(rep.B_c_scan - B_c) / B_c < 1e-12
+        assert abs(rep.k_c_scan - k_c) / k_c < 1e-12
 
     def test_scan_is_ground_truth_when_d2_not_one(self, onset):
         # sqrt(A/eta) would give 2 here; the dispersion minimum sits at 1
@@ -145,103 +146,6 @@ class TestTuringAnalysis:
             br.turing_analysis(1e150, 1e10, 1e10)
 
 
-@pytest.fixture(scope="module")
-def brentq():
-    """scipy's brentq, called like ``_brent_root``."""
-    solve = pytest.importorskip("scipy.optimize").brentq
-    return lambda f, xa, xb, xtol, rtol: solve(f, xa, xb, xtol=xtol, rtol=rtol)
-
-
-def outcome(solve, *args):
-    """The result's bits, or the type of the error raised instead."""
-    try:
-        return np.asarray(solve(*args), dtype=float).tobytes()
-    except (ValueError, RuntimeError, FloatingPointError) as exc:
-        return type(exc)
-
-
-class TestBrentRoot:
-    """``_brent_root`` against its oracle, scipy's brentq, bit for bit."""
-
-    TOL = (1e-13, 1e-15)  # xtol, rtol: the onset scan's
-
-    @settings(max_examples=200, deadline=None)
-    @given(
-        roots=st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=3),
-        scale=st.floats(1e-3, 1e3),
-        ends=st.tuples(st.floats(-12.0, 12.0), st.floats(-12.0, 12.0)),
-        # the scan's xtol, and coarser ones that reach the step-length tests
-        xtol=st.sampled_from([TOL[0], 1e-4, 1e-1]),
-    )
-    def test_polynomials(self, brentq, roots, scale, ends, xtol):
-        def f(x):
-            out = scale
-            for r in roots:
-                out *= x - r
-            return out
-
-        # a multiple root can stall both past the iteration cap alike
-        tol = (xtol, self.TOL[1])
-        assert outcome(br._brent_root, f, *ends, *tol) == outcome(brentq, f, *ends, *tol)
-
-    @settings(max_examples=30, deadline=None)
-    @given(A=st.floats(0.2, 5.0), d1=st.floats(0.05, 5.0), d2=st.floats(0.05, 20.0))
-    def test_the_onset_scan(self, brentq, A, d1, d2):
-        # the scan's own function and bracket, as turing_analysis builds them
-        def min_det(B):
-            return br._interior_min_ksq(BrusselatorParams(A, B, d1, d2))[1]
-
-        B_hi = 2.0
-        while min_det(B_hi) >= 0:
-            B_hi *= 2.0
-        want = outcome(brentq, min_det, 1.0 + 1e-12, B_hi, *self.TOL)
-        assert outcome(br._brent_root, min_det, 1.0 + 1e-12, B_hi, *self.TOL) == want
-        assert outcome(lambda: br.turing_analysis(A, d1, d2).B_c_scan) == want
-
-    def test_unbracketed_interval_is_refused(self):
-        with pytest.raises(ValueError):
-            br._brent_root(lambda x: x * x + 1.0, -1.0, 1.0, 1e-13, 1e-15)
-
-
-def numpy_scan(params):
-    """The onset scan on numpy scalars, overflow trapped by errstate: the
-    oracle of ``_interior_min_ksq``, which runs the same steps on floats."""
-    A, B, d1, d2 = params.A, params.B, params.d1, params.d2
-
-    def det(ksq):
-        ksq = np.asarray(ksq, dtype=float)
-        return d1 * d2 * ksq ** 2 + (d1 * A * A - d2 * (B - 1.0)) * ksq + A * A
-
-    gr = br.GOLDEN_RATIO
-    with np.errstate(over="raise", invalid="raise"):
-        hi = 1.0
-        for _ in range(200):
-            if det(hi) > det(0.5 * hi):
-                break
-            hi *= 2.0
-        else:
-            raise br.NoBracket("determinant keeps decreasing; no interior minimum")
-        a, b = 0.0, hi
-        c, d = b - gr * (b - a), a + gr * (b - a)
-        fc, fd = det(c), det(d)
-        while b - a > 1e-6 * (1.0 + b):
-            if fc < fd:
-                b, d, fd = d, c, fc
-                c = b - gr * (b - a)
-                fc = det(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + gr * (b - a)
-                fd = det(d)
-        mid = 0.5 * (a + b)
-        s = min(1e-3 * (1.0 + mid), 0.5 * mid)
-        f0, fp, fm = det(mid), det(mid + s), det(mid - s)
-        denom = fp - 2.0 * f0 + fm
-        vertex = mid if denom <= 0 else mid - 0.5 * s * (fp - fm) / denom
-        vertex = max(float(vertex), 0.0)
-        return vertex, float(det(vertex))
-
-
 def log_uniform_triples(seed, count, low_A):
     rng = np.random.default_rng(seed)
     return [tuple(map(float, 10.0 ** rng.uniform((low_A, -2.0, -2.0), (1.0, 1.0, 1.0))))
@@ -259,53 +163,71 @@ def battery_triples():
 
 ORACLE_TRIPLES = {
     "battery": battery_triples(),
-    # k_c^2 down to 5e-10, where B_c - 1 is below the scan's resolution
+    # k_c^2 down to 5e-10, where B_c - 1 is about 1e-9
     "small-k": [(A, d1, d2) for A in (1e-3, 1e-5, 1e-7, 1e-9)
                 for d1, d2 in ((1.0, 4.0), (0.05, 2.0))],
     "log-uniform": log_uniform_triples(20, 300, -9.0),
-    # the CLI's cases that overflow
-    "overflow": [(2.0, 1e-300, 1e300), (1e200, 1.0, 4.0), (2.0, 1e300, 4.0)],
+    # B_c - 1 down to 1e-100
+    "tiny-A": log_uniform_triples(21, 300, -100.0),
+}
+# the CLI's cases that overflow, and the error each names
+OVERFLOW_TRIPLES = {
+    (2.0, 1e-300, 1e300): (ValueError, "determinant out of range"),
+    (1e200, 1.0, 4.0): (ValueError, "B_c = \\(1 \\+ A eta\\)\\^2 out of range"),
+    (2.0, 1e300, 4.0): (br.NoBracket, "never turns negative"),
 }
 
 
-class TestScanOracle:
-    """The float scan gives the numpy-scalar scan's results bit for bit."""
+def determinant(A, B, d1, d2, ksq):
+    """The dispersion determinant as the scan writes it, c2 k^4 + c1 k^2 + c0."""
+    return d1 * d2 * ksq ** 2 + (d1 * A * A - d2 * (B - 1.0)) * ksq + A * A
 
-    @staticmethod
-    def report(A, d1, d2):
-        """Result bits, report lines and warnings, or the error raised."""
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                rep = br.turing_analysis(A, d1, d2)
-            except (ValueError, OverflowError, br.NoBracket) as exc:
-                return type(exc), str(exc).partition(":")[0]
-        bits = [x.hex() for x in (rep.B_c_scan, rep.k_c_scan, *rep.critical_eigenvector)]
-        return bits, rep.lines(), [str(w.message) for w in caught]
+
+class TestScanAgainstClosedForms:
+    """The scan finds the closed forms' onset, and a direct determinant confirms it."""
 
     @pytest.mark.parametrize("group", list(ORACLE_TRIPLES))
-    def test_turing_analysis(self, monkeypatch, group):
-        got = [self.report(*t) for t in ORACLE_TRIPLES[group]]
-        monkeypatch.setattr(br, "_interior_min_ksq", numpy_scan)
-        assert got == [self.report(*t) for t in ORACLE_TRIPLES[group]]
+    def test_scan_matches_closed_forms(self, group):
+        for A, d1, d2 in ORACLE_TRIPLES[group]:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = br.turing_analysis(A, d1, d2)
+            B_c = (1.0 + A * np.sqrt(d1 / d2)) ** 2
+            k_c = np.sqrt(A / np.sqrt(d1 * d2))
+            assert abs(rep.B_c_scan - B_c) / B_c <= 1e-12
+            assert abs(rep.k_c_scan - k_c) / k_c <= 1e-12
 
-    def test_near_overflow(self):
-        # determinants near the float range; coefficients that overflow
-        # while they are formed are left out: the oracle carries them as inf
-        # without a trap.  The first case overflows only in the parabola fit
-        rng = np.random.default_rng(21)
-        cases = [(9.850284361715119e153, 2.9167479031567476e268,
-                  9.985782917717798e-08, 3.044085695308807e-09)]
-        while len(cases) < 300:
-            A, B, d1, d2 = map(float, 10.0 ** rng.uniform((140, 0, -30, -30),
-                                                          (154.1, 308, 10, 10)))
-            if np.isfinite(d1 * A * A - d2 * (B - 1.0)):
-                cases.append((A, B, d1, d2))
-        for case in cases:
-            want = outcome(numpy_scan, BrusselatorParams(*case))
-            assert outcome(br._interior_min_ksq, BrusselatorParams(*case)) == want
-        with pytest.raises(FloatingPointError, match="parabola"):
-            br._interior_min_ksq(BrusselatorParams(*cases[0]))
+    @pytest.mark.parametrize("triple", list(OVERFLOW_TRIPLES))
+    def test_overflow_is_named(self, triple):
+        error, named = OVERFLOW_TRIPLES[triple]
+        with pytest.raises(error, match=named):
+            br.turing_analysis(*triple)
+
+    @pytest.mark.parametrize("triple", ORACLE_TRIPLES["battery"])
+    def test_determinant_is_the_scans_quadratic(self, triple):
+        A, d1, d2 = triple
+        rep = br.turing_analysis(A, d1, d2)
+        for B in (0.5 * rep.B_c_scan, rep.B_c_scan, 2.0 * rep.B_c_scan):
+            for ksq in (0.0, 0.3 * rep.k_c_scan ** 2, rep.k_c_scan ** 2, 5.0):
+                direct = np.linalg.det(br.dispersion_matrix(BrusselatorParams(A, B, d1, d2), ksq))
+                scale = A * A + B * A * A + d1 * d2 * ksq ** 2 + (d1 * A * A + d2 * B) * ksq
+                assert abs(direct - determinant(A, B, d1, d2, ksq)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("triple", ORACLE_TRIPLES["battery"])
+    def test_onset_brackets_the_direct_minimum(self, triple):
+        # the dense grid resolves the band of k^2 where det < 0 just past onset
+        A, d1, d2 = triple
+        rep = br.turing_analysis(A, d1, d2)
+        kc2 = rep.k_c_scan ** 2
+        grid = np.concatenate((np.linspace(0.0, 4.0 * kc2, 401),
+                               kc2 * (1.0 + np.linspace(-1e-3, 1e-3, 2001))))
+
+        def min_det(B):
+            p = BrusselatorParams(A, B, d1, d2)
+            return min(np.linalg.det(br.dispersion_matrix(p, ksq)) for ksq in grid)
+
+        assert min_det(rep.B_c_scan * (1.0 - 1e-9)) > 0
+        assert min_det(rep.B_c_scan * (1.0 + 1e-9)) < 0
 
 
 def zero_field(active):

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -152,6 +153,16 @@ class TestSimulateSH:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: ") and "index box" in err[0]
+
+    def test_huge_holohedry_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG + "symmetry = dihedral:100000\n")
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ") and "order 200000" in err[0]
 
     def test_blow_up_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -468,6 +479,9 @@ class TestTuring:
             ({"--d1": "1e-300", "--d2": "1e300"}, "determinant out of range"),
             # finite, but the determinant's coefficient d1 A^2 overflows
             ({"--A": "1e150", "--d1": "1e10", "--d2": "1e10"}, "determinant out of range"),
+            # finite, but d1/d2 overflows, so eta and B_c would print as inf
+            ({"--A": "1.9590873058845675e-251", "--d1": "3.165595946437299e+51",
+              "--d2": "9.436336805736764e-273"}, "eta = sqrt(d1/d2) out of range"),
         ]
     ])
     def test_unusable_parameters_are_one_error_line(self, capsys, changed, named):
@@ -484,6 +498,32 @@ class TestTuring:
         code = cli.main(["turing", "--A", "1e-5", "--d1", "1", "--d2", "4"])
         assert code == 0
         assert capsys.readouterr().err == ""
+
+    def test_any_triple_is_a_finite_report_or_one_error_line(self):
+        rng = np.random.default_rng(29)
+        triples = [tuple(map(float, 10.0 ** rng.uniform(-300, 300, 3))) for _ in range(2000)]
+        # a ZeroDivisionError and a root solve that did not converge, once
+        triples += [(1.1935328151791514e-95, 1.590646964667518e+26, 5.999721188315358e-183),
+                    (6.436709389371743e-31, 1.0288073681160817e+37, 3.8456160082976234e-82)]
+        for A, d1, d2 in triples:
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(record=True) as caught, \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                warnings.simplefilter("always")
+                code = cli.main(["turing", "--A", repr(A), "--d1", repr(d1), "--d2", repr(d2)])
+            case = f"--A {A!r} --d1 {d1!r} --d2 {d2!r}"
+            if code == 0:
+                lines = out.getvalue().splitlines()
+                assert len(lines) == 5 and err.getvalue() == "", case
+                values = [float(v) for line in lines[:4] for v in line.partition(" = ")[2].split()]
+                assert all(map(math.isfinite, values)), case
+            else:
+                assert code == 1 and out.getvalue() == "", case
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, case
+            # B = (1 + A eta)^2 cannot carry k_c's digits past A eta = 1e8
+            for w in caught:
+                assert "scan and closed forms disagree" in str(w.message), (case, w)
+                assert A * math.sqrt(d1 / d2) > 1e8, case
 
 
 NO_SCIPY = """\

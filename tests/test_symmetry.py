@@ -1,12 +1,14 @@
 """Group construction, frequency modules, and integer representations."""
 
 import functools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from quasiflow import symmetry
 from quasiflow.symmetry import (
     CLOSURE_TOL,
     GOLDEN,
@@ -18,6 +20,7 @@ from quasiflow.symmetry import (
     Holohedry,
     OddOrderNoMinusI,
     RelationSearchExhausted,
+    TooLarge,
     UnknownSpec,
     build_holohedry,
     default_k0,
@@ -86,6 +89,23 @@ class TestBuildHolohedry:
                      for t in 2 * np.pi * np.arange(3) / 3]
         with pytest.raises(ValueError, match="-I"):
             Holohedry("cyclic:3", rotations)
+
+    @pytest.mark.parametrize("spec", ["dihedral:100000", f"cyclic:{10 ** 9}", "dihedral:1450"])
+    def test_huge_order_refused_before_any_matrix(self, spec):
+        # cyclic:10**9 would build 10^9 matrices before the pairwise check
+        start = time.perf_counter()
+        with pytest.raises(TooLarge, match="pairwise"):
+            build_holohedry(spec)
+        assert time.perf_counter() - start < 1.0
+
+    def test_order_budget_boundary(self, monkeypatch):
+        # dihedral:4 has order 8: its (8, 8, 2, 2) float64 comparison is 2048 bytes
+        build = build_holohedry.__wrapped__  # past the cache
+        monkeypatch.setattr(symmetry, "MAX_GRID_BYTES", 2048)
+        assert build("dihedral:4").order == 8
+        monkeypatch.setattr(symmetry, "MAX_GRID_BYTES", 2047)
+        with pytest.raises(TooLarge, match="order 8"):
+            build("dihedral:4")
 
     def test_construction_is_cached(self):
         assert build_holohedry("dihedral:12") is build_holohedry("dihedral:12")
