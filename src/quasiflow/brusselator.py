@@ -281,11 +281,11 @@ def make_bruss_state(
     dealias: int = 2,
     scheme: str = "etdrk2",
 ) -> BrusselatorState:
-    """A state at t = 0 stacking the two components; the rest as in ``sh.make_state``."""
+    """A state at t = 0 stacking the two components, projected as in ``sh.make_state``."""
     if dealias != 2:
         raise ValueError(f"dealias = {dealias} is not supported; the only value is 2")
     if v.active is not u.active:
         raise ValueError("components must share one active mode set")
     return BrusselatorState(
-        u.active, np.stack((u.coeffs, v.coeffs)), 0.0, params, scheme, dt,
+        u.active, u.active.hermitian(np.stack((u.coeffs, v.coeffs))), 0.0, params, scheme, dt,
     )

@@ -83,15 +83,6 @@ def phi(j: int, z):
     return np.where(small, series, num / safe ** j)
 
 
-def sinhc(z):
-    """sinh(z)/z with the removable singularity filled in."""
-    z = np.asarray(z, dtype=float)
-    small = np.abs(z) < 1e-4
-    safe = np.where(small, 1.0, z)
-    series = 1.0 + z ** 2 / 6.0 + z ** 4 / 120.0
-    return np.where(small, series, np.sinh(safe) / safe)
-
-
 def _h_series_divided(x, y, j):
     """Divided difference of phi_j by its joint Taylor series.
 
@@ -113,10 +104,9 @@ def _h_series_divided(x, y, j):
 def divided_difference(j: int, x, y):
     """phi_j[x, y] = (phi_j(x) - phi_j(y))/(x - y), stable in every regime.
 
-    Well-separated arguments take the direct quotient.  Close ones take
-    phi_0[x, y] = e^mu sinhc(nu), with mu and nu the mean and half-gap, which
-    is exact there, and climb from it to j >= 1 away from the origin; near
-    the origin j >= 1 takes a joint series.
+    Well-separated arguments take the direct quotient.  Close ones take the
+    exact identity phi_0[x, y] = e^y phi_1(x - y) and climb from it to j >= 1
+    away from the origin; near the origin j >= 1 takes a joint series.
     """
     x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
     scale = np.maximum(np.abs(x), np.abs(y))
@@ -129,7 +119,7 @@ def divided_difference(j: int, x, y):
         out[small] = _h_series_divided(x[small], y[small], j)
 
     # well-separated arguments: direct quotient of stable scalar values.  For
-    # j = 0 this also keeps e^mu from underflowing while sinh(nu) overflows
+    # j = 0 this also keeps e^y from underflowing while phi_1(x - y) overflows
     m_dir = ~small & apart
     if np.any(m_dir):
         xd, yd = x[m_dir], y[m_dir]
@@ -141,7 +131,7 @@ def divided_difference(j: int, x, y):
     m_mid = ~small & ~apart
     if np.any(m_mid):
         xm, ym = x[m_mid], y[m_mid]
-        val = np.exp(0.5 * (xm + ym)) * sinhc(0.5 * (xm - ym))
+        val = np.exp(ym) * phi(1, xm - ym)
         for k in range(1, j + 1):
             val = (val - phi(k, ym)) / xm
         out[m_mid] = val
@@ -212,10 +202,13 @@ class EtdTables:
 class EtdState:
     """A semilinear system at time t: coefficients stacked (ncomp, nmodes).
 
-    The state carries the step that advances it, ``scheme`` (one of
-    ``SCHEMES``) and ``dt`` (> 0); both are checked on construction, so a
-    ``replace`` with a bad value raises ``ValueError`` too.  It memoizes its
-    ETD tables (``tables``) and nothing derived from its coefficients.
+    The coefficients are exactly Hermitian: they are projected where they
+    enter (``make_state``, ``make_bruss_state``, ``read_snapshot``), and
+    ``step`` keeps them so.  The state carries the step that advances it,
+    ``scheme`` (one of ``SCHEMES``) and ``dt`` (> 0); both are checked on
+    construction, so a ``replace`` with a bad value raises ``ValueError``
+    too.  It memoizes its ETD tables (``tables``) and nothing derived from
+    its coefficients.
     """
 
     active: ActiveModeSet
@@ -267,15 +260,15 @@ def step(state: EtdState, terms: tuple[np.ndarray, np.ndarray] | None = None) ->
 
     ``terms`` is the state's (L a, N(a)) when the caller already holds it,
     as ``integrate`` does after a record; otherwise the step computes it.
-    The linear factor is exact; Hermitian symmetry is reprojected after the
-    update so round-off cannot accumulate a complex-valued drift.
+    The linear factor is exact.  Exactly Hermitian coefficients stay so with
+    no projection: N(a) is (``ActiveModeSet.coefficients_from_grid``), and
+    every table is real and equal on m and -m.
     """
     tab = state.tables()
-    act = state.active
     a = state.coeffs
 
     def nonlinear(coeffs):
-        return state.params.nonlinear(act.grid_values(coeffs), act)
+        return state.params.nonlinear(state.active.grid_values(coeffs), state.active)
 
     # overflow surfaces as the explicit NonFiniteState below, not a warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -292,8 +285,6 @@ def step(state: EtdState, terms: tuple[np.ndarray, np.ndarray] | None = None) ->
             Nd = nonlinear(cn)
             out = (a + tab.f1 @ (La + Na) + tab.f2 @ (2.0 * La + Nb + Nc)
                    + tab.f3 @ (La + Nd))
-
-        out = act.hermitian(out)
     if not np.all(np.isfinite(out.view(float))):
         raise NonFiniteState(
             f"non-finite coefficient after step at t = {state.t:.6g}"
@@ -323,6 +314,8 @@ def integrate(
     if T < 0:
         raise ValueError("horizon must be nonnegative")
     dt = state.dt
+    if not np.isfinite(T / dt):
+        raise ValueError(f"T / dt = {T!r} / {dt!r} is not a finite number of steps")
     traj = diagnostics.Trajectory([], dt=dt)
     n_steps = int(np.floor(T / dt + 1e-9))
     remainder = T - n_steps * dt

@@ -28,12 +28,14 @@ package computes; records read their extrema off the same grid, and
 ``brusselator.positivity_check`` samples on it by default.
 
 Fields are real, so only the half spectrum whose last index is >= 0 is
-stored: an active mode with last index >= 0 has its own slot there, and every
-other mode is the conjugate of its partner -m.  The transforms are pruned
-(Markel, IEEE Trans. Audio Electroacoust. 19, 1971): the coefficients fill a
-box of (N+1) (2N+1)^(p-1) entries, and the inverse widens it one axis at a
-time to G points, so no transform runs over columns that are all zero, and
-ends on the real half axis; the forward transform narrows it the other way.
+stored.  The inverse reads every stored slot, and the forward transform one
+slot per conjugate pair: a mode whose last nonzero index is negative takes
+its partner's, conjugated, so ``coefficients_from_grid`` returns exactly
+Hermitian rows.  The transforms are pruned (Markel, IEEE Trans. Audio
+Electroacoust. 19, 1971): the coefficients fill a box of (N+1) (2N+1)^(p-1)
+entries, and the inverse widens it one axis at a time to G points, so no
+transform runs over columns that are all zero, and ends on the real half
+axis; the forward transform narrows it the other way.
 By sum factorisation (Orszag, J. Comput. Phys. 37, 1980; Deville, Fischer
 & Mund, High-Order Methods for Incompressible Fluid Flow, 2002) each axis
 step is one matrix product of the whole box, per component, with a
@@ -172,17 +174,20 @@ class ActiveModeSet:
         # the smallest alias-free grid for cubic products (module docstring)
         self.product_axis_points = 4 * self.N + 1
         # flattened half-spectrum box: axis 0 holds m_{p-1} >= 0, the others
-        # m_j mod 2N+1.  A mode reads the slot of m or -m, whichever has
-        # m_{p-1} >= 0, conjugated for -m; an empty slot reads len(self)
+        # m_j mod 2N+1; the inverse fills each slot from its own mode, or a
+        # zero (len(self)).  The forward transform reads one slot per pair: m
+        # reads -m's, conjugated, when its last nonzero index is negative
         width = 2 * self.N + 1
-        last = self.indices[:, -1]
-        half = np.where(last[:, None] < 0, -self.indices, self.indices)
-        self._gather = half[:, -1]
+        own = self.indices[:, -1]
         for j in range(p - 1):
-            self._gather = self._gather * width + half[:, j] % width
-        self._sign = np.where(last < 0, -1.0, 1.0)
+            own = own * width + self.indices[:, j] % width
+        half = self.indices[:, -1] >= 0
         self._fill = np.full((self.N + 1) * width ** (p - 1), len(self))
-        self._fill[self._gather[last >= 0]] = np.flatnonzero(last >= 0)
+        self._fill[own[half]] = np.flatnonzero(half)
+        # m's last nonzero index has the sign of sum_j m_j (2N+1)^j (balanced digits)
+        flip = self.indices @ self._radix[::-1] < 0
+        self._gather = np.where(flip, own[self.neg_perm], own)
+        self._sign = np.where(flip, -1.0, 1.0)
         self.zero_position = self._find(np.zeros((1, p), dtype=np.int64))[0]
         self._dft_cache: dict[int, tuple] = {}
 
@@ -226,16 +231,14 @@ class ActiveModeSet:
         coeffs[..., i] = value
         coeffs[..., j] = np.conj(value)
 
-    def _conj_partners(self, coeffs: np.ndarray) -> np.ndarray:
-        return np.conj(coeffs[..., self.neg_perm])  # conj(a_{-m}) at every m
-
     def hermitian(self, coeffs: np.ndarray) -> np.ndarray:
-        """Every row's projection onto a_{-m} = conj(a_m), 0.5 (a_m + conj(a_{-m}))."""
-        return 0.5 * (coeffs + self._conj_partners(coeffs))
+        """Every row's projection 0.5 (a_m + conj(a_{-m})); conjugate pairs keep their bits."""
+        partners = np.conj(coeffs[..., self.neg_perm])
+        return np.where(coeffs == partners, coeffs, 0.5 * (coeffs + partners))
 
     def hermitian_defect(self, coeffs: np.ndarray) -> float:
         """max of |a_m - conj(a_{-m})| over all rows."""
-        return float(np.abs(coeffs - self._conj_partners(coeffs)).max())
+        return float(np.abs(coeffs - np.conj(coeffs[..., self.neg_perm])).max())
 
     def symmetrize(self, coeffs: np.ndarray) -> np.ndarray:
         """Every row's orthogonal projection onto the group-invariant subspace.
@@ -352,7 +355,7 @@ class ActiveModeSet:
         ``(..., nmodes)``.  Chain every factor of a product on the grid and
         call this once: truncating an intermediate product to the active set
         would discard tail modes that feed back into retained ones.  A
-        constant grid gives back its value exactly.
+        constant grid gives back its value exactly; rows are exactly Hermitian.
         """
         p = self.rank
         G, _, _, fwd, fwd_last = self._transforms(vals.shape[-1])

@@ -149,7 +149,7 @@ def make_state(
     dt: float = 0.01,
     dealias: int = 2,
 ) -> SolverState:
-    """A state at t = 0 holding its own copy of the field's coefficients.
+    """A state at t = 0 holding the field's coefficients, made exactly Hermitian.
 
     The state carries ``scheme`` and ``dt``, which ``etd.EtdState`` checks.
     ``dealias`` is accepted only as 2, the value older configs carry:
@@ -158,6 +158,6 @@ def make_state(
     if dealias != 2:
         raise ValueError(f"dealias = {dealias} is not supported; the only value is 2")
     return SolverState(
-        field.active, field.coeffs[None].copy(), 0.0, SHParams(lam), scheme, dt,
+        field.active, field.active.hermitian(field.coeffs[None]), 0.0, SHParams(lam), scheme, dt,
     )
 

@@ -187,13 +187,15 @@ def read_snapshot(path, active: ActiveModeSet | None = None):
             f"payload is {len(payload)} bytes, expected {expected}"
         )
     # complex128 read straight from the pairs keeps the sign of a zero
-    coeffs = np.frombuffer(payload, dtype="<c16").reshape(params.ncomp, count).astype(complex)
+    coeffs = np.frombuffer(payload, dtype="<c16").reshape(params.ncomp, count)
     if not np.all(np.isfinite(coeffs)):
         raise CorruptPayload("payload holds a non-finite coefficient")
     defect = active.hermitian_defect(coeffs)
     if defect > HERMITIAN_TOL * max(1.0, np.max(np.abs(coeffs))):
         raise CorruptPayload(f"payload is not Hermitian (defect {defect:.3e})")
-    state = state_type(active, coeffs, t, params, cfg.scheme, cfg.dt, step_index=step_index)
+    # made exactly Hermitian, as a state is; a state's own coefficients keep their bits
+    state = state_type(active, active.hermitian(coeffs), t, params, cfg.scheme, cfg.dt,
+                       step_index=step_index)
     return state, cfg
 
 

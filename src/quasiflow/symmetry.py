@@ -107,7 +107,9 @@ class Holohedry:
 def _first_match(mats: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Per matrix of ``mats``, the first element of ``stack`` within
     CLOSURE_TOL entrywise, or -1."""
-    close = np.max(np.abs(mats[:, None] - stack[None]), axis=(-2, -1)) < CLOSURE_TOL
+    diff = mats[:, None] - stack[None]
+    # in place: one (len(mats), len(stack), d, d) array, the one the order guard budgets
+    close = np.max(np.abs(diff, out=diff), axis=(-2, -1)) < CLOSURE_TOL
     return np.where(close.any(axis=1), np.argmax(close, axis=1), -1)
 
 

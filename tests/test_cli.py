@@ -164,6 +164,20 @@ class TestSimulateSH:
         assert len(err) == 1
         assert err[0].startswith("error: ") and "order 200000" in err[0]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("equation_cfg", [SH_CFG, BRUSS_CFG], ids=["sh", "bruss"])
+    def test_overflowing_step_count_is_one_error_line(self, tmp_path, capsys, equation_cfg):
+        # T / dt = inf is refused before any step, naming the quotient
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(equation_cfg + "T = 1e300\ndt = 1e-300\n")
+        code = cli.main(["simulate", "--config", str(cfg),
+                         "--output", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: T / dt = 1e+300 / 1e-300 ")
+        assert not (tmp_path / "x" / "final.qcs").exists()
+
     def test_blow_up_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
         cfg.write_text(SH_CFG + "dt = 100\nT = 1000\n")

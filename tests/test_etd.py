@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quasiflow import brusselator as br
-from quasiflow import etd, sh, symmetry
-from quasiflow.hull import ActiveModeSet, HullField
+from quasiflow import etd, sh, snapshots, symmetry
+from quasiflow.hull import HERMITIAN_TOL, ActiveModeSet, HullField
 
 
 def phi_longdouble(j, z):
@@ -111,23 +111,8 @@ class TestScalarPhis:
             assert etd.phi(j, z).shape == (7, 1)
 
 
-class TestSinhc:
-    def test_at_zero(self):
-        assert etd.sinhc(0.0) == 1.0
-
-    def test_matches_definition(self):
-        z = np.linspace(-3, 3, 41)
-        z = z[np.abs(z) > 1e-3]
-        assert np.allclose(etd.sinhc(z), np.sinh(z) / z, rtol=1e-14)
-
-    def test_smooth_across_switch(self):
-        z = np.array([9e-5, 1.1e-4])
-        v = etd.sinhc(z)
-        assert abs(v[1] - v[0]) < 1e-8
-
-
 class TestDividedDifference:
-    @pytest.mark.parametrize("j,tol", [(0, 1e-14), (1, 1e-14), (2, 1e-13), (3, 1e-12)])
+    @pytest.mark.parametrize("j,tol", [(0, 1e-15), (1, 1e-14), (2, 1e-13), (3, 1e-12)])
     def test_close_pairs_match_decimal_oracle(self, j, tol):
         # close pairs across [-60, 3]: the climb from phi_0 away from the
         # origin, the joint series near it
@@ -143,8 +128,8 @@ class TestDividedDifference:
 
     @pytest.mark.parametrize("j,tol", [(0, 1e-14)] + REFERENCE_TOLS)
     def test_far_apart_pairs_match_decimal_oracle(self, j, tol):
-        # a stiff mode against a slow one: e^x underflows and, at j = 0,
-        # so does the mean factor e^mu while sinh of the half-gap overflows.
+        # a stiff mode against a slow one: e^x underflows and, at j = 0 with
+        # the stiff one second, so does e^y in e^y phi_1(x - y) while phi_1 overflows.
         # The quotient is as accurate as the scalar phi_j(y), hence its tolerance
         rng = np.random.default_rng(6)
         x = rng.uniform(-3000.0, -1500.0, 100)
@@ -250,29 +235,65 @@ EQUATIONS = [(eq, scheme) for eq in ("sh", "bruss") for scheme in etd.SCHEMES]
 
 
 class TestReprojection:
-    @pytest.mark.parametrize("equation,scheme", EQUATIONS)
-    def test_steps_match_inline_reprojection(self, act12, monkeypatch, equation, scheme):
-        # 50 steps through ActiveModeSet.hermitian, and through the projection
-        # written out on the (ncomp, nmodes) stack, agree to the last bit
-        def fifty_steps(st):
-            for _ in range(50):
-                st = etd.step(st)
-            return st.coeffs
-
-        ours, inline = (fresh_state(act12, equation, scheme) for _ in range(2))
-        ours = fifty_steps(ours)
-        monkeypatch.setattr(ActiveModeSet, "hermitian",
-                            lambda self, a: 0.5 * (a + np.conj(a[:, self.neg_perm])))
-        assert fifty_steps(inline).tobytes() == ours.tobytes()
+    """Coefficients are projected onto a_{-m} = conj(a_m) where they enter, never after a step."""
 
     @pytest.mark.parametrize("equation,scheme", EQUATIONS)
-    def test_step_projects_onto_hermitian(self, act12, equation, scheme):
-        st = fresh_state(act12, equation, scheme)
-        rng = np.random.default_rng(4)
-        skew = 1e-3 * (rng.normal(size=st.coeffs.shape) + 1j * rng.normal(size=st.coeffs.shape))
-        st = replace(st, coeffs=st.coeffs + skew)
-        assert act12.hermitian_defect(st.coeffs) > 1e-4
-        assert act12.hermitian_defect(etd.step(st).coeffs) == 0.0
+    def test_steps_match_inline_reprojection(self, act12, equation, scheme):
+        # 50 steps, and 50 steps each followed by the projection written out on
+        # the (ncomp, nmodes) stack, agree to the last bit: a step's output is
+        # already exactly Hermitian, so a restart's projection keeps its bits
+        plain, projected = (fresh_state(act12, equation, scheme) for _ in range(2))
+        for _ in range(50):
+            plain = etd.step(plain)
+            projected = etd.step(projected)
+            a = projected.coeffs
+            projected = replace(projected, coeffs=0.5 * (a + np.conj(a[:, act12.neg_perm])))
+        assert plain.coeffs.tobytes() == projected.coeffs.tobytes()
+
+    @pytest.mark.parametrize("N", [1, 2])
+    @pytest.mark.parametrize("equation,scheme", EQUATIONS)
+    def test_steps_stay_exactly_hermitian(self, equation, scheme, N):
+        mod = symmetry.generate_frequency_module(symmetry.build_holohedry("dihedral:12"))
+        act = ActiveModeSet(mod, N)
+        state = fresh_state(act, equation, scheme)
+        rng = np.random.default_rng(9)
+        shape = state.coeffs.shape
+        kick = 1e-2 * (rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        state = replace(state, coeffs=act.hermitian(state.coeffs + kick))
+        for _ in range(200):
+            state = etd.step(state)
+            assert act.hermitian_defect(state.coeffs) == 0.0
+        assert np.abs(state.coeffs.imag).max() > 1e-4  # complex pairs, not only real ones
+
+    @pytest.mark.parametrize("entry", ["make_state", "make_bruss_state", "read_snapshot-sh",
+                                       "read_snapshot-bruss"])
+    def test_entry_makes_coefficients_exactly_hermitian(self, act12, tmp_path, entry):
+        p = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+
+        def enter(rows):
+            fields = [HullField(act12, row) for row in rows]
+            if entry == "make_state":
+                return sh.make_state(fields[0], 0.1).coeffs
+            if entry == "make_bruss_state":
+                return br.make_bruss_state(*fields, p).coeffs
+            state = (sh.make_state(fields[0], 0.1) if entry.endswith("sh")
+                     else br.make_bruss_state(*fields, p))
+            path = tmp_path / "entry.qcs"
+            snapshots.write_snapshot(replace(state, coeffs=rows), path)
+            return snapshots.read_snapshot(path)[0].coeffs
+
+        ncomp = 1 if entry.endswith("sh") or entry == "make_state" else 2
+        rng = np.random.default_rng(8)
+        shape = (ncomp, len(act12))
+        exact = act12.hermitian(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+        zero = act12.zero_position
+        exact[:, zero] = np.conj(exact[:, zero].real + 0j)  # a signed zero, kept too
+        assert np.all(np.signbit(exact[:, zero].imag))
+        skew = 1e-13 * (rng.uniform(-1, 1, shape) + 1j * rng.uniform(-1, 1, shape))
+        skewed = exact + skew
+        assert 0.0 < act12.hermitian_defect(skewed) < HERMITIAN_TOL
+        assert act12.hermitian_defect(enter(skewed)) == 0.0
+        assert enter(exact).tobytes() == exact.tobytes()
 
 
 class TestTermsMemo:

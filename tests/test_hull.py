@@ -219,6 +219,22 @@ class TestActiveModeSet:
         members = {tuple(m) for m in active_case.indices}
         assert all(tuple(-m) in members for m in active_case.indices)
 
+    def test_partners_share_squared_wavenumbers(self, active_case):
+        # bitwise: every ETD table is then equal on m and -m, so a step keeps
+        # exactly Hermitian coefficients exactly Hermitian
+        act = active_case
+        assert act.ksq[act.neg_perm].tobytes() == act.ksq.tobytes()
+
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "two"])
+    def test_forward_transform_is_exactly_hermitian(self, active_case, lead):
+        # one slot per conjugate pair, on the product grid and an even one
+        act = active_case
+        rng = np.random.default_rng(12)
+        for G in (act.product_axis_points, 2 * act.N + 2):
+            back = act.coefficients_from_grid(rng.normal(size=lead + (G,) * act.rank))
+            assert back.shape == lead + (len(act),)
+            assert act.hermitian_defect(back) == 0.0
+
     def test_permutation_tables(self, active_case):
         act = active_case
         assert_orbits_match_images(act)
@@ -735,6 +751,7 @@ class TestRealTransforms:
         assert np.abs(vals - ref.real).max() <= 1e-13 * scale
 
         back = act.coefficients_from_grid(vals)
+        assert act.hermitian_defect(back) == 0.0
         assert np.abs(back - complex_reference_coefficients(act, vals)).max() <= 1e-13 * scale
         assert np.abs(back - a).max() <= 1e-13 * scale
 

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 from quasiflow import brusselator as br
-from quasiflow import sh, snapshots
+from quasiflow import etd, sh, snapshots
 from quasiflow.config import parse_config
-from quasiflow.hull import ActiveModeSet
+from quasiflow.etd import SCHEMES
+from quasiflow.hull import ActiveModeSet, HullField
 from quasiflow.snapshots import (
     CorruptPayload,
     FormatVersionMismatch,
@@ -116,6 +117,35 @@ class TestSnapshotRoundTrip:
         head = path.read_bytes().split(b"---\n")[0].decode("ascii")
         block = head.split("\n", 1)[1].split("generator 0 = ")[0]
         assert block == to_text(cfg)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES)
+@pytest.mark.parametrize("equation", ["sh", "bruss"])
+def test_restart_matches_uninterrupted_run(tmp_path, act12, equation, scheme):
+    # a run to T equals, bit for bit, a run to T/2, a snapshot and a restart
+    # for T/2 more; complex Hermitian noise makes the pairing nontrivial
+    rng = np.random.default_rng(10)
+    noise = [act12.hermitian(1e-2 * (rng.normal(size=len(act12))
+                                     + 1j * rng.normal(size=len(act12)))) for _ in range(2)]
+    dt = 1.0 / 64.0
+    if equation == "sh":
+        state = sh.make_state(HullField(act12, noise[0]), 0.2, scheme=scheme, dt=dt)
+    else:
+        p = br.BrusselatorParams(A=2.0, B=4.2, d1=1.0, d2=4.0)
+        u, v = br.steady_plus_critical_ic(act12, p, (-0.894, 0.447), 1e-3)
+        u.coeffs += noise[0]
+        v.coeffs += noise[1]
+        state = br.make_bruss_state(u, v, p, dt=dt, scheme=scheme)
+    full, _ = etd.integrate(state, 0.5, etd.step)
+    half, _ = etd.integrate(state, 0.25, etd.step)
+    path = tmp_path / "half.qcs"
+    write_snapshot(half, path)
+    back, _ = read_snapshot(path)
+    assert back.coeffs.tobytes() == half.coeffs.tobytes()
+    assert (back.t, back.step_index) == (half.t, half.step_index) == (0.25, 16)
+    rest, _ = etd.integrate(back, 0.25, etd.step)
+    assert rest.step_index == full.step_index == 32
+    assert rest.coeffs.tobytes() == full.coeffs.tobytes()
 
 
 def _written(tmp_path, state) -> bytes:

@@ -2,6 +2,7 @@
 
 import functools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,19 @@ class TestBuildHolohedry:
         monkeypatch.setattr(symmetry, "MAX_GRID_BYTES", 2047)
         with pytest.raises(TooLarge, match="order 8"):
             build("dihedral:4")
+
+    def test_pairwise_comparison_peaks_near_one_array(self):
+        # the guard budgets one (order, order, 2, 2) float64 array; the
+        # comparison adds only its (order, order) maximum and mask
+        order = 800
+        one_array = order * order * 4 * 8
+        tracemalloc.start()
+        try:
+            assert build_holohedry.__wrapped__("dihedral:400").order == order
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * one_array
 
     def test_construction_is_cached(self):
         assert build_holohedry("dihedral:12") is build_holohedry("dihedral:12")
