@@ -145,19 +145,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="run a config of either equation")
     p.add_argument("--config", required=True, help="path to key = value config")
     p.add_argument("--output", default=None, help="override output directory")
+    p.set_defaults(command=_cmd_simulate)
 
     p = sub.add_parser("turing", help="onset analysis for a parameter triple")
     p.add_argument("--A", type=float, required=True)
     p.add_argument("--d1", type=float, required=True)
     p.add_argument("--d2", type=float, required=True)
+    p.set_defaults(command=_cmd_turing)
 
     p = sub.add_parser("render", help="rasterize a snapshot to PGM")
     p.add_argument("--snapshot", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--window", type=float, nargs=2, default=(-20.0, 20.0))
     p.add_argument("--resolution", type=int, default=512)
+    p.set_defaults(command=_cmd_render)
 
-    sub.add_parser("verify", help="run the full verification suite")
+    sub.add_parser("verify", help="run the full verification suite").set_defaults(command=_cmd_verify)
     return parser
 
 
@@ -168,19 +171,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        if args.subcommand == "simulate":
-            return _cmd_simulate(args)
-        if args.subcommand == "turing":
-            return _cmd_turing(args)
-        if args.subcommand == "render":
-            return _cmd_render(args)
-        if args.subcommand == "verify":
-            return _cmd_verify(args)
+        return args.command(args)
     except (OSError, ValueError, NonFiniteState, OverflowError, br.NoBracket,
             RelationSearchExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    raise AssertionError("unreachable")
 
 
 if __name__ == "__main__":

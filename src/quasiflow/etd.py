@@ -260,9 +260,9 @@ def step(state: EtdState, terms: tuple[np.ndarray, np.ndarray] | None = None) ->
 
     ``terms`` is the state's (L a, N(a)) when the caller already holds it,
     as ``integrate`` does after a record; otherwise the step computes it.
-    The linear factor is exact.  Exactly Hermitian coefficients stay so with
-    no projection: N(a) is (``ActiveModeSet.coefficients_from_grid``), and
-    every table is real and equal on m and -m.
+    The linear factor is exact.  Exactly Hermitian coefficients, which
+    ``integrate`` checks, stay so unprojected: N(a) is exactly Hermitian
+    (``coefficients_from_grid``), and every table is real and equal on m and -m.
     """
     tab = state.tables()
     a = state.coeffs
@@ -309,13 +309,20 @@ def integrate(
     Hooks are called with (state, record) at each recording and must leave
     the state unchanged.  A final fractional step lands exactly on T when T
     is not a multiple of dt.  A blow-up raises NonFiniteState carrying the
-    trajectory, which then holds the records taken before it.
+    trajectory, which then holds the records taken before it.  Before any
+    record, ValueError refuses a negative T, a non-finite T / dt, a dt that
+    cannot advance the clock at t + T, and finite coefficients not exactly Hermitian.
     """
     if T < 0:
         raise ValueError("horizon must be nonnegative")
     dt = state.dt
     if not np.isfinite(T / dt):
         raise ValueError(f"T / dt = {T!r} / {dt!r} is not a finite number of steps")
+    if state.t + T + dt == state.t + T:
+        raise ValueError(f"dt = {dt!r} cannot advance the clock at t = {state.t + T!r}")
+    defect = state.active.hermitian_defect(state.coeffs)
+    if defect > 0 and np.isfinite(state.coeffs).all():
+        raise ValueError(f"coefficients are not exactly Hermitian (defect {defect:.3e})")
     traj = diagnostics.Trajectory([], dt=dt)
     n_steps = int(np.floor(T / dt + 1e-9))
     remainder = T - n_steps * dt

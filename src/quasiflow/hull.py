@@ -4,7 +4,8 @@ A hull function is a row of complex coefficients on an "active" set of
 integer mode indices: the largest subset of the box |m|_inf <= N that is
 mapped to itself by every group element.  Closure under the group action
 makes symmetrization exact; closure under negation lets the Hermitian
-constraint a_{-m} = conj(a_m) keep field values real.
+constraint a_{-m} = conj(a_m) keep field values real.  Negation reverses
+the stored order: a row's partners are the row read backwards, zero its middle.
 
 Every operation on coefficients is a row operation of ``ActiveModeSet``,
 acting on the last axis of an array stacked ``(..., nmodes)``, one row or a
@@ -94,8 +95,9 @@ class ActiveModeSet:
     digits m_j + N in base 2N+1.  Numeric order of keys is lexicographic
     order of indices, and the i-th row of ``integer_box`` has key i.  An
     index is kept when every integer representation maps it back into the
-    box.  Indices are stored in key order; all derived arrays (wavevectors,
-    orbit ids, negation permutation) are aligned with that order.
+    box.  Indices are stored in key order, and derived arrays are aligned
+    with it.  The keep mask is even and key(-m) = 2N sum(radix) - key(m),
+    so -m sits at position n - 1 - i when m sits at i, and zero at n // 2.
 
     A table of length (2N+1)^p holds each key's position in the set, or
     len(self) for a box index that is not active; every lookup reads it.
@@ -169,7 +171,6 @@ class ActiveModeSet:
         size = np.bincount(self.orbit)[self.orbit[order]]
         self.orbit_blocks = [order[size == s].reshape(-1, s)
                              for s in np.flatnonzero(np.bincount(size))]
-        self.neg_perm = self._find(-self.indices)
 
         # the smallest alias-free grid for cubic products (module docstring)
         self.product_axis_points = 4 * self.N + 1
@@ -186,14 +187,10 @@ class ActiveModeSet:
         self._fill[own[half]] = np.flatnonzero(half)
         # m's last nonzero index has the sign of sum_j m_j (2N+1)^j (balanced digits)
         flip = self.indices @ self._radix[::-1] < 0
-        self._gather = np.where(flip, own[self.neg_perm], own)
+        self._gather = np.where(flip, own[::-1], own)
         self._sign = np.where(flip, -1.0, 1.0)
-        self.zero_position = self._find(np.zeros((1, p), dtype=np.int64))[0]
+        self.zero_position = len(self) // 2
         self._dft_cache: dict[int, tuple] = {}
-
-    def _find(self, m: np.ndarray) -> np.ndarray:
-        """Positions of indices known to be active."""
-        return self._table[(m + self.N) @ self._radix]
 
     @property
     def rank(self) -> int:
@@ -224,7 +221,7 @@ class ActiveModeSet:
     def set_mode(self, coeffs: np.ndarray, m, value: complex) -> None:
         """Write a_m = value and a_{-m} = conj(value) in every row, so values stay real."""
         i = self.position(m)
-        j = self.neg_perm[i]
+        j = len(self) - 1 - i
         value = complex(value)
         if i == j and abs(value.imag) > HERMITIAN_TOL * max(1.0, abs(value)):
             raise ValueError("self-conjugate mode must have a real coefficient")
@@ -233,12 +230,12 @@ class ActiveModeSet:
 
     def hermitian(self, coeffs: np.ndarray) -> np.ndarray:
         """Every row's projection 0.5 (a_m + conj(a_{-m})); conjugate pairs keep their bits."""
-        partners = np.conj(coeffs[..., self.neg_perm])
+        partners = np.conj(coeffs[..., ::-1])
         return np.where(coeffs == partners, coeffs, 0.5 * (coeffs + partners))
 
     def hermitian_defect(self, coeffs: np.ndarray) -> float:
         """max of |a_m - conj(a_{-m})| over all rows."""
-        return float(np.abs(coeffs - np.conj(coeffs[..., self.neg_perm])).max())
+        return float(np.abs(coeffs - np.conj(coeffs[..., ::-1])).max())
 
     def symmetrize(self, coeffs: np.ndarray) -> np.ndarray:
         """Every row's orthogonal projection onto the group-invariant subspace.

@@ -53,6 +53,16 @@ perturbation = 1e-4
 """
 
 
+MAIN = "import sys; from quasiflow import cli; sys.exit(cli.main(sys.argv[1:]))"
+
+
+def src_env():
+    """The environment with this package's source first on PYTHONPATH, for subprocesses."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 @pytest.fixture()
 def sh_cfg(tmp_path):
     path = tmp_path / "sh.cfg"
@@ -177,6 +187,22 @@ class TestSimulateSH:
         assert len(err) == 1
         assert err[0].startswith("error: T / dt = 1e+300 / 1e-300 ")
         assert not (tmp_path / "x" / "final.qcs").exists()
+
+    @pytest.mark.parametrize("T,dt", [("1e-13", "1e-300"), ("1e300", "1")])
+    def test_stalled_clock_is_one_error_line(self, tmp_path, T, dt):
+        # T / dt is finite, but t + dt == t long before T; in a subprocess
+        # with a timeout, since a run that takes such steps never ends
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(SH_CFG + f"T = {T}\ndt = {dt}\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", MAIN, "simulate", "--config", str(cfg),
+             "--output", str(tmp_path / "x")],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == (f"error: dt = {float(dt)!r} cannot advance the clock "
+                               f"at t = {float(T)!r}\n")
+        assert not (tmp_path / "x" / "diagnostics.csv").exists()
 
     def test_blow_up_is_one_error_line(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -557,12 +583,9 @@ print(json.dumps({"codes": codes, "loaded": loaded}))
 def test_runtime_needs_no_scipy(tmp_path, sh_cfg, bruss_cfg):
     # the SH config is perturbed, which draws random numbers; and a run
     # imports no numpy module either, so its set-up time holds no import
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-c", NO_SCIPY, str(tmp_path / "runs"), str(sh_cfg), str(bruss_cfg)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0, 0, 0], "loaded": []}

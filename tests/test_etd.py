@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from quasiflow import brusselator as br
 from quasiflow import etd, sh, snapshots, symmetry
+from quasiflow.diagnostics import NonFiniteState
 from quasiflow.hull import HERMITIAN_TOL, ActiveModeSet, HullField
 
 
@@ -247,7 +248,7 @@ class TestReprojection:
             plain = etd.step(plain)
             projected = etd.step(projected)
             a = projected.coeffs
-            projected = replace(projected, coeffs=0.5 * (a + np.conj(a[:, act12.neg_perm])))
+            projected = replace(projected, coeffs=0.5 * (a + np.conj(a[:, ::-1])))
         assert plain.coeffs.tobytes() == projected.coeffs.tobytes()
 
     @pytest.mark.parametrize("N", [1, 2])
@@ -294,6 +295,39 @@ class TestReprojection:
         assert 0.0 < act12.hermitian_defect(skewed) < HERMITIAN_TOL
         assert act12.hermitian_defect(enter(skewed)) == 0.0
         assert enter(exact).tobytes() == exact.tobytes()
+
+
+class TestIntegrateRefusals:
+    """What ``integrate`` refuses before its first record."""
+
+    @staticmethod
+    def no_record(state, rec):
+        raise AssertionError(f"recorded the state at t = {rec.t}")
+
+    @pytest.mark.parametrize("equation", ["sh", "bruss"])
+    def test_skewed_state_refused_before_any_hook(self, act12, equation):
+        # a state built around the entry points; no step would repair a skew
+        state = fresh_state(act12, equation, "etdrk2")
+        last = state.coeffs[:, -1]
+        for partner in (last + 1e-3, last + np.spacing(last.real)):
+            skewed = state.coeffs.copy()
+            skewed[:, -1] = partner
+            with pytest.raises(ValueError, match="not exactly Hermitian"):
+                etd.integrate(replace(state, coeffs=skewed), 0.1, etd.step,
+                              hooks=(self.no_record,))
+        # a non-finite state, never Hermitian, is still a blow-up
+        broken = state.coeffs.copy()
+        broken[:, -1] = np.inf
+        with pytest.raises(NonFiniteState):
+            etd.integrate(replace(state, coeffs=broken), 0.1, etd.step)
+
+    @pytest.mark.parametrize("t,T,dt", [(0.0, 1e-13, 1e-300), (0.0, 1e300, 1.0),
+                                        (1e20, 1.0, 0.01)])
+    def test_stalled_clock_refused_before_any_hook(self, act12, t, T, dt):
+        # T / dt is finite, but t + dt == t before the final time t + T
+        state = replace(fresh_state(act12, "sh", "etdrk2"), t=t, dt=dt)
+        with pytest.raises(ValueError, match="cannot advance the clock"):
+            etd.integrate(state, T, etd.step, hooks=(self.no_record,))
 
 
 class TestTermsMemo:

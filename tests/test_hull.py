@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quasiflow import diagnostics, hull, sh
@@ -27,7 +27,8 @@ from quasiflow.hull import (
     l1_hs_bound_constant,
     render_image,
 )
-from quasiflow.symmetry import build_holohedry, generate_frequency_module, integer_box
+from quasiflow.symmetry import (RelationSearchExhausted, build_holohedry,
+                                generate_frequency_module, integer_box)
 from quasiflow.verification import VERTEX_K0
 
 
@@ -149,6 +150,12 @@ ACTIVE_CASES = (
 )
 
 
+def assert_negation_reverses(act):
+    assert np.array_equal(act.indices[::-1], -act.indices)
+    assert not act.indices[len(act) // 2].any()
+    assert act.zero_position == len(act) // 2
+
+
 @pytest.fixture(scope="module", params=ACTIVE_CASES, ids=lambda c: f"{c[0]}-N{c[1]}")
 def active_case(request):
     name, N = request.param
@@ -219,11 +226,25 @@ class TestActiveModeSet:
         members = {tuple(m) for m in active_case.indices}
         assert all(tuple(-m) in members for m in active_case.indices)
 
+    def test_negation_reverses_key_order(self, active_case):
+        # the partner of position i is n - 1 - i, and zero sits in the middle
+        assert_negation_reverses(active_case)
+
+    @settings(max_examples=20, deadline=None)
+    @given(q=st.integers(1, 15).map(lambda n: 2 * n), theta=st.floats(0.0, 2 * np.pi))
+    def test_negation_reverses_key_order_on_drawn_seeds(self, q, theta):
+        try:
+            module = generate_frequency_module(build_holohedry(f"dihedral:{q}"),
+                                               np.array([np.cos(theta), np.sin(theta)]))
+        except (ValueError, RelationSearchExhausted):
+            assume(False)
+        assert_negation_reverses(ActiveModeSet(module, 1))
+
     def test_partners_share_squared_wavenumbers(self, active_case):
         # bitwise: every ETD table is then equal on m and -m, so a step keeps
         # exactly Hermitian coefficients exactly Hermitian
         act = active_case
-        assert act.ksq[act.neg_perm].tobytes() == act.ksq.tobytes()
+        assert act.ksq[::-1].tobytes() == act.ksq.tobytes()
 
     @pytest.mark.parametrize("lead", [(), (2,)], ids=["one", "two"])
     def test_forward_transform_is_exactly_hermitian(self, active_case, lead):
@@ -239,7 +260,7 @@ class TestActiveModeSet:
         act = active_case
         assert_orbits_match_images(act)
         pos = {tuple(m): i for i, m in enumerate(act.indices)}
-        assert [pos[tuple(-m)] for m in act.indices] == list(act.neg_perm)
+        assert [pos[tuple(-m)] for m in act.indices] == list(range(len(act)))[::-1]
 
     @pytest.mark.parametrize("name,N", [(name, None) for name in BUILT]
                              + [("icosahedral", 1), ("icosahedral-vertex", 1)])
@@ -445,7 +466,7 @@ class TestSymmetrize:
         proj = act12.hermitian(rows)
         for row, p in zip(rows, proj):
             assert np.array_equal(p, act12.hermitian(row))
-            assert np.array_equal(p, np.conj(p[act12.neg_perm]))
+            assert np.array_equal(p, np.conj(p[::-1]))
         assert act12.hermitian_defect(rows) == max(act12.hermitian_defect(r) for r in rows)
         assert act12.hermitian_defect(proj) == 0.0
 
@@ -737,7 +758,7 @@ class TestRealTransforms:
         kw = {"axis_points": TRANSFORM_GRIDS[grid](act.N)}
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(3, len(act))) + 1j * rng.normal(size=(3, len(act)))
-        a = 0.5 * (raw + np.conj(raw[:, act.neg_perm]))
+        a = 0.5 * (raw + np.conj(raw[:, ::-1]))
         # a grid value sums every mode, so its round-off grows like the square
         # root of the mode count; the bound was set on at most 729 modes
         scale = np.abs(a).max() * max(1.0, np.sqrt(len(act) / 729))
@@ -766,7 +787,7 @@ class TestRealTransforms:
         act = transform_active(case)
         rng = np.random.default_rng(7)
         raw = rng.normal(size=(2, 3, len(act))) + 1j * rng.normal(size=(2, 3, len(act)))
-        a = 0.5 * (raw + np.conj(raw[..., act.neg_perm]))
+        a = 0.5 * (raw + np.conj(raw[..., ::-1]))
         vals = act.grid_values(a)
         G = act.product_axis_points
         assert vals.shape == (2, 3) + (G,) * act.rank and vals.dtype == float
